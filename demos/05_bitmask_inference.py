@@ -3,11 +3,12 @@ Compiled bitmask inference
 ==========================
 
 Instead of walking root-to-leaf per tree, the compiled evaluator keeps one
-64-bit word per tree (bit i = leaf i, all set), ANDs in precomputed masks
-for every condition the example satisfies, and reads the answer off the
-lowest surviving bit. Per-term masks make set-intersection conditions as
-cheap as lookups: presence of a term kills exactly the leaves it makes
-unreachable.
+bit per leaf of every tree (bit i = leaf i, all set), ANDs in precomputed
+masks for every condition the example satisfies, and reads the answer off
+the lowest surviving bit. A tree's bits fill as many 64-bit words as the
+forest's widest tree needs; the small trees below fit one word. Per-term
+masks make set-intersection conditions as cheap as lookups: presence of a
+term kills exactly the leaves it makes unreachable.
 """
 
 import time

@@ -107,7 +107,6 @@ _KEYS: dict[str, tuple] = {
     "parameter": (str, "sampling_rate"),
     "grid": (_parse_grid, DEFAULT_SWEEP_GRID),
     "evaluator": (str, "qs"),
-    "threads": (int, 1),
     "runs": (int, 100),
     "warmup": (int, 10),
 }
@@ -164,8 +163,6 @@ def parse_config(path: str | None, overrides: list[str]) -> RunConfig:
             raise ConfigError(f"--set {item!r}: expected key=value")
         key, _, raw = item.partition("=")
         cfg.set(key.strip(), raw, origin=f"--set {key.strip()}")
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 
@@ -466,8 +463,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (wins)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker budget; this build runs single-threaded")
 
     for name in ("train", "evaluate", "sweep"):
         common(sub.add_parser(name))
@@ -488,10 +483,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.config, args.overrides)
-        if args.threads is not None:
-            cfg.set("threads", str(args.threads), origin="--threads")
-        if args.command == "bench":
-            cfg.set("threads", "1", origin="bench")  # benchmarks force one thread
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "evaluate":

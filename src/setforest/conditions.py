@@ -15,26 +15,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 import numpy as np
 
-from .dataset import MISSING_CATEGORY, Dataset, FeatureType
+from .dataset import MISSING_CATEGORY, Dataset, Feature, FeatureType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericalGE:
     feature: int
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CategoryIn:
     feature: int
     values: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetIntersects:
     feature: int
     mask: tuple[int, ...]  # strictly increasing term ids, nonempty
@@ -103,12 +104,51 @@ def condition_to_dict(condition: SplitCondition) -> dict:
             "mask": [int(t) for t in condition.mask]}
 
 
-def condition_from_dict(data: dict) -> SplitCondition:
-    kind = data["kind"]
+_KIND_TYPES = {"numerical_ge": FeatureType.NUMERICAL, "category_in": FeatureType.CATEGORICAL,
+               "set_intersects": FeatureType.CATEGORICAL_SET}
+_UNBOUNDED = np.iinfo(np.int64).max
+
+
+def condition_from_dict(data: dict, features: list[Feature], id_lists: dict) -> SplitCondition:
+    """Parse one split of a model document whose feature must be in the schema
+    and match its kind, else ``ValueError``. A term mask or value set goes
+    onto ``id_lists[feature]`` (a ``defaultdict(list)``) for ``check_id_lists``."""
+    kind, feature = data["kind"], data["feature"]
+    if kind not in _KIND_TYPES:
+        raise ValueError(f"unknown condition kind {kind!r}")
+    if type(feature) is not int or not 0 <= feature < len(features):
+        raise ValueError(f"{kind} split on feature {feature!r}, "
+                         f"but the schema has {len(features)} features")
+    if features[feature].ftype is not _KIND_TYPES[kind]:
+        raise ValueError(f"{kind} split on {features[feature].ftype.value} feature {feature}")
     if kind == "numerical_ge":
-        return NumericalGE(int(data["feature"]), float(data["threshold"]))
-    if kind == "category_in":
-        return CategoryIn(int(data["feature"]), frozenset(int(v) for v in data["values"]))
-    if kind == "set_intersects":
-        return SetIntersects(int(data["feature"]), tuple(int(t) for t in data["mask"]))
-    raise ValueError(f"unknown condition kind {kind!r}")
+        return NumericalGE(feature, float(data["threshold"]))
+    ids = data["values" if kind == "category_in" else "mask"]
+    id_lists[feature].append(ids)
+    return CategoryIn(feature, frozenset(ids)) if kind == "category_in" \
+        else SetIntersects(feature, tuple(ids))
+
+
+def check_id_lists(id_lists: dict, features: list[Feature]) -> None:
+    """Each list ``condition_from_dict`` collected must be a non-empty,
+    strictly increasing list of ints inside its feature's vocabulary (any
+    non-negative int where there is none), else ``ValueError`` (an id past
+    int64 raises ``OverflowError``). One vectorised pass per feature."""
+    for feature, lists in id_lists.items():
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        # every id's type must be exactly int: bool, float, str or a list is not
+        if list(map(type, chain.from_iterable(lists))).count(int) != counts.sum():
+            raise ValueError(f"feature {feature}: term ids and values must be integers")
+        ids = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=counts.sum())
+        vocabulary = features[feature].vocabulary
+        ends = np.cumsum(counts)
+        rising = np.ones(len(ids), dtype=bool)
+        rising[1:] = ids[1:] > ids[:-1]
+        rising[(ends - counts)[counts > 0]] = True  # the first id of every list
+        bad = (ids < 0) | ~rising | (ids > (_UNBOUNDED if vocabulary is None
+                                            else len(vocabulary) - 1))
+        wrong = np.flatnonzero(counts == 0)[:1].tolist() \
+            + np.searchsorted(ends, np.flatnonzero(bad)[:1], side="right").tolist()
+        if wrong:
+            raise ValueError(f"feature {feature}: {lists[min(wrong)]!r} is not a non-empty, "
+                             "strictly increasing list of ids in its vocabulary")

@@ -267,6 +267,61 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
         return header, list(reader)
 
 
+def _read_table(path, columns, label_column: str | None, weight_column: str | None):
+    """Header, cells of ``columns`` by name, labels and weights of a CSV file.
+
+    The header must hold every named column and each row one cell per
+    header column. Without a label column the labels are 0, without a
+    weight column the weights are None.
+    """
+    header, rows = _read_csv(path)
+    weight_column = weight_column or None  # an empty name means no weights
+    for name in [*columns, label_column, weight_column]:
+        if name is not None and name not in header:
+            raise DataError(f"{path}: column {name!r} not in header")
+    col_of = {name: header.index(name) for name in header}
+    labels = [] if label_column is not None else [0] * len(rows)
+    weights = [] if weight_column is not None else None
+    for rowno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{rowno}: expected {len(header)} cells, got {len(row)}")
+        if label_column is not None:
+            cell = row[col_of[label_column]]
+            if cell not in ("0", "1"):
+                raise DataError(f"{path}:{rowno}: label must be 0 or 1, got {cell!r}")
+            labels.append(int(cell))
+        if weight_column is not None:
+            try:
+                weights.append(float(row[col_of[weight_column]]))
+            except ValueError:
+                raise DataError(f"{path}:{rowno}: bad weight") from None
+    cells = {name: [row[col_of[name]] for row in rows] for name in columns}
+    return header, cells, labels, weights
+
+
+def _numerical_cells(path, name: str, cells: list[str]) -> np.ndarray:
+    out = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        if cell == "":
+            out[i] = np.nan
+        else:
+            try:
+                out[i] = float(cell)
+            except ValueError:
+                raise DataError(f"{path}:{i + 2}: column {name!r}: bad number {cell!r}") from None
+    return out
+
+
+def _set_cells(path, name: str, cells: list[str]) -> list[list[str] | None]:
+    parsed = []
+    for i, cell in enumerate(cells):
+        try:
+            parsed.append(_parse_set_cell(cell))
+        except DataError as exc:
+            raise DataError(f"{path}:{i + 2}: column {name!r}: {exc}") from None
+    return parsed
+
+
 def load_csv(
     path,
     column_types: dict[str, str],
@@ -284,72 +339,26 @@ def load_csv(
     tables built over the whole file (descending frequency, lexicographic
     tie-break); labels play no part in the id assignment.
     """
-    header, raw_rows = _read_csv(path)
-
     for name, ftype in column_types.items():
-        if name not in header:
-            raise DataError(f"{path}: column {name!r} not in header")
         if ftype not in ("numerical", "categorical", "set"):
             raise DataError(f"{path}: unknown column type {ftype!r} for {name!r}")
-    if label_column not in header:
-        raise DataError(f"{path}: label column {label_column!r} not in header")
-
-    col_of = {name: header.index(name) for name in header}
-    feature_names = [n for n in header if n in column_types]
-
-    labels = []
-    weights = [] if weight_column else None
-    raw_cols: dict[str, list] = {n: [] for n in feature_names}
-    for rowno, row in enumerate(raw_rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{rowno}: expected {len(header)} cells, got {len(row)}")
-        cell = row[col_of[label_column]]
-        if cell not in ("0", "1"):
-            raise DataError(f"{path}:{rowno}: label must be 0 or 1, got {cell!r}")
-        labels.append(int(cell))
-        if weight_column:
-            try:
-                weights.append(float(row[col_of[weight_column]]))
-            except ValueError:
-                raise DataError(f"{path}:{rowno}: bad weight") from None
-        for name in feature_names:
-            raw_cols[name].append(row[col_of[name]])
-
+    header, cells_of, labels, weights = _read_table(path, column_types, label_column,
+                                                    weight_column)
     features: list[Feature] = []
     columns: list = []
-    for name in feature_names:
-        ftype = column_types[name]
-        cells = raw_cols[name]
+    for name in [n for n in header if n in column_types]:
+        ftype, cells = column_types[name], cells_of[name]
         if ftype == "numerical":
-            out = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    out[i] = np.nan
-                else:
-                    try:
-                        out[i] = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{i + 2}: column {name!r}: bad number {cell!r}"
-                        ) from None
             features.append(Feature(name, FeatureType.NUMERICAL))
-            columns.append(out)
+            columns.append(_numerical_cells(path, name, cells))
         elif ftype == "categorical":
             vocab = build_vocabulary(([c] for c in cells if c != ""), max_size=len(cells) or 1,
                                      min_frequency=1)
-            out = np.full(len(cells), MISSING_CATEGORY, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell != "":
-                    out[i] = vocab.index[cell]
             features.append(Feature(name, FeatureType.CATEGORICAL, vocab))
-            columns.append(out)
+            columns.append(np.array([vocab.index[c] if c != "" else MISSING_CATEGORY
+                                     for c in cells], dtype=np.int64))
         else:
-            parsed = []
-            for i, cell in enumerate(cells):
-                try:
-                    parsed.append(_parse_set_cell(cell))
-                except DataError as exc:
-                    raise DataError(f"{path}:{i + 2}: column {name!r}: {exc}") from None
+            parsed = _set_cells(path, name, cells)
             vocab = build_vocabulary((p for p in parsed if p is not None),
                                      max_size=max(len(cells), 1) * 64, min_frequency=1)
             col = [None if p is None else encode_tokens(p, vocab) for p in parsed]
@@ -371,60 +380,19 @@ def load_csv_with_schema(
     tables; unseen categorical values become missing, unseen set tokens are
     dropped. Without a label column, labels default to 0.
     """
-    header, raw_rows = _read_csv(path)
-    for feat in features:
-        if feat.name not in header:
-            raise DataError(f"{path}: column {feat.name!r} not in header")
-    col_of = {name: header.index(name) for name in header}
-    n = len(raw_rows)
-
-    labels = np.zeros(n, dtype=np.int64)
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not in header")
-        for i, row in enumerate(raw_rows):
-            cell = row[col_of[label_column]]
-            if cell not in ("0", "1"):
-                raise DataError(f"{path}:{i + 2}: label must be 0 or 1, got {cell!r}")
-            labels[i] = int(cell)
-    weights = None
-    if weight_column is not None:
-        weights = np.array(
-            [float(row[col_of[weight_column]]) for row in raw_rows], dtype=np.float64)
-
+    _, cells_of, labels, weights = _read_table(path, [f.name for f in features],
+                                               label_column, weight_column)
     columns: list = []
     for feat in features:
-        j = col_of[feat.name]
-        cells = [row[j] if len(row) > j else "" for row in raw_rows]
+        cells = cells_of[feat.name]
         if feat.ftype == FeatureType.NUMERICAL:
-            out = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    out[i] = np.nan
-                else:
-                    try:
-                        out[i] = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{i + 2}: column {feat.name!r}: bad number {cell!r}"
-                        ) from None
-            columns.append(out)
+            columns.append(_numerical_cells(path, feat.name, cells))
         elif feat.ftype == FeatureType.CATEGORICAL:
             index = feat.vocabulary.index if feat.vocabulary else {}
-            out = np.full(n, MISSING_CATEGORY, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell != "":
-                    out[i] = index.get(cell, MISSING_CATEGORY)
-            columns.append(out)
+            columns.append(np.array([index.get(c, MISSING_CATEGORY) if c != "" else
+                                     MISSING_CATEGORY for c in cells], dtype=np.int64))
         else:
-            col = []
-            for i, cell in enumerate(cells):
-                try:
-                    parsed = _parse_set_cell(cell)
-                except DataError as exc:
-                    raise DataError(f"{path}:{i + 2}: column {feat.name!r}: {exc}") from None
-                col.append(None if parsed is None
-                           else encode_tokens(parsed, feat.vocabulary))
-            columns.append(col)
+            columns.append([None if p is None else encode_tokens(p, feat.vocabulary)
+                            for p in _set_cells(path, feat.name, cells)])
 
     return Dataset.create(list(features), columns, labels, weights)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import build_vocabulary, dataset_from_token_sets
-from .inference import CompiledForest, compile_forest, predict_compiled, predict_top_down
+from .inference import (CompiledForest, compile_forest, predict_compiled, predict_dataset,
+                        predict_top_down)
 from .model import DecisionForest, count_leaves, count_nodes, leaf_depths
 from .rng import derive_seed, make_rng
 from .training import TrainConfig, train
@@ -129,7 +130,6 @@ class EvaluationReport:
     std_auc: float
     structure: StructureStats
     models: list[DecisionForest] = field(default_factory=list)
-    timing: list["BenchmarkResult"] | None = None
 
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -171,9 +171,7 @@ def _score_examples(compiled, vocab, chain, token_sets, indices):
         np.zeros(len(indices), dtype=np.int64))
     if chain is not None:
         eval_ds = chain.transform(eval_ds)
-    return np.fromiter(
-        (predict_compiled(compiled, row) for row in eval_ds.rows()),
-        dtype=np.float64, count=eval_ds.n_examples)
+    return predict_dataset(compiled, eval_ds)
 
 
 def cross_validate(

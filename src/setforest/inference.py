@@ -1,10 +1,10 @@
 """Compiled forest evaluation with per-tree leaf bitmasks.
 
 Instead of routing an example from the root down, the compiled evaluator
-keeps one word per tree whose bits stand for the tree's leaves in
-left-to-right order, all set initially. Every node contributes masks that
-clear the leaves of its *negative* subtree, and a mask is applied exactly
-when the node's condition holds:
+keeps one bit per leaf of every tree, in left-to-right order, all set
+initially. Every node contributes masks that clear the leaves of its
+*negative* subtree, and a mask is applied exactly when the node's condition
+holds:
 
 * a numerical node stores (threshold, mask) under its feature; entries are
   sorted by threshold and applied while ``threshold <= value``;
@@ -13,17 +13,16 @@ when the node's condition holds:
 * a categorical node stores one entry per value of its value set, applied
   when the example carries that value.
 
-Masks of the same (feature, term, tree) coming from several nodes are
-AND-combined into a single entry. Missing values apply nothing. Once all
-masks are in, the lowest set bit of each tree's word is the leaf the
-top-down walk would have reached: conditions that held cleared everything
-to the left of the true path, conditions that failed (or were missing)
-cleared nothing of it, and the negative-first leaf order makes the
-fall-through leaf the leftmost one.
-
-Trees wider than 64 leaves do not fit one word; they are kept aside and
-evaluated top-down, and their outputs merge with the compiled trees in tree
-order, so the result is bit-identical to the reference evaluator either way.
+Each tree's bits fill ``words_per_tree`` uint64 words: as many as the
+widest tree of the forest needs. Word ``w`` of tree ``t`` is the slot
+``t * words_per_tree + w``, and a node stores a mask only for the words in
+which it clears a leaf. Masks of the same (feature, term, slot) coming from
+several nodes are AND-combined into a single entry. Missing values apply
+nothing. Once all masks are in, the lowest set bit of each tree (in its
+first non-zero word) is the leaf the top-down walk would have reached:
+conditions that held cleared everything to the left of the true path,
+conditions that failed (or were missing) cleared nothing of it, and the
+negative-first leaf order makes the fall-through leaf the leftmost one.
 """
 
 from __future__ import annotations
@@ -34,20 +33,10 @@ import numpy as np
 
 from .conditions import NumericalGE, SetIntersects
 from .dataset import Dataset, Feature, FeatureType, MISSING_CATEGORY
-from .model import (
-    DecisionForest,
-    Leaf,
-    TreeNode,
-    aggregate,
-    count_leaves,
-    predict,
-    route,
-    route_with_index,
-)
-
-MAX_COMPILED_LEAVES = 64
+from .model import DecisionForest, Leaf, TreeNode, aggregate, predict
 
 _ONE = np.uint64(1)
+_ALL = np.uint64(2**64 - 1)
 
 
 @dataclass
@@ -55,7 +44,7 @@ class NumericalEntries:
     """Per-feature node masks sorted ascending by threshold."""
 
     thresholds: np.ndarray  # float64
-    tree_ids: np.ndarray  # int64
+    tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
     masks: np.ndarray  # uint64
 
 
@@ -64,12 +53,12 @@ class KeyedEntries:
     """Per-feature term (or category value) masks.
 
     ``index`` maps a term id to its [begin, end) range in the flat arrays;
-    ranges tile the arrays in ascending key order and tree ids are strictly
+    ranges tile the arrays in ascending key order and slots are strictly
     increasing inside each range.
     """
 
     index: dict[int, tuple[int, int]]
-    tree_ids: np.ndarray  # int64
+    tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
     masks: np.ndarray  # uint64
 
 
@@ -79,103 +68,117 @@ class CompiledForest:
     initial_score: float
     num_trees: int
     features: list[Feature]
-    leaf_values: np.ndarray  # (num_trees, MAX_COMPILED_LEAVES) float64, padded
+    words_per_tree: int
+    leaf_values: np.ndarray  # (num_trees, 64 * words_per_tree) float64, padded
     num_leaves: np.ndarray  # int64 per tree
-    default_masks: np.ndarray  # uint64 per tree, all leaves set
+    default_masks: np.ndarray  # uint64 per slot, every leaf of the word set
     numerical: dict[int, NumericalEntries]
     keyed: dict[int, KeyedEntries]
-    overflow: dict[int, TreeNode]  # too-wide trees, evaluated top-down
 
 
-def _full_mask(width: int) -> int:
-    return (1 << width) - 1
+def _low_bits(count: np.ndarray) -> np.ndarray:
+    """uint64 words with the ``count`` (0..64) lowest bits set."""
+    return np.where(count > 0, _ALL >> (64 - np.maximum(count, 1)).astype(np.uint64),
+                    np.uint64(0))
+
+
+def _ranges(starts: np.ndarray, counts) -> np.ndarray:
+    """``arange(s, s + c)`` for every paired start and count, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
+
+
+def _runs(*columns: np.ndarray):
+    """Begin and end arrays of the runs of equal rows in the sorted ``columns``."""
+    new = np.ones(len(columns[0]), dtype=bool)
+    new[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    begins = np.flatnonzero(new)
+    return begins, np.append(begins[1:], len(new))
 
 
 def compile_forest(forest: DecisionForest) -> CompiledForest:
+    # one walk per tree lists its nodes in preorder: the first leaf of the
+    # node's span, the leaf count of its negative subtree, its feature, and
+    # its threshold or its terms (a keyed node's threshold is NaN, which also
+    # drops a NaN-threshold numerical node: it never holds)
+    los, n_lefts, node_features, thresholds, key_counts, keys, values = ([] for _ in range(7))
+
+    def walk(node: TreeNode, lo: int) -> int:
+        if isinstance(node, Leaf):
+            values.append(node.value)
+            return 1
+        i, cond = len(los), node.condition
+        los.append(lo)
+        n_lefts.append(0)
+        node_features.append(cond.feature)
+        if isinstance(cond, NumericalGE):
+            thresholds.append(cond.threshold)
+            key_counts.append(0)
+        else:
+            terms = cond.mask if isinstance(cond, SetIntersects) else cond.values
+            thresholds.append(np.nan)
+            key_counts.append(len(terms))
+            keys.extend(terms)
+        n_left = n_lefts[i] = walk(node.negative, lo)
+        return n_left + walk(node.positive, lo + n_left)
+
     num_trees = len(forest.trees)
-    leaf_values = np.zeros((num_trees, MAX_COMPILED_LEAVES), dtype=np.float64)
-    num_leaves = np.zeros(num_trees, dtype=np.int64)
-    default_masks = np.zeros(num_trees, dtype=np.uint64)
-    overflow: dict[int, TreeNode] = {}
-    numerical_raw: dict[int, list] = {}
-    keyed_raw: dict[int, dict] = {}
+    num_leaves, node_ends = [], []
+    for tree in forest.trees:
+        num_leaves.append(walk(tree, 0))
+        node_ends.append(len(los))
+    num_leaves = np.array(num_leaves, dtype=np.int64)
+    words = max(1, -(-int(num_leaves.max(initial=1)) // 64))
+    leaf_values = np.zeros((num_trees, 64 * words))
+    leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = values
+    default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
 
-    for tree_id, tree in enumerate(forest.trees):
-        n_leaves = count_leaves(tree)
-        num_leaves[tree_id] = n_leaves
-        if n_leaves > MAX_COMPILED_LEAVES:
-            overflow[tree_id] = tree
-            default_masks[tree_id] = _ONE
-            continue
-        full = _full_mask(n_leaves)
-        default_masks[tree_id] = np.uint64(full)
-        seq = 0
+    # one entry per (node, word in which the node clears leaves): the word's
+    # leaves minus the node's negative span [lo, hi)
+    lo = np.array(los, dtype=np.int64)
+    hi = lo + np.array(n_lefts, dtype=np.int64)
+    span = (hi - 1) // 64 - lo // 64 + 1
+    node = np.repeat(np.arange(len(lo)), span)
+    word = _ranges(lo // 64, span)
+    begin = np.maximum(lo[node] - 64 * word, 0)
+    count = np.minimum(hi[node] - 64 * word, 64) - begin
+    slots = np.searchsorted(node_ends, node, side="right") * words + word
+    masks = default_masks[slots] ^ (_low_bits(count) << begin.astype(np.uint64))
+    feature = np.array(node_features, dtype=np.int64)[node]
+    threshold = np.array(thresholds, dtype=np.float64)[node]
 
-        def walk(node: TreeNode, lo: int):
-            nonlocal seq
-            if isinstance(node, Leaf):
-                leaf_values[tree_id, lo] = node.value
-                return 1
-            n_left = count_leaves(node.negative)
-            # condition true -> positive branch; the negative span is dead
-            mask = full ^ (_full_mask(n_left) << lo)
-            cond = node.condition
-            if isinstance(cond, NumericalGE):
-                numerical_raw.setdefault(cond.feature, []).append(
-                    (cond.threshold, tree_id, seq, mask))
-            elif isinstance(cond, SetIntersects):
-                per_feature = keyed_raw.setdefault(cond.feature, {})
-                for term in cond.mask:
-                    key = (term, tree_id)
-                    per_feature[key] = per_feature.get(key, ~0) & mask
-            else:
-                per_feature = keyed_raw.setdefault(cond.feature, {})
-                for value in sorted(cond.values):
-                    key = (value, tree_id)
-                    per_feature[key] = per_feature.get(key, ~0) & mask
-            seq += 1
-            walk(node.negative, lo)
-            used = n_left + walk(node.positive, lo + n_left)
-            return used
+    # numerical entries sort by (feature, threshold, slot); lexsort is
+    # stable, so ties keep preorder
+    entry = np.flatnonzero(threshold == threshold)
+    entry = entry[np.lexsort([slots[entry], threshold[entry], feature[entry]])]
+    numerical = {int(feature[part[0]]): NumericalEntries(threshold[part], slots[part], masks[part])
+                 for part in np.split(entry, _runs(feature[entry])[0])[1:]}
 
-        walk(tree, 0)
-
-    numerical = {}
-    for feature, entries in numerical_raw.items():
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        numerical[feature] = NumericalEntries(
-            thresholds=np.array([e[0] for e in entries], dtype=np.float64),
-            tree_ids=np.array([e[1] for e in entries], dtype=np.int64),
-            masks=np.array([e[3] & ((1 << 64) - 1) for e in entries], dtype=np.uint64),
-        )
-
+    # keyed entries repeat once per term of their node and sort by
+    # (feature, term, slot), each key cast to its narrowest dtype (lexsort
+    # radix-sorts up to 16 bits); the masks of equal triples AND-combine
+    key_count = np.array(key_counts, dtype=np.int64)
+    per_entry = key_count[node]
+    term = np.fromiter(keys, dtype=np.int64, count=len(keys))[
+        _ranges((np.cumsum(key_count) - key_count)[node], per_entry)]
+    feature, slots = np.repeat(feature, per_entry), np.repeat(slots, per_entry)
+    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)))
+                        for a in (slots, term, feature)])
+    feature, term, slots = feature[order], term[order], slots[order]
+    starts, _ = _runs(feature, term, slots)
+    key_masks = np.bitwise_and.reduceat(np.repeat(masks, per_entry)[order], starts)
+    feature, term, slots = feature[starts], term[starts], slots[starts]
     keyed = {}
-    for feature, per_key in keyed_raw.items():
-        items = sorted(per_key.items())  # by (key, tree_id)
-        index: dict[int, tuple[int, int]] = {}
-        begin = 0
-        for pos, ((key, _), _mask) in enumerate(items):
-            if pos + 1 == len(items) or items[pos + 1][0][0] != key:
-                index[key] = (begin, pos + 1)
-                begin = pos + 1
-        keyed[feature] = KeyedEntries(
-            index=index,
-            tree_ids=np.array([tid for (_, tid), _ in items], dtype=np.int64),
-            masks=np.array([m & ((1 << 64) - 1) for _, m in items], dtype=np.uint64),
-        )
+    for b, e in zip(*(a.tolist() for a in _runs(feature))):
+        term_begins, term_ends = (a.tolist() for a in _runs(term[b:e]))
+        index = dict(zip(term[b:e][term_begins].tolist(), zip(term_begins, term_ends)))
+        keyed[int(feature[b])] = KeyedEntries(index, slots[b:e], key_masks[b:e])
 
     return CompiledForest(
-        kind=forest.kind,
-        initial_score=forest.initial_score,
-        num_trees=num_trees,
-        features=list(forest.features),
-        leaf_values=leaf_values,
-        num_leaves=num_leaves,
-        default_masks=default_masks,
-        numerical=numerical,
-        keyed=keyed,
-        overflow=overflow,
-    )
+        kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,
+        features=list(forest.features), words_per_tree=words, leaf_values=leaf_values,
+        num_leaves=num_leaves, default_masks=default_masks, numerical=numerical,
+        keyed=keyed)
 
 
 def _apply_masks(compiled: CompiledForest, row: tuple) -> np.ndarray:
@@ -212,15 +215,20 @@ def _apply_masks(compiled: CompiledForest, row: tuple) -> np.ndarray:
     return leafidx
 
 
-def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
-    """Per-tree active leaf position (left-to-right), overflow trees included."""
+def _leaf_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
     leafidx = _apply_masks(compiled, row)
-    # index of the lowest set bit: popcount of the trailing-zero run
-    low = np.bitwise_count((leafidx - _ONE) & ~leafidx).astype(np.int64)
-    for tree_id, tree in compiled.overflow.items():
-        # overflow trees may hold far more than 2**8 leaves
-        low[tree_id] = route_with_index(tree, row)[1]
-    return low
+    # trailing zeros of every word; a word with no leaf left reads 64
+    low = np.bitwise_count((leafidx - _ONE) & ~leafidx)
+    if compiled.words_per_tree == 1:
+        return low  # uint8, only ever used as an index
+    low = low.reshape(compiled.num_trees, compiled.words_per_tree)
+    word = np.argmax(low < 64, axis=1)  # every tree keeps its reached leaf
+    return 64 * word + low[np.arange(compiled.num_trees), word]
+
+
+def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
+    """Per-tree active leaf position (int64), counted left to right."""
+    return _leaf_positions(compiled, row).astype(np.int64)
 
 
 def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
@@ -228,21 +236,12 @@ def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
     if len(row) != len(compiled.features):
         raise ValueError(
             f"row has {len(row)} values, schema has {len(compiled.features)}")
-    leafidx = _apply_masks(compiled, row)
-    low = np.bitwise_count((leafidx - _ONE) & ~leafidx)
+    low = _leaf_positions(compiled, row)
     values = compiled.leaf_values[np.arange(compiled.num_trees), low]
-    for tree_id, tree in compiled.overflow.items():
-        values[tree_id] = route(tree, row).value
     return aggregate(compiled.kind, compiled.initial_score, values)
 
 
-def predict_top_down(forest: DecisionForest, row: tuple) -> float:
-    """Reference evaluator: route the example root-to-leaf in every tree.
-
-    Set-intersection conditions are evaluated by a linear merge over the
-    sorted example set and the sorted condition mask.
-    """
-    return predict(forest, row)
+predict_top_down = predict  # the reference evaluator, named for comparisons
 
 
 def predict_dataset(compiled: CompiledForest, dataset: Dataset) -> np.ndarray:

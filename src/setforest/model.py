@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .conditions import (
     SplitCondition,
+    check_id_lists,
     condition_from_dict,
     condition_to_dict,
     evaluate,
@@ -33,12 +35,12 @@ RF = "rf"
 MART = "mart"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     condition: SplitCondition
     negative: "TreeNode"
@@ -69,19 +71,6 @@ def route(tree: TreeNode, row: tuple) -> Leaf:
     while isinstance(node, Internal):
         node = node.positive if evaluate(node.condition, row) else node.negative
     return node
-
-
-def route_with_index(tree: TreeNode, row: tuple) -> tuple[float, int]:
-    """Leaf value plus the leaf's left-to-right position."""
-    node = tree
-    index = 0
-    while isinstance(node, Internal):
-        if evaluate(node.condition, row):
-            index += count_leaves(node.negative)
-            node = node.positive
-        else:
-            node = node.negative
-    return node.value, index
 
 
 def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray) -> float:
@@ -178,13 +167,13 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def _node_from_dict(data: dict, features: list[Feature], id_lists) -> TreeNode:
     if "leaf" in data:
         return Leaf(float(data["leaf"]))
     return Internal(
-        condition_from_dict(data["split"]),
-        _node_from_dict(data["negative"]),
-        _node_from_dict(data["positive"]),
+        condition_from_dict(data["split"], features, id_lists),
+        _node_from_dict(data["negative"], features, id_lists),
+        _node_from_dict(data["positive"], features, id_lists),
     )
 
 
@@ -201,15 +190,27 @@ def forest_to_dict(forest: DecisionForest) -> dict:
 
 
 def forest_from_dict(data: dict) -> DecisionForest:
+    """Parse a model document, validating it against its own schema: the
+    forest kind, and every split's feature, kind and ids (see
+    ``condition_from_dict``). Raises ``ValueError``."""
     if data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     if data.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {data.get('version')!r}")
+    if data["kind"] not in (RF, MART):
+        raise ValueError(f"unknown forest kind {data['kind']!r}")
+    try:
+        features = [Feature.from_dict(f) for f in data["features"]]
+        id_lists = defaultdict(list)
+        trees = [_node_from_dict(t, features, id_lists) for t in data["trees"]]
+        check_id_lists(id_lists, features)
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed model document: {exc}") from None
     return DecisionForest(
         kind=data["kind"],
-        trees=[_node_from_dict(t) for t in data["trees"]],
+        trees=trees,
         initial_score=float(data["initial_score"]),
-        features=[Feature.from_dict(f) for f in data["features"]],
+        features=features,
         metadata=data.get("metadata", {}),
     )
 

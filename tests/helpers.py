@@ -176,3 +176,21 @@ def golden_two_tree_forest():
     forest = sf.DecisionForest(kind="rf", trees=[tree0, tree1], initial_score=0.0,
                                features=[feature], metadata={})
     return forest, (a, b, c, d)
+
+
+def one_split_document(split, kind="rf"):
+    """A one-tree model over a set feature with vocabulary (a, b, c) and a
+    categorical feature with values (x, y); the split sends to leaf 0.1 or
+    0.9."""
+    return {
+        "format": "setforest-model", "version": 1, "kind": kind, "initial_score": 0.0,
+        "features": [
+            {"name": "text", "type": "set",
+             "vocabulary": {"terms": ["a", "b", "c"], "frequencies": [3, 2, 1]}},
+            {"name": "colour", "type": "categorical",
+             "vocabulary": {"terms": ["x", "y"], "frequencies": [2, 1]}},
+        ],
+        "trees": [{"split": split, "negative": {"leaf": 0.1}, "positive": {"leaf": 0.9}}],
+        "metadata": {},
+    }
+

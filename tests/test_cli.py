@@ -5,6 +5,8 @@ import pytest
 import setforest as sf
 from setforest.cli import ConfigError, main, parse_config
 
+from helpers import one_split_document
+
 
 @pytest.fixture()
 def corpus_path(tmp_path):
@@ -83,6 +85,16 @@ class TestExitCodes:
         bad = tmp_path / "model.json"
         bad.write_text('{"format": "other"}', encoding="utf-8")
         assert main(["predict", str(bad), str(corpus_path)]) == 2
+
+    @pytest.mark.parametrize("split", [
+        {"kind": "set_intersects", "feature": 0, "mask": [2, 0]},  # unsorted mask
+        {"kind": "set_intersects", "feature": 5, "mask": [0]},  # past the schema
+    ])
+    def test_invalid_model_is_two(self, tmp_path, corpus_path, capsys, split):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(one_split_document(split)), encoding="utf-8")
+        assert main(["predict", str(bad), str(corpus_path)]) == 2
+        assert "cannot load model" in capsys.readouterr().err
 
 
 class TestTrainPredict:

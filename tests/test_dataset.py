@@ -163,6 +163,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not in header"):
             sf.load_csv(path, {"b": "numerical"})
 
+    def test_missing_weight_column(self, tmp_path):
+        path = self._write(tmp_path, "label,age\n1,1.0\n")
+        with pytest.raises(DataError, match="not in header"):
+            sf.load_csv(path, {"age": "numerical"}, weight_column="w")
+
     def test_weight_column(self, tmp_path):
         path = self._write(tmp_path,
                            "label,w,age\n1,2.5,1.0\n0,1.0,2.0\n")
@@ -184,6 +189,24 @@ class TestLoadCsv:
         a_id = ds.features[1].vocabulary.index["a"]
         assert ds2.columns[1][0] == (a_id,)
         assert ds2.columns[1][1] == ()
+
+    def test_schema_reload_rejects_short_rows(self, tmp_path):
+        train = self._write(tmp_path, "label,x,y\n0,2.5,1.0\n1,3.0,2.0\n")
+        ds = sf.load_csv(train, {"x": "numerical", "y": "numerical"})
+        short = tmp_path / "short.csv"
+        short.write_text("label,x,y\n0,2.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected 3 cells, got 2"):
+            sf.load_csv(short, {"x": "numerical", "y": "numerical"})
+        with pytest.raises(DataError, match="expected 3 cells, got 2"):
+            sf.load_csv_with_schema(short, ds.features)
+
+    def test_schema_reload_rejects_bad_weight(self, tmp_path):
+        train = self._write(tmp_path, "label,w,x\n0,1.0,2.5\n1,2.0,3.0\n")
+        ds = sf.load_csv(train, {"x": "numerical"}, weight_column="w")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label,w,x\n0,heavy,2.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad weight"):
+            sf.load_csv_with_schema(bad, ds.features, weight_column="w")
 
 
 class TestDatasetInvariants:

@@ -3,16 +3,16 @@ import pytest
 
 import setforest as sf
 from setforest.inference import (
-    MAX_COMPILED_LEAVES,
     compile_forest,
     compiled_leaf_indices,
     predict_compiled,
     predict_top_down,
 )
-from setforest.model import forest_from_json, forest_to_json
+from setforest.model import forest_from_json, forest_to_json, route
 
 from helpers import (
     golden_two_tree_forest,
+    make_vocab,
     random_mixed_dataset,
     random_rows_for,
 )
@@ -160,7 +160,7 @@ class TestOracleEquivalence:
             assert leafidx.tolist() == [0b100, 0b10]
 
 
-class TestOverflowTrees:
+class TestWideTrees:
     def _wide_forest(self, n_leaves):
         # left-leaning chain over one numerical feature: n_leaves leaves
         node = sf.Leaf(float(n_leaves - 1))
@@ -171,10 +171,9 @@ class TestOverflowTrees:
             kind="rf", trees=[node, sf.Leaf(0.25)], initial_score=0.0,
             features=[sf.Feature("x", sf.FeatureType.NUMERICAL)], metadata={})
 
-    def test_wide_tree_goes_top_down_and_merges(self):
-        forest = self._wide_forest(MAX_COMPILED_LEAVES + 8)
+    def test_wide_tree_merges_with_narrow_tree(self):
+        forest = self._wide_forest(64 + 8)
         compiled = compile_forest(forest)
-        assert 0 in compiled.overflow and 1 not in compiled.overflow
         for v in (np.nan, -1.0, 3.5, 70.5, 1e9):
             row = (v,)
             assert predict_compiled(compiled, row) == predict_top_down(forest, row)
@@ -184,15 +183,131 @@ class TestOverflowTrees:
         compiled = compile_forest(forest)
         leaves = compiled_leaf_indices(compiled, (1e9,))
         assert leaves.tolist() == [299, 0]
+        assert leaves.dtype == np.int64
+        assert compiled_leaf_indices(compile_forest(self._wide_forest(8)), (1e9,)).dtype \
+            == np.int64
         assert compiled_leaf_indices(compiled, (np.nan,)).tolist() == [0, 0]
 
     def test_exactly_64_leaves_still_compiles(self):
-        forest = self._wide_forest(MAX_COMPILED_LEAVES)
+        forest = self._wide_forest(64)
         compiled = compile_forest(forest)
-        assert compiled.overflow == {}
         assert compiled.default_masks[0] == np.uint64((1 << 64) - 1)
         row = (31.5,)
         assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+
+    VOCAB = 301  # categorical values and set terms 0..300
+
+    @staticmethod
+    def _condition(j):
+        # kinds cycle with j; category 0 and term 0 satisfy every keyed node
+        if j % 3 == 0:
+            return sf.NumericalGE(0, float(j))
+        if j % 3 == 1:
+            return sf.CategoryIn(1, frozenset({0, j}))
+        return sf.SetIntersects(2, (0, j))
+
+    def _chains(self, n_leaves):
+        """Two chains of ``n_leaves`` leaves whose leaf values are their
+        left-to-right positions: one nests along positive branches (each
+        node clears one leaf), one along negative branches behind a
+        three-leaf subtree (each node clears a span that starts mid-word and
+        crosses words)."""
+        positive = sf.Leaf(float(n_leaves - 1))
+        for j in range(n_leaves - 1, 0, -1):
+            positive = sf.Internal(self._condition(j), sf.Leaf(float(j - 1)), positive)
+        negative = sf.Leaf(3.0)
+        for j in range(4, n_leaves):
+            negative = sf.Internal(self._condition(j), negative, sf.Leaf(float(j)))
+        first = sf.Internal(self._condition(1), sf.Leaf(0.0), sf.Leaf(1.0))
+        negative = sf.Internal(self._condition(3), sf.Internal(self._condition(2), first,
+                                                              sf.Leaf(2.0)), negative)
+        small = sf.Internal(sf.SetIntersects(2, (5,)), sf.Leaf(0.5), sf.Leaf(0.75))
+        features = [
+            sf.Feature("x", sf.FeatureType.NUMERICAL),
+            sf.Feature("c", sf.FeatureType.CATEGORICAL,
+                       make_vocab([f"c{i}" for i in range(self.VOCAB)])),
+            sf.Feature("s", sf.FeatureType.CATEGORICAL_SET,
+                       make_vocab([f"t{i}" for i in range(self.VOCAB)])),
+        ]
+        return sf.DecisionForest(kind="rf", trees=[positive, negative, small],
+                                 initial_score=0.0, features=features, metadata={})
+
+    def _rows(self, n_leaves, seed):
+        rng = np.random.default_rng(seed)
+        rows = [(1e9, 0, (0,)), (np.nan, sf.MISSING_CATEGORY, None),
+                (np.nan, sf.MISSING_CATEGORY, ()), (1e9, 0, ()),
+                (float(n_leaves) / 2, 0, (0,)), (-1.0, 3, (1, 5))]
+        for _ in range(200):
+            x = np.nan if rng.random() < 0.2 else float(rng.uniform(-1, n_leaves + 1))
+            c = (sf.MISSING_CATEGORY if rng.random() < 0.2
+                 else int(rng.choice([0, int(rng.integers(0, self.VOCAB))])))
+            r = rng.random()
+            if r < 0.15:
+                s = None
+            elif r < 0.3:
+                s = ()
+            else:
+                size = int(rng.integers(1, 8))
+                s = tuple(sorted(set(rng.integers(0, self.VOCAB, size=size).tolist())))
+            rows.append((x, c, s))
+        return rows
+
+    @pytest.mark.parametrize("n_leaves", [64, 65, 128, 129, 300])
+    def test_mixed_chains_match_top_down(self, n_leaves):
+        forest = forest_from_json(forest_to_json(self._chains(n_leaves)))
+        compiled = compile_forest(forest)
+        assert compiled.words_per_tree == -(-n_leaves // 64)
+        for row in self._rows(n_leaves, seed=n_leaves):
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+            expected = [route(tree, row).value for tree in forest.trees]
+            leaves = compiled_leaf_indices(compiled, row).tolist()
+            assert leaves[:2] == expected[:2]  # chain leaf values are positions
+            assert leaves[2] == (0 if expected[2] == 0.5 else 1)
+
+
+class TestHashedCategories:
+    """Max-hash categorical features have no vocabulary and carry values up
+    to 2**63 - 1; compiling them must not fold value, feature and slot into
+    one integer that wraps."""
+
+    @staticmethod
+    def _hashed_splits(tree):
+        if isinstance(tree, sf.Leaf):
+            return []
+        cond = tree.condition
+        own = [cond] if isinstance(cond, sf.CategoryIn) and max(cond.values) >= 2**32 else []
+        return own + TestHashedCategories._hashed_splits(tree.negative) \
+            + TestHashedCategories._hashed_splits(tree.positive)
+
+    @pytest.mark.parametrize("algorithm", ["rf", "mart"])
+    def test_maxhash_chain_matches_top_down(self, algorithm):
+        ds, _ = random_mixed_dataset(7, n=200)
+        hashed = sf.make_chain(("maxhash",), seed=5, maxhash_k=3).fit_transform(ds)
+        config = (sf.TrainConfig.random_forest(num_trees=3, max_depth=8, seed=1)
+                  if algorithm == "rf" else sf.TrainConfig.mart(num_trees=4, seed=1))
+        forest = forest_from_json(forest_to_json(sf.train(hashed, config)))
+        assert any(self._hashed_splits(tree) for tree in forest.trees)
+        compiled = compile_forest(forest)
+        for row in hashed.rows():
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+
+    def test_values_near_two_to_the_63_over_two_trees(self):
+        big = [2**62 + 1, 2**62 + 7, 2**63 - 1]
+        features = [sf.Feature("a", sf.FeatureType.CATEGORICAL),
+                    sf.Feature("b", sf.FeatureType.CATEGORICAL)]
+        trees = [
+            sf.Internal(sf.CategoryIn(1, frozenset(big[:2])), sf.Leaf(0.1), sf.Leaf(0.9)),
+            sf.Internal(sf.CategoryIn(1, frozenset(big[1:])), sf.Leaf(0.2),
+                        sf.Internal(sf.CategoryIn(0, frozenset({big[0], 3})),
+                                    sf.Leaf(0.3), sf.Leaf(0.7))),
+        ]
+        forest = forest_from_json(forest_to_json(sf.DecisionForest(
+            kind="rf", trees=trees, initial_score=0.0, features=features, metadata={})))
+        compiled = compile_forest(forest)
+        assert sorted(compiled.keyed[1].index) == big
+        values = [sf.MISSING_CATEGORY, 0, 3] + big
+        for row in ((a, b) for a in values for b in values):
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
 
 
 class TestZeroTreeForest:

@@ -4,16 +4,16 @@ import pytest
 import setforest as sf
 from setforest.model import (
     count_leaves,
+    forest_from_dict,
     count_nodes,
     forest_from_json,
     forest_to_json,
     leaf_depths,
     route,
-    route_with_index,
     tree_apply,
 )
 
-from helpers import build_complete_tree, random_mixed_dataset
+from helpers import build_complete_tree, one_split_document, random_mixed_dataset
 
 
 def _trained(seed=0, algorithm="rf", **kw):
@@ -81,14 +81,6 @@ class TestTreeWalkers:
         assert count_nodes(tree) == 15
         assert leaf_depths(tree) == [3] * 8
 
-    def test_route_with_index_enumerates_left_to_right(self):
-        tree = build_complete_tree(2, leaf_values=[10.0, 11.0, 12.0, 13.0])
-        # feature 0 thresholds are 0.0 at the root, 1.0 one level down
-        value, index = route_with_index(tree, (-5.0,))
-        assert (value, index) == (10.0, 0)
-        value, index = route_with_index(tree, (5.0,))
-        assert (value, index) == (13.0, 3)
-
     def test_tree_apply_matches_scalar_route(self):
         ds, forest = _trained(seed=2)
         idx = np.arange(ds.n_examples)
@@ -101,3 +93,47 @@ class TestTreeWalkers:
         _, forest = _trained(seed=4)
         with pytest.raises(ValueError, match="schema"):
             sf.predict(forest, (1.0,))
+
+
+class TestValidation:
+    def test_unsorted_mask_rejected(self):
+        # on an unsorted mask the top-down merge walk and the compiled term
+        # index disagree (row {0}: 0.1 against 0.9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            forest_from_dict(one_split_document(
+                {"kind": "set_intersects", "feature": 0, "mask": [2, 0]}))
+
+    @pytest.mark.parametrize("feature", [2, 5, -1, 0.0, "0"])
+    def test_feature_outside_schema_rejected(self, feature):
+        with pytest.raises(ValueError, match="schema has 2 features"):
+            forest_from_dict(one_split_document(
+                {"kind": "set_intersects", "feature": feature, "mask": [0]}))
+
+    @pytest.mark.parametrize("split", [
+        {"kind": "numerical_ge", "feature": 0, "threshold": 1.0},
+        {"kind": "category_in", "feature": 0, "values": [0]},
+        {"kind": "set_intersects", "feature": 1, "mask": [0]},
+    ])
+    def test_kind_must_match_feature_type(self, split):
+        with pytest.raises(ValueError, match="split on"):
+            forest_from_dict(one_split_document(split))
+
+    @pytest.mark.parametrize("ids", [[], [0, 0], [1, 0], [-1], [3], [0.0], [0, 1.5],
+                                     ["a"], [None], [[0]], [2**70], [True], [False, True]])
+    def test_bad_mask_rejected(self, ids):
+        with pytest.raises(ValueError):
+            forest_from_dict(one_split_document(
+                {"kind": "set_intersects", "feature": 0, "mask": ids}))
+
+    @pytest.mark.parametrize("values", [[], [1, 0], [2]])
+    def test_bad_value_set_rejected(self, values):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            forest_from_dict(one_split_document(
+                {"kind": "category_in", "feature": 1, "values": values}))
+
+    def test_unknown_kinds_rejected(self):
+        with pytest.raises(ValueError, match="forest kind"):
+            forest_from_dict(one_split_document(
+                {"kind": "set_intersects", "feature": 0, "mask": [0]}, kind="gbdt"))
+        with pytest.raises(ValueError, match="condition kind"):
+            forest_from_dict(one_split_document({"kind": "set_equals", "feature": 0}))
