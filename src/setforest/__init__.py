@@ -14,6 +14,7 @@ from .dataset import (
     Feature,
     FeatureType,
     MISSING_CATEGORY,
+    SetColumnIndex,
     Vocabulary,
     build_vocabulary,
     dataset_from_token_sets,
@@ -61,7 +62,6 @@ from .splits import (
     find_set_mask_split,
     gain_from_stats,
     split_gain,
-    SetColumnIndex,
 )
 from .synthetic import noise_corpus, planted_keyword_corpus, write_corpus_tsv
 from .training import (

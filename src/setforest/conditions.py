@@ -72,7 +72,9 @@ def evaluate(condition: SplitCondition, row: tuple) -> bool:
 
 
 def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.ndarray:
-    """Vectorised `evaluate` over ``dataset`` rows selected by ``indices``."""
+    """Vectorised `evaluate` over ``dataset`` rows selected by ``indices``;
+    the grower's partition, ``tree_apply`` and the out-of-bag scores all use
+    it, and `evaluate` is its reference."""
     indices = np.asarray(indices)
     ftype = dataset.features[condition.feature].ftype
     col = dataset.columns[condition.feature]
@@ -85,12 +87,14 @@ def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.
         wanted = np.fromiter(sorted(condition.values), dtype=np.int64,
                              count=len(condition.values))
         return np.isin(vals, wanted)
-    mask = condition.mask
-    return np.fromiter(
-        (col[i] is not None and sets_intersect(col[i], mask) for i in indices),
-        dtype=bool,
-        count=len(indices),
-    )
+    # set: look every token of the selected rows up in a table of the mask's
+    # ids; a row goes positive if any of its tokens hits
+    index = dataset.set_index(condition.feature)
+    rows, terms = index.node_tokens(indices)
+    table = np.zeros(index.n_terms, dtype=bool)
+    mask = np.asarray(condition.mask, dtype=np.int64)
+    table[mask[mask < index.n_terms]] = True
+    return np.bincount(rows[table[terms]], minlength=len(indices)) > 0
 
 
 def condition_to_dict(condition: SplitCondition) -> dict:
@@ -109,10 +113,12 @@ _KIND_TYPES = {"numerical_ge": FeatureType.NUMERICAL, "category_in": FeatureType
 _UNBOUNDED = np.iinfo(np.int64).max
 
 
-def condition_from_dict(data: dict, features: list[Feature], id_lists: dict) -> SplitCondition:
+def condition_from_dict(data: dict, features: list[Feature], id_lists: dict,
+                        numbers: list) -> SplitCondition:
     """Parse one split of a model document whose feature must be in the schema
     and match its kind, else ``ValueError``. A term mask or value set goes
-    onto ``id_lists[feature]`` (a ``defaultdict(list)``) for ``check_id_lists``."""
+    onto ``id_lists[feature]`` (a ``defaultdict(list)``) for ``check_id_lists``,
+    a threshold onto ``numbers`` for the caller's finiteness check."""
     kind, feature = data["kind"], data["feature"]
     if kind not in _KIND_TYPES:
         raise ValueError(f"unknown condition kind {kind!r}")
@@ -122,7 +128,9 @@ def condition_from_dict(data: dict, features: list[Feature], id_lists: dict) -> 
     if features[feature].ftype is not _KIND_TYPES[kind]:
         raise ValueError(f"{kind} split on {features[feature].ftype.value} feature {feature}")
     if kind == "numerical_ge":
-        return NumericalGE(feature, float(data["threshold"]))
+        threshold = float(data["threshold"])
+        numbers.append(threshold)
+        return NumericalGE(feature, threshold)
     ids = data["values" if kind == "category_in" else "mask"]
     id_lists[feature].append(ids)
     return CategoryIn(feature, frozenset(ids)) if kind == "category_in" \

@@ -10,15 +10,23 @@ Column storage is columnar:
 * numerical   -> ``float64`` array, NaN marks missing;
 * categorical -> ``int64`` array of value ids, ``-1`` marks missing;
 * set         -> python list of sorted id tuples, ``None`` marks missing.
+
+Each set column also has a CSR index (``SetColumnIndex``): the term ids of
+every row laid end to end, with row offsets. ``Dataset.create`` builds it
+while validating the column, and ``Dataset.set_index`` builds it on first use
+for a dataset made any other way; the trainer's split search and the
+vectorised condition evaluator read set columns only through it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,6 +144,53 @@ def encode_tokens(tokens: Iterable[str], vocab: Vocabulary) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
+class SetColumnIndex:
+    """CSR layout of a set column: row ``r``'s term ids are
+    ``term_ids[indptr[r]:indptr[r + 1]]``. A missing value and the empty set
+    both hold no ids; neither intersects any mask. ``n_terms`` is one past
+    the largest id (0 when the column holds none)."""
+
+    __slots__ = ("indptr", "term_ids", "n_terms")
+
+    def __init__(self, column):
+        lengths = np.fromiter((0 if x is None else len(x) for x in column),
+                              dtype=np.int64, count=len(column))
+        self.indptr = np.zeros(len(column) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.term_ids = np.fromiter(chain.from_iterable(filter(None, column)),
+                                    dtype=np.int64, count=int(self.indptr[-1]))
+        self.n_terms = int(self.term_ids.max()) + 1 if self.term_ids.size else 0
+
+    def node_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in ``indices``, term ids) of every token of the selected
+        rows, row by row and in id order within a row."""
+        indices = np.asarray(indices)
+        starts = self.indptr[indices]
+        lengths = self.indptr[1:][indices] - starts
+        rows = np.repeat(np.arange(len(indices), dtype=np.int64), lengths)
+        if rows.size == 0:
+            return rows, np.empty(0, dtype=np.int64)
+        # a token's place in term_ids: its row's start plus its rank in the row
+        flat = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        flat += np.arange(rows.size, dtype=np.int64)
+        return rows, self.term_ids[flat]
+
+    def first_bad(self, size: int | None) -> int | None:
+        """The first row whose ids are not strictly increasing, non-negative
+        and below ``size`` (any non-negative id when ``size`` is None)."""
+        ids = self.term_ids
+        bad = np.ones(len(ids), dtype=bool)
+        np.less_equal(ids[1:], ids[:-1], out=bad[1:])
+        starts = self.indptr[:-1]
+        bad[starts[starts < len(ids)]] = False  # a row's first id follows no id of its own
+        bad |= ids < 0
+        if size is not None:
+            bad |= ids >= size
+        if not bad.any():
+            return None
+        return int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+
+
 @dataclass
 class Dataset:
     """Schema, columns, binary labels and per-example weights."""
@@ -144,6 +199,7 @@ class Dataset:
     columns: list
     labels: np.ndarray
     weights: np.ndarray
+    _set_indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, features, columns, labels, weights=None) -> "Dataset":
@@ -167,7 +223,19 @@ class Dataset:
     def column(self, i: int):
         return self.columns[i]
 
+    def set_index(self, feature: int) -> SetColumnIndex:
+        """The CSR index of set column ``feature``, built on first use (the
+        columns must not change afterwards)."""
+        index = self._set_indexes.get(feature)
+        if index is None:
+            index = self._set_indexes[feature] = SetColumnIndex(self.columns[feature])
+        return index
+
     def validate(self) -> None:
+        """Check the schema against the columns, with numpy passes: labels are
+        0/1, weights positive, categorical ids ``MISSING_CATEGORY`` or inside
+        the vocabulary, and every set value a strictly increasing tuple of
+        non-negative ids inside the vocabulary. Builds the set indexes."""
         n = self.n_examples
         if len(self.weights) != n:
             raise ValueError("labels and weights length mismatch")
@@ -177,22 +245,28 @@ class Dataset:
             raise ValueError("labels must be binary 0/1")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        for feat, col in zip(self.features, self.columns):
+        for i, (feat, col) in enumerate(zip(self.features, self.columns)):
+            size = len(feat.vocabulary) if feat.vocabulary else None
             if feat.ftype == FeatureType.NUMERICAL:
                 if len(col) != n or np.asarray(col).dtype != np.float64:
                     raise ValueError(f"bad numerical column {feat.name}")
             elif feat.ftype == FeatureType.CATEGORICAL:
-                if len(col) != n:
+                values = np.asarray(col)
+                if len(col) != n or values.dtype.kind not in "iu":
                     raise ValueError(f"bad categorical column {feat.name}")
+                bad = (values < MISSING_CATEGORY) if size is None else \
+                    (values < MISSING_CATEGORY) | (values >= size)
+                if bad.any():
+                    raise ValueError(f"category id {values[bad][0]} out of range in {feat.name}")
             else:
                 if len(col) != n:
                     raise ValueError(f"bad set column {feat.name}")
-                size = len(feat.vocabulary) if feat.vocabulary else None
-                for x in col:
-                    if x is None:
-                        continue
-                    if size is not None and any(i >= size for i in x):
-                        raise ValueError(f"term id out of range in {feat.name}")
+                index = SetColumnIndex(col)
+                row = index.first_bad(size)
+                if row is not None:
+                    raise ValueError(f"set value {col[row]!r} of row {row} in {feat.name}: term "
+                                     "ids must be strictly increasing and in its vocabulary")
+                self._set_indexes[i] = index
 
     def row(self, i: int) -> tuple:
         return tuple(col[i] for col in self.columns)
@@ -291,10 +365,15 @@ def _read_table(path, columns, label_column: str | None, weight_column: str | No
                 raise DataError(f"{path}:{rowno}: label must be 0 or 1, got {cell!r}")
             labels.append(int(cell))
         if weight_column is not None:
+            cell = row[col_of[weight_column]]
             try:
-                weights.append(float(row[col_of[weight_column]]))
+                weight = float(cell)
             except ValueError:
-                raise DataError(f"{path}:{rowno}: bad weight") from None
+                raise DataError(f"{path}:{rowno}: bad weight {cell!r}") from None
+            if not 0.0 < weight < math.inf:
+                raise DataError(f"{path}:{rowno}: weight must be positive and finite, "
+                                f"got {cell!r}")
+            weights.append(weight)
     cells = {name: [row[col_of[name]] for row in rows] for name in columns}
     return header, cells, labels, weights
 
@@ -309,6 +388,10 @@ def _numerical_cells(path, name: str, cells: list[str]) -> np.ndarray:
                 out[i] = float(cell)
             except ValueError:
                 raise DataError(f"{path}:{i + 2}: column {name!r}: bad number {cell!r}") from None
+    infinite = np.flatnonzero(np.isinf(out))
+    if infinite.size:
+        i = int(infinite[0])
+        raise DataError(f"{path}:{i + 2}: column {name!r}: number {cells[i]!r} is not finite")
     return out
 
 

@@ -167,13 +167,17 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict, features: list[Feature], id_lists) -> TreeNode:
+def _node_from_dict(data: dict, features: list[Feature], id_lists, numbers) -> TreeNode:
+    """One node and its subtree; every leaf value and threshold also goes
+    onto ``numbers`` for ``forest_from_dict``'s finiteness check."""
     if "leaf" in data:
-        return Leaf(float(data["leaf"]))
+        value = float(data["leaf"])
+        numbers.append(value)
+        return Leaf(value)
     return Internal(
-        condition_from_dict(data["split"], features, id_lists),
-        _node_from_dict(data["negative"], features, id_lists),
-        _node_from_dict(data["positive"], features, id_lists),
+        condition_from_dict(data["split"], features, id_lists, numbers),
+        _node_from_dict(data["negative"], features, id_lists, numbers),
+        _node_from_dict(data["positive"], features, id_lists, numbers),
     )
 
 
@@ -191,8 +195,9 @@ def forest_to_dict(forest: DecisionForest) -> dict:
 
 def forest_from_dict(data: dict) -> DecisionForest:
     """Parse a model document, validating it against its own schema: the
-    forest kind, and every split's feature, kind and ids (see
-    ``condition_from_dict``). Raises ``ValueError``."""
+    forest kind, every split's feature, kind and ids (see
+    ``condition_from_dict``), and finite thresholds, leaf values and initial
+    score. Raises ``ValueError``."""
     if data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     if data.get("version") != MODEL_VERSION:
@@ -202,14 +207,17 @@ def forest_from_dict(data: dict) -> DecisionForest:
     try:
         features = [Feature.from_dict(f) for f in data["features"]]
         id_lists = defaultdict(list)
-        trees = [_node_from_dict(t, features, id_lists) for t in data["trees"]]
+        numbers = [float(data["initial_score"])]
+        trees = [_node_from_dict(t, features, id_lists, numbers) for t in data["trees"]]
         check_id_lists(id_lists, features)
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
+    if not np.isfinite(np.fromiter(numbers, dtype=np.float64, count=len(numbers))).all():
+        raise ValueError("thresholds, leaf values and the initial score must be finite")
     return DecisionForest(
         kind=data["kind"],
         trees=trees,
-        initial_score=float(data["initial_score"]),
+        initial_score=numbers[0],
         features=features,
         metadata=data.get("metadata", {}),
     )

@@ -17,8 +17,11 @@ current gain. Candidate terms are the terms present in the node's examples,
 each kept independently with probability ``sampling_rate``. Statistics are
 updated incrementally: extending the mask by one term only moves the
 examples containing that term (and not already routed positive) across the
-partition, so each pass over the candidates costs one sweep of the node's
-tokens rather than a full rescan.
+partition. The search keeps only the tokens of the examples still on the
+negative side and drops those of the examples each accepted term moves, so
+each pass over the candidates is two ``bincount`` calls over a token set
+that shrinks as the mask grows. The node's tokens come from the dataset's
+CSR set index (``SetColumnIndex``), built once per dataset.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .conditions import (
     SplitCondition,
     evaluate_column,
 )
-from .dataset import MISSING_CATEGORY, Dataset
+from .dataset import MISSING_CATEGORY, Dataset, SetColumnIndex
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -237,36 +240,6 @@ def find_categorical_split(
     return SplitCandidate(CategoryIn(feature, in_values), gain, n_pos, n_neg)
 
 
-class SetColumnIndex:
-    """CSR view of a set column for per-node candidate-term statistics."""
-
-    def __init__(self, column):
-        lengths = np.fromiter((len(x) if x else 0 for x in column),
-                              dtype=np.int64, count=len(column))
-        self.indptr = np.zeros(len(column) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.indptr[1:])
-        flat = np.empty(int(self.indptr[-1]), dtype=np.int64)
-        pos = 0
-        for x in column:
-            if x:
-                flat[pos:pos + len(x)] = x
-                pos += len(x)
-        self.term_ids = flat
-
-    def node_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """(node-row positions, term ids) of every token in the selected rows."""
-        indices = np.asarray(indices)
-        starts = self.indptr[indices]
-        lengths = self.indptr[indices + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        first = np.cumsum(lengths) - lengths
-        flat_pos = np.arange(total, dtype=np.int64) + np.repeat(starts - first, lengths)
-        rows = np.repeat(np.arange(len(indices), dtype=np.int64), lengths)
-        return rows, self.term_ids[flat_pos]
-
-
 def find_set_mask_split(
     set_index: SetColumnIndex,
     indices,
@@ -294,17 +267,18 @@ def find_set_mask_split(
     rows, terms = set_index.node_tokens(indices)
     if terms.size == 0:
         return None
-    present, compact = np.unique(terms, return_inverse=True)
+    counts = np.bincount(terms)
+    present = np.flatnonzero(counts)
+    compact = (np.cumsum(counts > 0) - 1)[terms]  # each token's position in present
     if sampling_rate < 1.0:
         if rng is None:
             raise ValueError("sampling_rate < 1 requires an rng")
         keep = rng.random(present.size) < sampling_rate
         if not keep.any():
             return None
-        remap = np.cumsum(keep) - 1
         token_keep = keep[compact]
         rows = rows[token_keep]
-        compact = remap[compact[token_keep]]
+        compact = (np.cumsum(keep) - 1)[compact[token_keep]]
         present = present[keep]
 
     n_node = len(indices)
@@ -314,9 +288,9 @@ def find_set_mask_split(
     token_wt = wt[rows]
     w_total, wt_total = weights.sum(), wt.sum()
 
-    order = np.argsort(compact, kind="stable")
-    term_bounds = np.searchsorted(compact[order], np.arange(present.size + 1))
-
+    # rows, compact, token_w and token_wt hold the tokens of the rows still
+    # on the negative side, in their original order, so every bincount sums
+    # the same values in the same order as a pass over all the node's tokens
     in_pos = np.zeros(n_node, dtype=bool)
     active = np.ones(present.size, dtype=bool)
     pos_w = pos_wt = 0.0
@@ -324,11 +298,8 @@ def find_set_mask_split(
     accepted: list[int] = []
     steps: list[tuple[int, float]] = []
     while active.any():
-        movable = ~in_pos[rows]
-        add_w = np.bincount(compact[movable], weights=token_w[movable],
-                            minlength=present.size)
-        add_wt = np.bincount(compact[movable], weights=token_wt[movable],
-                             minlength=present.size)
+        add_w = np.bincount(compact, weights=token_w, minlength=present.size)
+        add_wt = np.bincount(compact, weights=token_wt, minlength=present.size)
         gains = gain_from_stats(w_total, wt_total, pos_w + add_w, pos_wt + add_wt,
                                 objective)
         gains[~active] = -np.inf
@@ -336,8 +307,10 @@ def find_set_mask_split(
         gain = float(gains[best])
         if gain <= current_gain:
             break
-        span = order[term_bounds[best]:term_bounds[best + 1]]
-        in_pos[rows[span]] = True
+        in_pos[rows[compact == best]] = True
+        stay = ~in_pos[rows]
+        rows, compact = rows[stay], compact[stay]
+        token_w, token_wt = token_w[stay], token_wt[stay]
         pos_w += float(add_w[best])
         pos_wt += float(add_wt[best])
         current_gain = gain

@@ -32,7 +32,6 @@ from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
     REGRESSION,
-    SetColumnIndex,
     find_categorical_split,
     find_numerical_split,
     find_set_mask_split,
@@ -114,16 +113,15 @@ def log_loss_gradient(score, label):
 
 
 class _TreeGrower:
-    def __init__(self, dataset: Dataset, set_indexes: dict[int, SetColumnIndex],
-                 config: TrainConfig, objective: str, targets: np.ndarray,
-                 leaf_value, tree_tag: int):
+    def __init__(self, dataset: Dataset, config: TrainConfig, objective: str,
+                 targets: np.ndarray, leaf_value, tree_tag: int, fitted=None):
         self.ds = dataset
-        self.set_indexes = set_indexes
         self.config = config
         self.objective = objective
         self.targets = targets
         self.leaf_value = leaf_value
         self.tree_tag = tree_tag
+        self.fitted = fitted
         self.node_counter = 0
         f = dataset.n_features
         policy = config.features_per_node
@@ -150,7 +148,7 @@ class _TreeGrower:
                                           cfg.min_examples_per_leaf, self.objective)
         rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
         return find_set_mask_split(
-            self.set_indexes[feature], indices, node_targets, node_weights, feature,
+            self.ds.set_index(feature), indices, node_targets, node_weights, feature,
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective)
 
     def _grow(self, indices, depth) -> TreeNode:
@@ -163,7 +161,7 @@ class _TreeGrower:
             or len(indices) < 2 * cfg.min_examples_per_leaf
             or np.all(node_targets == node_targets[0])
         ):
-            return Leaf(self.leaf_value(indices))
+            return self._leaf(indices)
         if self.features_per_node < self.ds.n_features:
             node_rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 1, node_id)
             feats = np.sort(node_rng.choice(self.ds.n_features,
@@ -177,19 +175,17 @@ class _TreeGrower:
             if cand is not None and (best is None or cand.gain > best.gain):
                 best = cand
         if best is None:
-            return Leaf(self.leaf_value(indices))
+            return self._leaf(indices)
         pos = evaluate_column(best.condition, self.ds, indices)
         negative = self._grow(indices[~pos], depth + 1)
         positive = self._grow(indices[pos], depth + 1)
         return Internal(best.condition, negative, positive)
 
-
-def _build_set_indexes(dataset: Dataset) -> dict[int, SetColumnIndex]:
-    return {
-        i: SetColumnIndex(dataset.columns[i])
-        for i, f in enumerate(dataset.features)
-        if f.ftype == FeatureType.CATEGORICAL_SET
-    }
+    def _leaf(self, indices) -> Leaf:
+        value = self.leaf_value(indices)
+        if self.fitted is not None:
+            self.fitted[indices] = value
+        return Leaf(value)
 
 
 def _config_metadata(config: TrainConfig) -> dict:
@@ -201,8 +197,14 @@ def _config_metadata(config: TrainConfig) -> dict:
 
 
 def grow_tree(dataset: Dataset, config: TrainConfig, indices=None,
-              objective: str = CLASSIFICATION, targets=None, tree_tag: int = 0) -> TreeNode:
-    """Grow a single tree; leaves hold the weighted mean target."""
+              objective: str = CLASSIFICATION, targets=None, tree_tag: int = 0,
+              leaf_value=None, fitted=None) -> TreeNode:
+    """Grow a single tree on the rows ``indices`` (default: all).
+
+    Leaves hold ``leaf_value(rows)`` of the rows that reach them, by default
+    their weighted mean target. Given ``fitted``, an array over the
+    dataset's rows, each leaf also writes its value there for its rows.
+    """
     if dataset.n_examples == 0:
         raise ValueError("empty dataset")
     if indices is None:
@@ -210,13 +212,13 @@ def grow_tree(dataset: Dataset, config: TrainConfig, indices=None,
     if targets is None:
         targets = dataset.labels.astype(np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    weights = dataset.weights
+    if leaf_value is None:
+        weights = dataset.weights
 
-    def leaf_value(idx):
-        return float(np.average(targets[idx], weights=weights[idx]))
+        def leaf_value(idx):
+            return float(np.average(targets[idx], weights=weights[idx]))
 
-    grower = _TreeGrower(dataset, _build_set_indexes(dataset), config, objective,
-                         targets, leaf_value, tree_tag)
+    grower = _TreeGrower(dataset, config, objective, targets, leaf_value, tree_tag, fitted)
     return grower.grow(indices)
 
 
@@ -226,18 +228,12 @@ def train_random_forest(dataset: Dataset, config: TrainConfig) -> DecisionForest
     n = dataset.n_examples
     targets = dataset.labels.astype(np.float64)
     weights = dataset.weights
-    set_indexes = _build_set_indexes(dataset)
-
-    def leaf_value(idx):
-        return float(np.average(targets[idx], weights=weights[idx]))
 
     trees: list[TreeNode] = []
     oob_stats: list[dict] = []
     for i in range(config.num_trees):
         boot = make_rng(config.seed, _TAG_TREE, i, 0).integers(0, n, size=n)
-        grower = _TreeGrower(dataset, set_indexes, config, CLASSIFICATION,
-                             targets, leaf_value, i)
-        tree = grower.grow(boot)
+        tree = grow_tree(dataset, config, boot, CLASSIFICATION, targets, tree_tag=i)
         trees.append(tree)
         if config.compute_oob:
             oob = np.setdiff1d(np.arange(n), boot)
@@ -280,9 +276,9 @@ def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:
     initial = math.log(p_pos / (1.0 - p_pos))
 
     scores = np.full(n, initial, dtype=np.float64)
-    set_indexes = _build_set_indexes(dataset)
     residual = np.zeros(n, dtype=np.float64)
     hessian = np.zeros(n, dtype=np.float64)
+    fitted = np.zeros(n, dtype=np.float64)  # each training row's leaf value this round
 
     def leaf_value(idx):
         g = float(np.sum(weights[idx] * residual[idx]))
@@ -304,11 +300,10 @@ def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:
         prob = sigmoid_array(scores[train_idx])
         residual[train_idx] = labels[train_idx] - prob
         hessian[train_idx] = prob * (1.0 - prob)
-        grower = _TreeGrower(dataset, set_indexes, config, REGRESSION,
-                             residual, leaf_value, r)
-        tree = grower.grow(train_idx)
+        tree = grow_tree(dataset, config, train_idx, REGRESSION, residual, tree_tag=r,
+                         leaf_value=leaf_value, fitted=fitted)
         trees.append(tree)
-        scores[train_idx] += tree_apply(tree, dataset, train_idx)
+        scores[train_idx] += fitted[train_idx]
         train_losses.append(mean_loss(train_idx))
         if n_val:
             scores[val_idx] += tree_apply(tree, dataset, val_idx)

@@ -96,6 +96,26 @@ class TestExitCodes:
         assert main(["predict", str(bad), str(corpus_path)]) == 2
         assert "cannot load model" in capsys.readouterr().err
 
+    def test_non_finite_leaf_is_two(self, tmp_path, corpus_path, capsys):
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["trees"][0]["positive"]["leaf"] = float("nan")
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["predict", str(bad), str(corpus_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,inf,2.0", "0,1.0,0", "0,1.0,-2", "0,1.0,nan"])
+    def test_bad_csv_number_or_weight_is_two(self, tmp_path, row, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("label,age,w\n1,1.0,1.0\n0,9.0,1.0\n" + row + "\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {train}\nformat = csv\ncolumns = age:numerical\n"
+                       f"weight = w\nnum_trees = 2\noutput = {tmp_path / 'out'}\n",
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert ":4:" in capsys.readouterr().err
+
 
 class TestTrainPredict:
     def test_train_writes_artifacts(self, tmp_path, corpus_path):

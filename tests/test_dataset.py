@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.dataset import DataError, _parse_set_cell
+from setforest.dataset import DataError, Feature, FeatureType, _parse_set_cell
+
+from helpers import make_vocab
 
 
 class TestTokenize:
@@ -200,6 +202,28 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="expected 3 cells, got 2"):
             sf.load_csv_with_schema(short, ds.features)
 
+    @pytest.mark.parametrize("weight", ["0", "-1.5", "nan", "inf", "-inf", "1e400"])
+    def test_non_positive_or_non_finite_weight_rejected(self, tmp_path, weight):
+        path = self._write(tmp_path, f"label,w,x\n0,1.0,2.5\n1,{weight},3.0\n")
+        with pytest.raises(DataError, match=":3: weight must be positive and finite"):
+            sf.load_csv(path, {"x": "numerical"}, weight_column="w")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_number_rejected(self, tmp_path, cell):
+        train = self._write(tmp_path, "label,x\n0,2.5\n1,3.0\n")
+        ds = sf.load_csv(train, {"x": "numerical"})
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"label,x\n0,2.5\n1,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":3: column 'x': number .* is not finite"):
+            sf.load_csv(bad, {"x": "numerical"})
+        with pytest.raises(DataError, match="is not finite"):
+            sf.load_csv_with_schema(bad, ds.features)
+
+    def test_nan_number_stays_missing(self, tmp_path):
+        path = self._write(tmp_path, "label,x\n0,nan\n1,\n")
+        ds = sf.load_csv(path, {"x": "numerical"})
+        assert np.isnan(ds.columns[0]).all()
+
     def test_schema_reload_rejects_bad_weight(self, tmp_path):
         train = self._write(tmp_path, "label,w,x\n0,1.0,2.5\n1,2.0,3.0\n")
         ds = sf.load_csv(train, {"x": "numerical"}, weight_column="w")
@@ -215,6 +239,45 @@ class TestDatasetInvariants:
 
         with pytest.raises(ValueError, match="term id"):
             set_dataset([(0, 9)], [1], vocab_size=2)
+
+    @staticmethod
+    def _create(set_value=(0,), category=0):
+        features = [Feature("text", FeatureType.CATEGORICAL_SET, make_vocab("abcd")),
+                    Feature("colour", FeatureType.CATEGORICAL, make_vocab("xy"))]
+        columns = [[(1, 2), set_value, None, ()],
+                   np.array([0, category, 1, sf.MISSING_CATEGORY], dtype=np.int64)]
+        return sf.Dataset.create(features, columns, [0, 1, 0, 1])
+
+    # (3, 1) routed top-down and compiled disagreed on mask (1,): 0.1 against 0.9
+    @pytest.mark.parametrize("value", [(3, 1), (-2,), (1, 1), (4,), (0, 5)])
+    def test_bad_set_value_rejected(self, value):
+        with pytest.raises(ValueError, match=r"set value .* of row 1 in text: term ids"):
+            self._create(set_value=value)
+
+    @pytest.mark.parametrize("category", [5, 2, -7, -2])
+    def test_category_out_of_range_rejected(self, category):
+        with pytest.raises(ValueError, match=f"category id {category} out of range"):
+            self._create(category=category)
+
+    def test_non_integer_categories_rejected(self):
+        features = [Feature("colour", FeatureType.CATEGORICAL, make_vocab("xy"))]
+        with pytest.raises(ValueError, match="bad categorical column"):
+            sf.Dataset.create(features, [np.array([0.0, 1.0])], [0, 1])
+
+    @pytest.mark.parametrize("value", [None, (), (0,), (3,), (0, 1, 2, 3)])
+    def test_edge_values_accepted(self, value):
+        ds = self._create(set_value=value, category=sf.MISSING_CATEGORY)
+        index = ds.set_index(0)
+        assert index.term_ids.tolist() == [1, 2, *(value or ())]
+        assert index.indptr.tolist() == [0, 2, 2 + len(value or ()), 2 + len(value or ()),
+                                         2 + len(value or ())]
+
+    def test_index_built_once_and_lazily_for_subsets(self):
+        ds = self._create()
+        assert ds.set_index(0) is ds.set_index(0)
+        sub = ds.subset([3, 0])
+        assert sub.set_index(0).term_ids.tolist() == [1, 2]
+        assert sub.set_index(0).indptr.tolist() == [0, 0, 2]
 
     def test_row_materialisation(self):
         from helpers import set_dataset

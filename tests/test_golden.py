@@ -1,0 +1,77 @@
+"""Golden hashes: fixed-seed models must serialise to the same bytes.
+
+The constants were recorded before the set-feature trainer was vectorised
+(the CSR set index, the table-and-bincount partition and the shrinking greedy
+mask search); any later change that moves a split, a leaf value or a
+metadata float changes a hash here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import setforest as sf
+
+GOLDEN = {
+    "rf_planted": "86525de9cf7d4beaebb82cb45fa8af31114874a9b6747cfbf261c67264fb56bf",
+    "mart_planted": "0d0e44d504df7d04d0f6b22092aa2c698a615249cd359c966442ad3777c6c80c",
+    "mart_mixed_csv": "5eae674ad934a894ffe72461958ac354af1ed0c12880a766124a0711c9464c93",
+}
+
+
+def _digest(forest) -> str:
+    return hashlib.sha256(sf.forest_to_json(forest).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def planted():
+    token_sets, labels = sf.planted_keyword_corpus(n=800, vocab_terms=120, seed=3,
+                                                   signal_rate_positive=0.9,
+                                                   signal_rate_negative=0.08)
+    vocab = sf.build_vocabulary(token_sets, min_frequency=2)
+    return sf.dataset_from_token_sets(token_sets, vocab, labels)
+
+
+def _mixed_csv(path):
+    """label,text,num,cat,w with missing cells in every feature column."""
+    rng = np.random.default_rng(17)
+    lines = ["label,text,num,cat,w\n"]
+    for _ in range(500):
+        y = int(rng.integers(0, 2))
+        u = rng.random()
+        if u < 0.06:
+            text = ""
+        elif u < 0.12:
+            text = "{}"
+        else:
+            words = {f"w{int(j)}" for j in rng.integers(0, 40, size=int(rng.integers(2, 7)))}
+            if rng.random() < (0.7 if y else 0.1):
+                words.add(f"key{int(rng.integers(0, 3))}")
+            text = "{" + " ".join(sorted(words)) + "}"
+        num = "" if rng.random() < 0.08 else f"{rng.normal(1.0 * y, 1.0):.3f}"
+        cat = "" if rng.random() < 0.08 else f"c{int(rng.integers(0, 6)) + 2 * y}"
+        weight = f"{rng.choice([0.5, 1.0, 2.0])}"
+        lines.append(f"{y},{text},{num},{cat},{weight}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_rf_planted(planted):
+    config = sf.TrainConfig.random_forest(num_trees=6, seed=11, compute_oob=True)
+    assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted"]
+
+
+def test_mart_planted(planted):
+    config = sf.TrainConfig.mart(num_trees=12, seed=5)
+    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted"]
+
+
+def test_mart_mixed_csv(tmp_path):
+    ds = sf.load_csv(_mixed_csv(tmp_path / "mixed.csv"),
+                     {"text": "set", "num": "numerical", "cat": "categorical"},
+                     weight_column="w")
+    config = sf.TrainConfig.mart(num_trees=12, seed=9, sampling_rate=0.5)
+    assert _digest(sf.train(ds, config)) == GOLDEN["mart_mixed_csv"]

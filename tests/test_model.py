@@ -131,6 +131,32 @@ class TestValidation:
             forest_from_dict(one_split_document(
                 {"kind": "category_in", "feature": 1, "values": values}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["leaf", "threshold", "initial_score"])
+    def test_non_finite_numbers_rejected(self, where, value):
+        document = {
+            "format": "setforest-model", "version": 1, "kind": "mart", "initial_score": 0.5,
+            "features": [{"name": "x", "type": "numerical", "vocabulary": None}],
+            "trees": [{"split": {"kind": "numerical_ge", "feature": 0, "threshold": 1.5},
+                       "negative": {"leaf": -0.25}, "positive": {"leaf": 0.75}}],
+            "metadata": {},
+        }
+        forest_from_dict(document)
+        if where == "leaf":
+            document["trees"][0]["negative"]["leaf"] = value
+        elif where == "threshold":
+            document["trees"][0]["split"]["threshold"] = value
+        else:
+            document["initial_score"] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            forest_from_dict(document)
+
+    def test_non_finite_json_literal_rejected(self):
+        text = forest_to_json(sf.DecisionForest("mart", [sf.Leaf(float("nan"))], 0.0, [], {}))
+        assert '"leaf": NaN' in text
+        with pytest.raises(ValueError, match="must be finite"):
+            forest_from_json(text)
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError, match="forest kind"):
             forest_from_dict(one_split_document(
