@@ -22,6 +22,7 @@ import numpy as np
 
 from .dataset import (
     DataError,
+    Dataset,
     Feature,
     Vocabulary,
     build_vocabulary,
@@ -40,7 +41,7 @@ from .evaluation import (
     summary_csv,
     summary_table,
 )
-from .inference import compile_forest, predict_compiled, predict_top_down
+from .inference import compile_forest, predict_dataset, predict_top_down
 from .model import DecisionForest, load_forest, save_forest
 from .training import TrainConfig, train
 from .transforms import TransformChain, make_chain
@@ -366,8 +367,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _rows_for_model(forest: DecisionForest, cfg: RunConfig, data_path: str,
-                    lines: list[str] | None = None) -> list[tuple]:
+def _dataset_for_model(forest: DecisionForest, cfg: RunConfig, data_path: str,
+                       lines: list[str] | None = None) -> Dataset:
     pipeline = forest.metadata.get("pipeline", {"kind": "text"})
     chain_dict = forest.metadata.get("transform_chain")
     chain = TransformChain.from_dict(chain_dict) if chain_dict else None
@@ -376,7 +377,7 @@ def _rows_for_model(forest: DecisionForest, cfg: RunConfig, data_path: str,
         dataset = load_csv_with_schema(data_path, features)
         if chain is not None:
             dataset = chain.transform(dataset)
-        return dataset.rows()
+        return dataset
     vocab = Vocabulary.from_dict(pipeline["vocabulary"])
     if lines is None:
         token_sets, _ = load_labeled_text(data_path)
@@ -386,7 +387,7 @@ def _rows_for_model(forest: DecisionForest, cfg: RunConfig, data_path: str,
         token_sets, vocab, np.zeros(len(token_sets), dtype=np.int64))
     if chain is not None:
         dataset = chain.transform(dataset)
-    return dataset.rows()
+    return dataset
 
 
 def _tokens_from_line(line: str):
@@ -407,7 +408,7 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
     started = time.time()
     out = _require_output(cfg)
     forest = _load_model(model_path)
-    rows = _rows_for_model(forest, cfg, data_path)
+    rows = _dataset_for_model(forest, cfg, data_path).rows()
     compiled = compile_forest(forest)
     label = forest.metadata.get("method", "model")
     results = benchmark_inference(label, forest, compiled, rows,
@@ -432,20 +433,22 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_path: str | None) -> int:
         if forest.metadata.get("pipeline", {}).get("kind") == "csv":
             raise ConfigError("csv-schema models need an input file to predict")
         lines = [line.rstrip("\n") for line in sys.stdin if line.strip()]
-        rows = _rows_for_model(forest, cfg, "", lines=lines)
+        dataset = _dataset_for_model(forest, cfg, "", lines=lines)
     elif cfg["format"] == "csv" or forest.metadata.get("pipeline", {}).get("kind") == "csv":
-        rows = _rows_for_model(forest, cfg, input_path)
+        dataset = _dataset_for_model(forest, cfg, input_path)
     else:
         with open(input_path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
-        rows = _rows_for_model(forest, cfg, input_path, lines=lines)
-    if evaluator == "qs":
-        compiled = compile_forest(forest)
-        for row in rows:
-            print(repr(predict_compiled(compiled, row)))
-    else:
-        for row in rows:
-            print(repr(predict_top_down(forest, row)))
+        dataset = _dataset_for_model(forest, cfg, input_path, lines=lines)
+    try:
+        if evaluator == "qs":
+            scores = predict_dataset(compile_forest(forest), dataset).tolist()
+        else:
+            scores = [predict_top_down(forest, row) for row in dataset.rows()]
+    except ValueError as exc:  # the input's schema is not the model's
+        raise DataError(f"cannot score with model {model_path}: {exc}") from exc
+    for score in scores:
+        print(repr(score))
     return 0
 
 

@@ -23,6 +23,22 @@ first non-zero word) is the leaf the top-down walk would have reached:
 conditions that held cleared everything to the left of the true path,
 conditions that failed (or were missing) cleared nothing of it, and the
 negative-first leaf order makes the fall-through leaf the leftmost one.
+
+``predict_dataset`` scores a whole dataset in blocks of ``_BLOCK_ROWS`` rows,
+one (rows, slots) word array per block. A numerical value's ``searchsorted``
+count ``k`` says it clears the first ``k`` threshold-sorted entries (a NaN
+clears none); per block, the entries are scattered into a table over the
+block's distinct counts and AND-accumulated down it, so every row reads
+the AND of its first ``k`` entries and the table never outgrows the block.
+A keyed feature gets, once per call, a table with one row of slot masks
+per key and an all-ones row last for a missing, unseen or absent value.
+Values find their key rows with ``searchsorted``, never by indexing with
+the value itself, because max-hash categorical values have no vocabulary
+and reach 2**63 - 1. A set feature ANDs the key rows of a block row's
+tokens together with ``reduceat``, over the rows that hold a known token
+only. The key tables take (keys + 1) x slots uint64 words per feature and
+are rebuilt on every call, so compiling and per-row scoring cost what they
+did before.
 """
 
 from __future__ import annotations
@@ -215,20 +231,22 @@ def _apply_masks(compiled: CompiledForest, row: tuple) -> np.ndarray:
     return leafidx
 
 
-def _leaf_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
-    leafidx = _apply_masks(compiled, row)
+def _leaf_positions(compiled: CompiledForest, leafidx: np.ndarray) -> np.ndarray:
+    """Per-tree position of the lowest leaf left in a ``(slots,)`` or
+    ``(rows, slots)`` word array: one entry per tree along the last axis."""
     # trailing zeros of every word; a word with no leaf left reads 64
     low = np.bitwise_count((leafidx - _ONE) & ~leafidx)
     if compiled.words_per_tree == 1:
         return low  # uint8, only ever used as an index
-    low = low.reshape(compiled.num_trees, compiled.words_per_tree)
+    low = low.reshape(-1, compiled.words_per_tree)
     word = np.argmax(low < 64, axis=1)  # every tree keeps its reached leaf
-    return 64 * word + low[np.arange(compiled.num_trees), word]
+    positions = 64 * word + low[np.arange(len(low)), word]
+    return positions if leafidx.ndim == 1 else positions.reshape(len(leafidx), -1)
 
 
 def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
     """Per-tree active leaf position (int64), counted left to right."""
-    return _leaf_positions(compiled, row).astype(np.int64)
+    return _leaf_positions(compiled, _apply_masks(compiled, row)).astype(np.int64)
 
 
 def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
@@ -236,7 +254,7 @@ def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
     if len(row) != len(compiled.features):
         raise ValueError(
             f"row has {len(row)} values, schema has {len(compiled.features)}")
-    low = _leaf_positions(compiled, row)
+    low = _leaf_positions(compiled, _apply_masks(compiled, row))
     values = compiled.leaf_values[np.arange(compiled.num_trees), low]
     return aggregate(compiled.kind, compiled.initial_score, values)
 
@@ -244,7 +262,87 @@ def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
 predict_top_down = predict  # the reference evaluator, named for comparisons
 
 
+_BLOCK_ROWS = 256  # rows scored together; keeps a block's word arrays small
+
+
+def _cleared_masks(counts: np.ndarray, group: NumericalEntries, slots: int) -> np.ndarray:
+    """Per block row, the per-slot AND of the first ``counts`` entries, from
+    a table over the block's distinct counts only."""
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    used = int(distinct[-1])
+    table = np.full((len(distinct), slots), _ALL)
+    # entry j is in every count above j; it goes into the first such row
+    first = np.searchsorted(distinct, np.arange(used), side="right")
+    np.bitwise_and.at(table.reshape(-1), first * slots + group.tree_ids[:used],
+                      group.masks[:used])
+    return np.bitwise_and.accumulate(table, axis=0)[inverse]
+
+
+def _keyed_table(group: KeyedEntries, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending keys, and per key a row of its masks, then a row of ones
+    for a value with no entry."""
+    keys = np.fromiter(group.index, dtype=np.int64, count=len(group.index))
+    spans = np.array(list(group.index.values()), dtype=np.int64).reshape(-1, 2)
+    table = np.full((len(keys) + 1, slots), _ALL)
+    table[np.repeat(np.arange(len(keys)), spans[:, 1] - spans[:, 0]), group.tree_ids] = \
+        group.masks
+    return keys, table
+
+
+def _key_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's table row: its rank among ``keys``, or ``len(keys)``."""
+    rank = np.searchsorted(keys, values)
+    found = keys[np.minimum(rank, len(keys) - 1)] == values
+    return np.where(found, rank, len(keys))
+
+
+def _check_schema(compiled: CompiledForest, dataset: Dataset) -> None:
+    if len(dataset.features) != len(compiled.features):
+        raise ValueError(f"dataset has {len(dataset.features)} features, "
+                         f"model has {len(compiled.features)}")
+    for i, (have, want) in enumerate(zip(dataset.features, compiled.features)):
+        if have.ftype != want.ftype:
+            raise ValueError(f"feature {i} ({have.name}) is {have.ftype.value} in the "
+                             f"dataset and {want.ftype.value} in the model")
+
+
 def predict_dataset(compiled: CompiledForest, dataset: Dataset) -> np.ndarray:
-    rows = dataset.rows()
-    return np.fromiter((predict_compiled(compiled, row) for row in rows),
-                       dtype=np.float64, count=len(rows))
+    """Probabilities of every row, bit-identical to ``predict_compiled`` row by
+    row; scores blocks of rows at once (see the module docstring). Raises
+    ``ValueError`` when the dataset's schema is not the model's."""
+    _check_schema(compiled, dataset)
+    n, slots = dataset.n_examples, len(compiled.default_masks)
+    numerical, keyed, sets = [], [], []
+    for f, group in compiled.numerical.items():
+        values = np.asarray(dataset.columns[f], dtype=np.float64)
+        counts = np.searchsorted(group.thresholds, values, side="right")
+        counts[np.isnan(values)] = 0  # missing applies nothing
+        numerical.append((counts, group))
+    for f, group in compiled.keyed.items():
+        keys, table = _keyed_table(group, slots)
+        if compiled.features[f].ftype == FeatureType.CATEGORICAL:
+            values = np.asarray(dataset.columns[f], dtype=np.int64)
+            rows = np.where(values == MISSING_CATEGORY, len(keys), _key_rows(keys, values))
+            keyed.append((rows, table))
+        else:
+            sets.append((dataset.set_index(f), keys, table))
+    trees = np.arange(compiled.num_trees)
+    scores = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        leafidx = np.tile(compiled.default_masks, (hi - lo, 1))
+        for counts, group in numerical:
+            leafidx &= _cleared_masks(counts[lo:hi], group, slots)
+        for rows, table in keyed:
+            leafidx &= table[rows[lo:hi]]
+        for index, keys, table in sets:
+            positions, terms = index.node_tokens(np.arange(lo, hi))
+            rows = _key_rows(keys, terms)
+            known = rows < len(keys)  # a row without a known token applies nothing
+            positions, rows = positions[known], rows[known]
+            if len(rows):
+                begins, _ = _runs(positions)
+                leafidx[positions[begins]] &= np.bitwise_and.reduceat(table[rows], begins)
+        values = compiled.leaf_values[trees, _leaf_positions(compiled, leafidx)]
+        scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
+    return scores

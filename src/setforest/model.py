@@ -73,12 +73,21 @@ def route(tree: TreeNode, row: tuple) -> Leaf:
     return node
 
 
-def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray) -> float:
+def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray):
     """Combine per-tree leaf values; shared by every evaluator so that the
-    floating-point summation order is identical across them."""
+    floating-point summation order is identical across them. One row of
+    values gives a float; a C-contiguous (rows, trees) array gives a float64
+    array with each row's float, bit for bit."""
+    if leaf_values.ndim == 1:
+        if kind == RF:
+            return float(leaf_values.mean())
+        return sigmoid(initial_score + float(leaf_values.sum()))
     if kind == RF:
-        return float(leaf_values.mean())
-    return sigmoid(initial_score + float(leaf_values.sum()))
+        return leaf_values.mean(axis=-1)
+    # the scalar sigmoid (math.exp), not np.exp: libm's bits are the reference
+    sums = leaf_values.sum(axis=-1).tolist()
+    return np.fromiter((sigmoid(initial_score + s) for s in sums), dtype=np.float64,
+                       count=len(sums))
 
 
 def predict(forest: DecisionForest, row: tuple) -> float:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import setforest as sf
@@ -142,6 +143,57 @@ class TestTrainPredict:
         scores = [float(s) for s in qs_out.split()]
         assert len(scores) == 150
         assert all(0.0 <= s <= 1.0 for s in scores)
+
+    @staticmethod
+    def _mixed_csv_model(tmp_path):
+        """A model trained on a CSV with a set, a numerical and a categorical
+        column, every one of them with missing cells; returns (model, test)."""
+        rng = np.random.default_rng(4)
+        words = ["spam", "eggs", "ham", "toast", "tea"]
+        lines = ["label,words,age,colour"]
+        for i in range(120):
+            label = i % 2
+            terms = sorted({words[j] for j in rng.integers(0, 5, size=rng.integers(0, 3))}
+                           | ({"spam"} if label and rng.random() < 0.7 else set()))
+            cells = ["{" + " ".join(terms) + "}", f"{rng.normal(2.0 * label):.3f}",
+                     rng.choice(["red", "blue", "green"])]
+            if rng.random() < 0.3:
+                cells[int(rng.integers(0, 3))] = ""  # missing
+            lines.append(f"{label}," + ",".join(cells))
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines[:81]) + "\n", encoding="utf-8")
+        test = tmp_path / "test.csv"
+        test.write_text("\n".join(lines[:1] + lines[81:]) + "\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data = {train}\nformat = csv\n"
+            "columns = words:set,age:numerical,colour:categorical\n"
+            f"algorithm = mart\nnum_trees = 5\nmin_frequency = 1\n"
+            f"output = {tmp_path / 'out'}\n",
+            encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        return tmp_path / "out" / "model.json", test
+
+    def test_predict_csv_with_missing_cells_evaluators_agree(self, tmp_path, capsys):
+        model, test = self._mixed_csv_model(tmp_path)
+        cells = [line.split(",") for line in test.read_text().splitlines()[1:]]
+        assert all(any(row[c] == "" for row in cells) for c in (1, 2, 3))
+        capsys.readouterr()
+        assert main(["predict", str(model), str(test)]) == 0
+        qs_out = capsys.readouterr().out
+        assert main(["predict", str(model), str(test), "--set", "evaluator=topdown"]) == 0
+        assert qs_out == capsys.readouterr().out
+        assert len(qs_out.split()) == 40
+
+    @pytest.mark.parametrize("evaluator", ["qs", "topdown"])
+    def test_predict_input_schema_mismatch_is_two(self, tmp_path, capsys, evaluator):
+        model, test = self._mixed_csv_model(tmp_path)
+        document = json.loads(model.read_text())
+        del document["metadata"]["pipeline"]["features"][2]  # the input loses a column
+        model.write_text(json.dumps(document))
+        assert main(["predict", str(model), str(test),
+                     "--set", f"evaluator={evaluator}"]) == 2
+        assert "3" in capsys.readouterr().err
 
     def test_predict_rejects_bad_evaluator(self, tmp_path, corpus_path):
         cfg = _config(tmp_path, corpus_path)

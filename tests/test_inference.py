@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setforest as sf
 from setforest.inference import (
+    _BLOCK_ROWS,
     compile_forest,
     compiled_leaf_indices,
     predict_compiled,
+    predict_dataset,
     predict_top_down,
 )
 from setforest.model import forest_from_json, forest_to_json, route
@@ -15,6 +21,7 @@ from helpers import (
     make_vocab,
     random_mixed_dataset,
     random_rows_for,
+    set_dataset,
 )
 
 
@@ -322,3 +329,125 @@ class TestZeroTreeForest:
         row = ds.row(0)
         assert predict_compiled(compiled, row) == predict_top_down(forest, row)
         assert predict_compiled(compiled, row) > 0.999999
+        assert predict_dataset(compiled, ds).tolist() == [predict_top_down(forest, row)] * 3
+
+
+VOCAB = 8  # categorical values and set terms 0..7; splits use some of them
+THRESHOLDS = (-1.0, 0.0, 0.5, 2.0)
+HASHED = (0, 5, 2**62 + 1, 2**63 - 2, 2**63 - 1)  # max-hash values have no vocabulary
+
+
+def _random_forest(rng, kind, ftypes, leaf_counts):
+    def condition():
+        f = int(rng.integers(0, len(ftypes)))
+        if ftypes[f] == "num":
+            return sf.NumericalGE(f, float(rng.choice(THRESHOLDS)))
+        if ftypes[f] == "set":
+            return sf.SetIntersects(f, tuple(sorted(set(
+                rng.integers(0, VOCAB, size=int(rng.integers(1, 4))).tolist()))))
+        pool = HASHED if ftypes[f] == "hashed" else range(VOCAB)
+        return sf.CategoryIn(f, frozenset(int(v) for v in rng.choice(
+            pool, size=int(rng.integers(1, 4)))))
+
+    def tree(n_leaves):
+        if n_leaves == 1:
+            return sf.Leaf(float(rng.uniform(0, 1) if kind == "rf" else rng.normal()))
+        k = int(rng.integers(1, n_leaves))
+        return sf.Internal(condition(), tree(k), tree(n_leaves - k))
+
+    vocab = make_vocab([f"v{i}" for i in range(VOCAB)])
+    features = [sf.Feature(f"f{i}", sf.FeatureType.NUMERICAL) if t == "num" else
+                sf.Feature(f"f{i}", sf.FeatureType.CATEGORICAL, None) if t == "hashed" else
+                sf.Feature(f"f{i}", sf.FeatureType.CATEGORICAL_SET if t == "set"
+                           else sf.FeatureType.CATEGORICAL, vocab)
+                for i, t in enumerate(ftypes)]
+    forest = sf.DecisionForest(
+        kind=kind, trees=[tree(n) for n in leaf_counts],
+        initial_score=0.0 if kind == "rf" else float(rng.normal()), features=features,
+        metadata={})
+    return forest_from_json(forest_to_json(forest))
+
+
+def _random_column(rng, ftype, n):
+    if ftype == "num":
+        pool = np.array(THRESHOLDS + (np.nan, -np.inf, np.inf, 0.25, 7.0))
+        return pool[rng.integers(0, len(pool), size=n)]
+    if ftype == "set":
+        return [None if u < 0.15 else () if u < 0.3 else
+                tuple(sorted(set(rng.integers(0, VOCAB, size=int(rng.integers(1, 5))).tolist())))
+                for u in rng.random(n)]
+    pool = (HASHED + (3, 2**63 - 3)) if ftype == "hashed" else tuple(range(VOCAB))
+    return np.array([sf.MISSING_CATEGORY if rng.random() < 0.2 else pool[i]
+                     for i in rng.integers(0, len(pool), size=n)], dtype=np.int64)
+
+
+class TestPredictDataset:
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=4),
+           num_trees=st.integers(0, 4),
+           widest=st.sampled_from([1, 3, 64, 65, 140]),
+           n=st.sampled_from([0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                              2 * _BLOCK_ROWS + 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_and_top_down(self, kind, ftypes, num_trees, widest, n, seed):
+        rng = np.random.default_rng(seed)
+        num_trees = max(num_trees, int(kind == "rf"))  # only a boosted forest has no trees
+        leaf_counts = [widest] + rng.integers(1, widest + 1, size=num_trees).tolist()
+        forest = _random_forest(rng, kind, ftypes, leaf_counts[:num_trees])
+        ds = sf.Dataset.create(forest.features, [_random_column(rng, t, n) for t in ftypes],
+                               np.zeros(n, dtype=np.int64))
+        compiled = compile_forest(forest)
+        rows = ds.rows()
+        per_row = np.array([predict_compiled(compiled, row) for row in rows], dtype=np.float64)
+        top_down = np.array([predict_top_down(forest, row) for row in rows], dtype=np.float64)
+        batch = predict_dataset(compiled, ds)
+        assert batch.dtype == np.float64 and batch.shape == (n,)
+        assert batch.tobytes() == per_row.tobytes() == top_down.tobytes()
+
+    def test_many_numerical_entries_stay_within_the_block(self):
+        # 200 complete depth-6 trees on one numerical feature: 12600 entries
+        # over 200 slots, about 20 MB as one prefix table over all entries
+        rng = np.random.default_rng(3)
+
+        def tree(depth):
+            if depth == 6:
+                return sf.Leaf(float(rng.normal()))
+            return sf.Internal(sf.NumericalGE(0, float(rng.normal())), tree(depth + 1),
+                               tree(depth + 1))
+
+        forest = sf.DecisionForest("mart", [tree(0) for _ in range(200)], 0.1,
+                                   [sf.Feature("x", sf.FeatureType.NUMERICAL)], {})
+        compiled = compile_forest(forest)
+        values = np.append(rng.normal(size=9), np.nan)
+        ds = sf.Dataset.create(forest.features, [values], np.zeros(10, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            scores = predict_dataset(compiled, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert scores.tolist() == [predict_top_down(forest, row) for row in ds.rows()]
+
+    @staticmethod
+    def _set_mart():
+        ds = set_dataset([(0, 1), (1,), (2, 3), (0,), (3,), (1, 2)] * 4, [1, 0, 1, 1, 0, 0] * 4)
+        forest = sf.train_mart(ds, sf.TrainConfig.mart(num_trees=5, seed=0))
+        return compile_forest(forest)
+
+    def test_feature_count_mismatch_rejected(self):
+        compiled = self._set_mart()
+        two = sf.Dataset.create(
+            [sf.Feature("x", sf.FeatureType.NUMERICAL), compiled.features[0]],
+            [np.zeros(2), [(0,), None]], [0, 1])
+        with pytest.raises(ValueError, match="dataset has 2 features, model has 1"):
+            predict_dataset(compiled, two)
+
+    def test_feature_type_mismatch_rejected(self):
+        compiled = self._set_mart()
+        numbers = sf.Dataset.create([sf.Feature("x", sf.FeatureType.NUMERICAL)],
+                                    [np.array([0.0, 1.0])], [0, 1])
+        with pytest.raises(ValueError, match="numerical in the dataset and set in the model"):
+            predict_dataset(compiled, numbers)

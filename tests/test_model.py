@@ -3,6 +3,9 @@ import pytest
 
 import setforest as sf
 from setforest.model import (
+    MART,
+    RF,
+    aggregate,
     count_leaves,
     forest_from_dict,
     count_nodes,
@@ -10,6 +13,7 @@ from setforest.model import (
     forest_to_json,
     leaf_depths,
     route,
+    sigmoid,
     tree_apply,
 )
 
@@ -93,6 +97,24 @@ class TestTreeWalkers:
         _, forest = _trained(seed=4)
         with pytest.raises(ValueError, match="schema"):
             sf.predict(forest, (1.0,))
+
+
+class TestAggregate:
+    def test_rows_at_once_match_one_row_at_a_time(self):
+        # 1..600 trees crosses the pairwise summation's blocks of 8 and 128
+        rng = np.random.default_rng(11)
+        for trees in range(1, 601):
+            values = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(5, trees))
+            for kind in (RF, MART):
+                rows = aggregate(kind, -0.3, values)
+                assert rows.dtype == np.float64 and rows.shape == (5,)
+                one = np.array([aggregate(kind, -0.3, row) for row in values])
+                assert rows.tobytes() == one.tobytes(), (kind, trees)
+
+    def test_zero_trees_and_zero_rows(self):
+        assert aggregate(MART, 0.5, np.empty((3, 0))).tolist() == [sigmoid(0.5)] * 3
+        assert aggregate(MART, 0.5, np.empty((0, 4))).shape == (0,)
+        assert aggregate(RF, 0.0, np.empty((0, 4))).shape == (0,)
 
 
 class TestValidation:
