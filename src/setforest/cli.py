@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -77,55 +78,80 @@ def _parse_grid(text: str):
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-# key -> (parser, default); defaults of None mean "decide per algorithm"
+def _check(holds, requirement: str):
+    """A ``_KEYS`` value check: ValueError unless ``holds(value)``. Ranges
+    are written so that NaN fails them."""
+    def check(value):
+        if not holds(value):
+            raise ValueError(f"must be {requirement}, got {value!r}")
+    return check
+
+
+def _one_of(*choices):
+    return _check(lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+_AT_LEAST_1 = _check(lambda v: v >= 1, ">= 1")
+_RATE = _check(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+# key -> (parser, default, check); defaults of None mean "decide per
+# algorithm". Every value given is checked when it is read; a check of None
+# means any value parses (method and step names are checked as they are built)
 _KEYS: dict[str, tuple] = {
-    "data": (str, None),
-    "format": (str, "tsv"),
-    "columns": (str, None),
-    "label": (str, "label"),
-    "weight": (str, None),
-    "methods": (str, None),
-    "algorithm": (str, "rf"),
-    "transform": (str, ""),
-    "num_trees": (int, None),
-    "max_depth": (int, None),
-    "min_examples_per_leaf": (int, None),
-    "features_per_node": (_parse_features_per_node, None),
-    "sampling_rate": (float, 0.2),
-    "shrinkage": (float, 0.1),
-    "validation_fraction": (float, 0.1),
-    "patience": (_parse_patience, None),
-    "compute_oob": (_parse_bool, False),
-    "maxhash_k": (int, 32),
-    "maxhash_treat": (str, "categorical"),
-    "targetmean_smoothing": (float, 10.0),
-    "vocab_size": (int, 5000),
-    "min_frequency": (int, 5),
-    "folds": (int, 5),
-    "seed": (int, 0),
-    "output": (str, "setforest-run"),
-    "baseline": (str, None),
-    "parameter": (str, "sampling_rate"),
-    "grid": (_parse_grid, DEFAULT_SWEEP_GRID),
-    "evaluator": (str, "qs"),
-    "runs": (int, 100),
-    "warmup": (int, 10),
+    "data": (str, None, None),
+    "format": (str, "tsv", _one_of("tsv", "csv")),
+    "columns": (str, None, None),
+    "label": (str, "label", None),
+    "weight": (str, None, None),
+    "methods": (str, None, None),
+    "algorithm": (str, "rf", _one_of("rf", "mart")),
+    "transform": (str, "", None),
+    "num_trees": (int, None, _AT_LEAST_1),
+    "max_depth": (int, None, _AT_LEAST_1),
+    "min_examples_per_leaf": (int, None, _AT_LEAST_1),
+    "features_per_node": (_parse_features_per_node, None, _check(
+        lambda v: isinstance(v, str) or v >= 1, "'sqrt', 'all' or a count >= 1")),
+    "sampling_rate": (float, 0.2, _RATE),
+    "shrinkage": (float, 0.1, _RATE),
+    "validation_fraction": (float, 0.1, _check(lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+    "patience": (_parse_patience, None, _check(lambda v: v is None or v >= 1, "none or >= 1")),
+    "compute_oob": (_parse_bool, False, None),
+    "maxhash_k": (int, 32, _AT_LEAST_1),
+    "maxhash_treat": (str, "categorical", _one_of("categorical", "numerical")),
+    "targetmean_smoothing": (float, 10.0, _check(lambda v: 0.0 <= v < math.inf,
+                                                 "finite and >= 0")),
+    "vocab_size": (int, 5000, _AT_LEAST_1),
+    "min_frequency": (int, 5, _AT_LEAST_1),
+    "folds": (int, 5, _check(lambda v: v >= 2, ">= 2")),
+    "seed": (int, 0, None),
+    "output": (str, "setforest-run", None),
+    "baseline": (str, None, None),
+    "parameter": (str, "sampling_rate", _one_of("sampling_rate")),
+    "grid": (_parse_grid, DEFAULT_SWEEP_GRID, _check(
+        lambda g: len(g) > 0 and all(0.0 < p <= 1.0 for p in g),
+        "a non-empty list of rates in (0, 1]")),
+    "evaluator": (str, "qs", _one_of("qs", "topdown")),
+    "runs": (int, 100, _AT_LEAST_1),
+    "warmup": (int, 10, _check(lambda v: v >= 0, ">= 0")),
 }
 
 
 class RunConfig:
     def __init__(self):
-        self.values = {key: default for key, (_, default) in _KEYS.items()}
+        self.values = {key: default for key, (_, default, _) in _KEYS.items()}
         self.provided: set[str] = set()
 
     def set(self, key: str, raw: str, origin: str):
         if key not in _KEYS:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
-        parser, _ = _KEYS[key]
+        parser, _, check = _KEYS[key]
         try:
-            self.values[key] = parser(raw.strip())
+            value = parser(raw.strip())
+            if check is not None:
+                check(value)
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad value for {key}: {exc}") from exc
+        self.values[key] = value
         self.provided.add(key)
 
     def __getitem__(self, key: str):
@@ -179,10 +205,7 @@ def _train_config(cfg: RunConfig, algorithm: str) -> TrainConfig:
         kw["shrinkage"] = cfg["shrinkage"]
         kw["validation_fraction"] = cfg["validation_fraction"]
         kw["early_stopping_patience"] = cfg["patience"]
-    try:
-        return factory(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return factory(**kw)  # every value passed its check on entry
 
 
 def _method_from_token(cfg: RunConfig, token: str) -> MethodSpec:
@@ -280,14 +303,12 @@ def cmd_train(cfg: RunConfig) -> int:
         vocab = build_vocabulary(token_sets, cfg["vocab_size"], cfg["min_frequency"])
         dataset = dataset_from_token_sets(token_sets, vocab, labels)
         pipeline = {"kind": "text", "vocabulary": vocab.to_dict()}
-    elif cfg["format"] == "csv":
+    else:
         dataset = load_csv(cfg["data"], _parse_columns(cfg),
                            label_column=cfg["label"], weight_column=cfg["weight"])
         pipeline = {"kind": "csv",
                     "features": [f.to_dict() for f in dataset.features],
                     "label": cfg["label"]}
-    else:
-        raise ConfigError(f"unknown format {cfg['format']!r}")
 
     chain = method.build_chain(cfg["seed"])
     if chain is not None:
@@ -343,10 +364,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     started = time.time()
     out = _require_output(cfg)
-    if cfg["parameter"] != "sampling_rate":
-        raise ConfigError("only 'parameter = sampling_rate' sweeps are supported")
-    if not cfg["grid"]:
-        raise ConfigError("sweep grid is empty")
     token_sets, labels = _load_corpus(cfg)
     methods = _methods(cfg)
     if len(methods) != 1:
@@ -427,8 +444,6 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
 def cmd_predict(cfg: RunConfig, model_path: str, input_path: str | None) -> int:
     forest = _load_model(model_path)
     evaluator = cfg["evaluator"]
-    if evaluator not in ("qs", "topdown"):
-        raise ConfigError("evaluator must be 'qs' or 'topdown'")
     if input_path is None:
         if forest.metadata.get("pipeline", {}).get("kind") == "csv":
             raise ConfigError("csv-schema models need an input file to predict")

@@ -73,8 +73,8 @@ def evaluate(condition: SplitCondition, row: tuple) -> bool:
 
 def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.ndarray:
     """Vectorised `evaluate` over ``dataset`` rows selected by ``indices``;
-    the grower's partition, ``tree_apply`` and the out-of-bag scores all use
-    it, and `evaluate` is its reference."""
+    ``tree_apply`` uses it, every splitter's partition equals it, and
+    `evaluate` is its reference."""
     indices = np.asarray(indices)
     ftype = dataset.features[condition.feature].ftype
     col = dataset.columns[condition.feature]

@@ -67,9 +67,6 @@ class Vocabulary:
     def __contains__(self, term: str) -> bool:
         return term in self.index
 
-    def id_of(self, term: str) -> int | None:
-        return self.index.get(term)
-
     def to_dict(self) -> dict:
         return {"terms": list(self.terms), "frequencies": list(self.frequencies)}
 

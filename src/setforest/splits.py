@@ -21,23 +21,24 @@ partition. The search keeps only the tokens of the examples still on the
 negative side and drops those of the examples each accepted term moves, so
 each pass over the candidates is two ``bincount`` calls over a token set
 that shrinks as the mask grows. The node's tokens come from the dataset's
-CSR set index (``SetColumnIndex``), built once per dataset.
+CSR set index (``SetColumnIndex``), or from the caller through ``tokens=``
+(the tree grower passes each child the share of its parent's tokens).
+
+All three splitters score with one kernel, ``gain_from_stats``: the node's
+own term is one scalar per call, and classification takes ``x log2 x`` of
+the six branch statistics in one stacked pass. The greedy step masks
+accepted terms by adding a row of ``-inf`` to the clipped gains. Each
+candidate carries its node-local partition (``SplitCandidate.positive``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import (
-    CategoryIn,
-    NumericalGE,
-    SetIntersects,
-    SplitCondition,
-    evaluate_column,
-)
-from .dataset import MISSING_CATEGORY, Dataset, SetColumnIndex
+from .conditions import CategoryIn, NumericalGE, SetIntersects, SplitCondition
+from .dataset import MISSING_CATEGORY, SetColumnIndex
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -49,6 +50,8 @@ class SplitCandidate:
 
     ``steps`` records the greedy mask splitter's acceptance trace as
     (term id, gain after accepting) pairs; empty for other splitters.
+    ``positive`` is the partition itself: a boolean per row of the node, in
+    the order of the ``indices`` the splitter was given.
     """
 
     condition: SplitCondition
@@ -56,74 +59,51 @@ class SplitCandidate:
     n_positive: int
     n_negative: int
     steps: tuple[tuple[int, float], ...] = ()
+    positive: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _xlog2x(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.zeros_like(z)
+    """z log2 z, and 0 where z <= 0."""
+    out = np.zeros(z.shape)
     np.log2(z, out=out, where=z > 0)
     out *= z
     return out
 
 
-def weighted_entropy(w, w1):
-    """w * H(w1/w) in bits; exactly 0 for empty or pure inputs."""
-    return _xlog2x(w) - _xlog2x(w1) - _xlog2x(np.asarray(w, dtype=np.float64) - w1)
-
-
 def gain_from_stats(w, wt, pos_w, pos_wt, objective=CLASSIFICATION):
     """Split gain from node totals and positive-branch totals.
 
-    ``w``/``wt`` are the node's weight sum and weighted-target sum, the
-    ``pos_*`` arguments the same sums over the positive branch (targets are
-    labels for classification, arbitrary reals for regression). Accepts
-    scalars or aligned arrays of candidate branches.
+    ``w``/``wt`` are the node's weight sum and weighted-target sum (scalars),
+    the ``pos_*`` arguments the same sums over the positive branch (targets
+    are labels for classification, arbitrary reals for regression): scalars
+    or aligned arrays of candidate branches. Classification gain is
+    ``(w H(node) - pw H(pos) - nw H(neg)) / w`` in bits, each ``w H`` term
+    being ``x(w) - x(wt) - x(w - wt)`` with ``x(z) = z log2 z``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    wt = np.asarray(wt, dtype=np.float64)
+    w = np.float64(w)
+    wt = np.float64(wt)
     pos_w = np.asarray(pos_w, dtype=np.float64)
     pos_wt = np.asarray(pos_wt, dtype=np.float64)
     neg_w = w - pos_w
     neg_wt = wt - pos_wt
     if objective == CLASSIFICATION:
-        gain = (
-            weighted_entropy(w, wt)
-            - weighted_entropy(pos_w, pos_wt)
-            - weighted_entropy(neg_w, neg_wt)
-        ) / w
+        xw, xwt, xrest = _xlog2x(np.array([w, wt, w - wt]))
+        parent = xw - xwt - xrest
+        z = np.empty((6,) + pos_w.shape)
+        z[0], z[1], z[2] = pos_w, pos_wt, pos_w - pos_wt
+        z[3], z[4], z[5] = neg_w, neg_wt, neg_w - neg_wt
+        x0, x1, x2, x3, x4, x5 = _xlog2x(z)
+        gain = (parent - (x0 - x1 - x2) - (x3 - x4 - x5)) / w
     elif objective == REGRESSION:
-        pos_term = np.divide(pos_wt * pos_wt, pos_w,
-                             out=np.zeros_like(pos_w), where=pos_w > 0)
-        neg_term = np.divide(neg_wt * neg_wt, neg_w,
-                             out=np.zeros_like(neg_w), where=neg_w > 0)
-        gain = (pos_term + neg_term - wt * wt / w) / w
+        # an empty branch contributes 0
+        gain = np.divide(pos_wt * pos_wt, pos_w, out=np.zeros(pos_w.shape), where=pos_w > 0)
+        gain += np.divide(neg_wt * neg_wt, neg_w, out=np.zeros(neg_w.shape), where=neg_w > 0)
+        gain -= wt * wt / w
+        gain /= w
     else:
         raise ValueError(f"unknown objective {objective!r}")
     # children never exceed the parent's impurity; negatives are float noise
     return np.maximum(gain, 0.0)
-
-
-def split_gain(
-    dataset: Dataset,
-    condition: SplitCondition,
-    indices=None,
-    targets=None,
-    objective: str = CLASSIFICATION,
-) -> float:
-    """Gain of an arbitrary condition, scored by routing every example.
-
-    This is the reference scorer: it evaluates the condition on each selected
-    row and derives the gain from the two branches' statistics. The
-    feature-specific searches below must agree with it.
-    """
-    if indices is None:
-        indices = np.arange(dataset.n_examples)
-    indices = np.asarray(indices)
-    w = dataset.weights[indices]
-    t = dataset.labels[indices] if targets is None else np.asarray(targets, dtype=np.float64)[indices]
-    wt = w * t
-    pos = evaluate_column(condition, dataset, indices)
-    return float(gain_from_stats(w.sum(), wt.sum(), w[pos].sum(), wt[pos].sum(), objective))
 
 
 def find_numerical_split(
@@ -167,11 +147,13 @@ def find_numerical_split(
     best = int(np.argmax(gains))
     if gains[best] <= 0.0:
         return None
+    threshold = float(thresholds[best])
     return SplitCandidate(
-        NumericalGE(feature, float(thresholds[best])),
+        NumericalGE(feature, threshold),
         float(gains[best]),
         int(n_pos[best]),
         int(n_neg[best]),
+        positive=present & (values >= threshold),
     )
 
 
@@ -231,13 +213,17 @@ def find_categorical_split(
         if gains[i] <= 0.0 or (best is not None and gains[i] <= best[0]):
             continue
         cut = int(cuts[i])
-        in_cats = cats[order[cut:]] if side == "suffix" else cats[order[:cut]]
-        best = (float(gains[i]), frozenset(int(c) for c in in_cats),
-                int(pos_n[i]), int(n_neg[i]))
+        chosen = order[cut:] if side == "suffix" else order[:cut]
+        best = (float(gains[i]), chosen, int(pos_n[i]), int(n_neg[i]))
     if best is None:
         return None
-    gain, in_values, n_pos, n_neg = best
-    return SplitCandidate(CategoryIn(feature, in_values), gain, n_pos, n_neg)
+    gain, chosen, n_pos, n_neg = best
+    member = np.zeros(cats.size, dtype=bool)
+    member[chosen] = True
+    positive = np.zeros(n, dtype=bool)
+    positive[present] = member[inv]
+    return SplitCandidate(CategoryIn(feature, frozenset(cats[chosen].tolist())), gain,
+                          n_pos, n_neg, positive=positive)
 
 
 def find_set_mask_split(
@@ -250,6 +236,8 @@ def find_set_mask_split(
     rng: np.random.Generator | None = None,
     min_examples_per_leaf: int = 1,
     objective: str = CLASSIFICATION,
+    *,
+    tokens: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SplitCandidate | None:
     """Greedy mask growth for a categorical-set feature.
 
@@ -261,10 +249,13 @@ def find_set_mask_split(
     accepts the arg-max (ties to the lowest term id) if it strictly improves
     the current gain, and stops otherwise. Accepted gains are therefore
     strictly increasing.
+
+    ``tokens``, when given, must equal ``set_index.node_tokens(indices)``;
+    it saves gathering them again. The arrays are only read.
     """
     if not 0.0 < sampling_rate <= 1.0:
         raise ValueError("sampling_rate must be in (0, 1]")
-    rows, terms = set_index.node_tokens(indices)
+    rows, terms = set_index.node_tokens(indices) if tokens is None else tokens
     if terms.size == 0:
         return None
     counts = np.bincount(terms)
@@ -292,17 +283,21 @@ def find_set_mask_split(
     # on the negative side, in their original order, so every bincount sums
     # the same values in the same order as a pass over all the node's tokens
     in_pos = np.zeros(n_node, dtype=bool)
-    active = np.ones(present.size, dtype=bool)
+    penalty = np.zeros(present.size)  # -inf on accepted terms
     pos_w = pos_wt = 0.0
     current_gain = 0.0
     accepted: list[int] = []
     steps: list[tuple[int, float]] = []
-    while active.any():
-        add_w = np.bincount(compact, weights=token_w, minlength=present.size)
-        add_wt = np.bincount(compact, weights=token_wt, minlength=present.size)
-        gains = gain_from_stats(w_total, wt_total, pos_w + add_w, pos_wt + add_wt,
-                                objective)
-        gains[~active] = -np.inf
+    # every remaining token belongs to a term not yet accepted; once none is
+    # left, no extension can move a row and the gain cannot rise
+    while compact.size:
+        # the branch totals of every extended mask, summed in place
+        ext_w = np.bincount(compact, weights=token_w, minlength=present.size)
+        ext_wt = np.bincount(compact, weights=token_wt, minlength=present.size)
+        ext_w += pos_w
+        ext_wt += pos_wt
+        gains = gain_from_stats(w_total, wt_total, ext_w, ext_wt, objective)
+        gains += penalty
         best = int(np.argmax(gains))
         gain = float(gains[best])
         if gain <= current_gain:
@@ -311,10 +306,10 @@ def find_set_mask_split(
         stay = ~in_pos[rows]
         rows, compact = rows[stay], compact[stay]
         token_w, token_wt = token_w[stay], token_wt[stay]
-        pos_w += float(add_w[best])
-        pos_wt += float(add_wt[best])
+        pos_w = float(ext_w[best])
+        pos_wt = float(ext_wt[best])
         current_gain = gain
-        active[best] = False
+        penalty[best] = -np.inf
         accepted.append(int(present[best]))
         steps.append((int(present[best]), gain))
 
@@ -330,4 +325,5 @@ def find_set_mask_split(
         n_pos,
         n_neg,
         tuple(steps),
+        in_pos,
     )

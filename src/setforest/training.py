@@ -16,6 +16,13 @@ best-validation round after training.
 Reproducibility: every random draw flows from TrainConfig.seed through
 derive_seed keyed by (tree, node, feature), so identical (dataset, config,
 seed) gives a bit-identical serialized model.
+
+A node routes its rows with the partition its winning splitter returns
+(``SplitCandidate.positive``). A set feature's tokens are gathered from the
+CSR index only where a node first samples it; each child then inherits its
+share of its parent's tokens, in the order the index would give them. A node
+hands all its tokens to its children before growing them, so the tokens held
+along the recursion path never exceed the root's.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conditions import evaluate_column
 from .dataset import Dataset, FeatureType
 from .model import MART, RF, DecisionForest, Internal, Leaf, TreeNode, tree_apply
 from .rng import make_rng
@@ -133,25 +139,29 @@ class _TreeGrower:
             self.features_per_node = min(f, int(policy))
 
     def grow(self, indices) -> TreeNode:
-        return self._grow(np.asarray(indices, dtype=np.int64), 0)
+        return self._grow(np.asarray(indices, dtype=np.int64), 0, {})
 
-    def _find_split(self, feature: int, indices, node_targets, node_weights, node_id):
+    def _find_split(self, feature: int, indices, node_targets, node_weights, node_id,
+                    tokens: dict):
         cfg = self.config
         ftype = self.ds.features[feature].ftype
-        if ftype == FeatureType.NUMERICAL:
-            values = np.asarray(self.ds.columns[feature])[indices]
-            return find_numerical_split(values, node_targets, node_weights, feature,
-                                        cfg.min_examples_per_leaf, self.objective)
-        if ftype == FeatureType.CATEGORICAL:
-            values = np.asarray(self.ds.columns[feature])[indices]
-            return find_categorical_split(values, node_targets, node_weights, feature,
-                                          cfg.min_examples_per_leaf, self.objective)
+        if ftype != FeatureType.CATEGORICAL_SET:
+            search = (find_numerical_split if ftype == FeatureType.NUMERICAL
+                      else find_categorical_split)
+            return search(np.asarray(self.ds.columns[feature])[indices], node_targets,
+                          node_weights, feature, cfg.min_examples_per_leaf, self.objective)
+        set_index = self.ds.set_index(feature)
+        if feature not in tokens:
+            tokens[feature] = set_index.node_tokens(indices)
         rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
         return find_set_mask_split(
-            self.ds.set_index(feature), indices, node_targets, node_weights, feature,
-            cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective)
+            set_index, indices, node_targets, node_weights, feature,
+            cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
+            tokens=tokens[feature])
 
-    def _grow(self, indices, depth) -> TreeNode:
+    def _grow(self, indices, depth, tokens: dict) -> TreeNode:
+        """Grow the subtree of the rows ``indices``; ``tokens`` maps each set
+        feature gathered so far to its (rows, terms) over these rows."""
         node_id = self.node_counter
         self.node_counter += 1
         cfg = self.config
@@ -171,14 +181,19 @@ class _TreeGrower:
         node_weights = self.ds.weights[indices]
         best = None
         for f in feats:
-            cand = self._find_split(int(f), indices, node_targets, node_weights, node_id)
+            cand = self._find_split(int(f), indices, node_targets, node_weights, node_id,
+                                    tokens)
             if cand is not None and (best is None or cand.gain > best.gain):
                 best = cand
         if best is None:
             return self._leaf(indices)
-        pos = evaluate_column(best.condition, self.ds, indices)
-        negative = self._grow(indices[~pos], depth + 1)
-        positive = self._grow(indices[pos], depth + 1)
+        pos = best.positive
+        # the children take every token; popping them leaves no reference to a
+        # child's tokens here once that child is grown
+        children = [_child_tokens(tokens, ~pos), _child_tokens(tokens, pos)]
+        tokens.clear()
+        negative = self._grow(indices[~pos], depth + 1, children.pop(0))
+        positive = self._grow(indices[pos], depth + 1, children.pop())
         return Internal(best.condition, negative, positive)
 
     def _leaf(self, indices) -> Leaf:
@@ -186,6 +201,17 @@ class _TreeGrower:
         if self.fitted is not None:
             self.fitted[indices] = value
         return Leaf(value)
+
+
+def _child_tokens(tokens: dict, side: np.ndarray) -> dict:
+    """The tokens of the rows where ``side`` holds, each renumbered to its
+    row's position among them; the order of the tokens is kept."""
+    position = np.cumsum(side) - 1
+    child = {}
+    for feature, (rows, terms) in tokens.items():
+        keep = side[rows]
+        child[feature] = position[rows[keep]], terms[keep]
+    return child
 
 
 def _config_metadata(config: TrainConfig) -> dict:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 import setforest as sf
+from setforest.conditions import evaluate_column
 from setforest.dataset import Feature, FeatureType, Vocabulary
+from setforest.splits import gain_from_stats
 
 
 def make_vocab(terms):
@@ -133,8 +135,6 @@ def enumerate_mask_gains(sets, targets, weights, vocab_size, objective="classifi
     [1, 2**vocab_size) is scored from the branch statistics its bit
     intersection induces. Returns (masks, gains) aligned arrays.
     """
-    from setforest.splits import gain_from_stats
-
     bits = np.array([sum(1 << t for t in x) for x in sets], dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     wt = w * np.asarray(targets, dtype=np.float64)
@@ -194,3 +194,54 @@ def one_split_document(split, kind="rf"):
         "metadata": {},
     }
 
+
+
+def _xlog2x(z):
+    z = np.asarray(z, dtype=np.float64)
+    out = np.zeros_like(z)
+    np.log2(z, out=out, where=z > 0)
+    out *= z
+    return out
+
+
+def weighted_entropy(w, w1):
+    """w * H(w1/w) in bits; exactly 0 for empty or pure inputs."""
+    return _xlog2x(w) - _xlog2x(w1) - _xlog2x(np.asarray(w, dtype=np.float64) - w1)
+
+
+def reference_gain(w, wt, pos_w, pos_wt, objective="classification"):
+    """``gain_from_stats`` as three ``weighted_entropy`` calls (classification)
+    or three ``divide`` terms (regression), one node statistic at a time; the
+    fused kernel must match it bit for bit."""
+    w = np.asarray(w, dtype=np.float64)
+    wt = np.asarray(wt, dtype=np.float64)
+    pos_w = np.asarray(pos_w, dtype=np.float64)
+    pos_wt = np.asarray(pos_wt, dtype=np.float64)
+    neg_w = w - pos_w
+    neg_wt = wt - pos_wt
+    if objective == "classification":
+        gain = (
+            weighted_entropy(w, wt)
+            - weighted_entropy(pos_w, pos_wt)
+            - weighted_entropy(neg_w, neg_wt)
+        ) / w
+    else:
+        pos_term = np.divide(pos_wt * pos_wt, pos_w,
+                             out=np.zeros_like(pos_w), where=pos_w > 0)
+        neg_term = np.divide(neg_wt * neg_wt, neg_w,
+                             out=np.zeros_like(neg_w), where=neg_w > 0)
+        gain = (pos_term + neg_term - wt * wt / w) / w
+    return np.maximum(gain, 0.0)
+
+
+def split_gain(dataset, condition, indices=None, targets=None, objective="classification"):
+    """Gain of an arbitrary condition, scored by routing every example: the
+    reference the feature-specific searches must agree with."""
+    if indices is None:
+        indices = np.arange(dataset.n_examples)
+    indices = np.asarray(indices)
+    w = dataset.weights[indices]
+    t = dataset.labels[indices] if targets is None else np.asarray(targets, dtype=np.float64)[indices]
+    wt = w * t
+    pos = evaluate_column(condition, dataset, indices)
+    return float(gain_from_stats(w.sum(), wt.sum(), w[pos].sum(), wt[pos].sum(), objective))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import setforest as sf
-from setforest.cli import ConfigError, main, parse_config
+from setforest.cli import _KEYS, ConfigError, main, parse_config
 
 from helpers import one_split_document
 
@@ -62,6 +62,73 @@ class TestConfigParsing:
         a = parse_config(str(path), []).config_hash()
         b = parse_config(str(path), []).config_hash()
         assert a == b
+
+
+# one out-of-range value per checked key, with the command it was seen under
+OUT_OF_RANGE = [
+    ("train", "format", "parquet"),
+    ("train", "algorithm", "xgb"),
+    ("train", "num_trees", "0"),
+    ("train", "max_depth", "-1"),
+    ("train", "min_examples_per_leaf", "0"),
+    ("train", "features_per_node", "0"),
+    ("train", "sampling_rate", "0"),
+    ("train", "sampling_rate", "nan"),
+    ("train", "shrinkage", "1.5"),
+    ("train", "validation_fraction", "1"),
+    ("train", "patience", "0"),
+    ("train", "maxhash_k", "0"),
+    ("train", "maxhash_k", "-1"),
+    ("train", "maxhash_treat", "bogus"),
+    ("train", "targetmean_smoothing", "-1"),
+    ("train", "targetmean_smoothing", "nan"),
+    ("train", "targetmean_smoothing", "inf"),
+    ("train", "vocab_size", "0"),
+    ("train", "vocab_size", "-3"),
+    ("train", "min_frequency", "0"),
+    ("evaluate", "folds", "1"),
+    ("sweep", "folds", "0"),
+    ("sweep", "parameter", "depth"),
+    ("sweep", "grid", "0"),
+    ("sweep", "grid", "2"),
+    ("sweep", "grid", ","),
+    ("predict", "evaluator", "warp"),
+    ("bench", "runs", "0"),
+    ("bench", "runs", "-5"),
+    ("bench", "warmup", "-1"),
+]
+# keys whose values have no range: free text, names checked where they are
+# used (methods, transform steps), any integer seed, a boolean
+UNCHECKED = {"data", "columns", "label", "weight", "methods", "transform",
+             "compute_oob", "seed", "output", "baseline"}
+
+
+class TestConfigRanges:
+    def test_every_key_is_covered(self):
+        assert {key for _, key, _ in OUT_OF_RANGE} | UNCHECKED == set(_KEYS)
+        assert {key for key, (_, _, check) in _KEYS.items() if check is None} == UNCHECKED
+
+    @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
+    def test_out_of_range_is_one(self, tmp_path, corpus_path, capsys, command, key, value):
+        cfg = _config(tmp_path, corpus_path, transform="maxhash")
+        positional = {"bench": ["model.json", str(corpus_path)],
+                      "predict": ["model.json"]}.get(command, [])
+        argv = [command, *positional, "--config", str(cfg), "--set", f"{key}={value}"]
+        assert main(argv) == 1
+        assert f"bad value for {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("validation_fraction", "0"), ("targetmean_smoothing", "0"), ("folds", "2"),
+        ("grid", "1.0"), ("warmup", "0"), ("runs", "1"), ("patience", "none"),
+        ("features_per_node", "all"), ("sampling_rate", "1"), ("seed", "-4"),
+    ])
+    def test_edge_values_accepted(self, key, value):
+        parse_config(None, [f"{key}={value}"])
+
+    def test_defaults_pass_their_checks(self):
+        for key, (_, default, check) in _KEYS.items():
+            if default is not None and check is not None:
+                check(default)
 
 
 class TestExitCodes:

@@ -1,9 +1,11 @@
 """Golden hashes: fixed-seed models must serialise to the same bytes.
 
-The constants were recorded before the set-feature trainer was vectorised
-(the CSR set index, the table-and-bincount partition and the shrinking greedy
-mask search); any later change that moves a split, a leaf value or a
-metadata float changes a hash here.
+The first three constants were recorded before the set-feature trainer was
+vectorised (the CSR set index, the table-and-bincount partition and the
+shrinking greedy mask search), the last two before the grower began handing
+each child its parent's tokens and routing it with the splitter's own
+partition; any later change that moves a split, a leaf value or a metadata
+float changes a hash here.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ GOLDEN = {
     "rf_planted": "86525de9cf7d4beaebb82cb45fa8af31114874a9b6747cfbf261c67264fb56bf",
     "mart_planted": "0d0e44d504df7d04d0f6b22092aa2c698a615249cd359c966442ad3777c6c80c",
     "mart_mixed_csv": "5eae674ad934a894ffe72461958ac354af1ed0c12880a766124a0711c9464c93",
+    "rf_two_set_csv": "ab041b831a6b9a0a0a7b5e88d6a4065e141066cea5acf7227df2da5e8f0ba60f",
+    "mart_planted_thick_leaves": "a7a4df6c6265ff0a4b82352ca28b7d46f71bebd9ffe159a1ffb0b7837740503c",
 }
 
 
@@ -59,6 +63,31 @@ def _mixed_csv(path):
     return path
 
 
+def _two_set_csv(path):
+    """label,text,tags,num,cat,w: two set columns, one numerical and one
+    categorical, missing cells in each, fractional weights."""
+    rng = np.random.default_rng(23)
+    lines = ["label,text,tags,num,cat,w\n"]
+    for _ in range(400):
+        y = int(rng.integers(0, 2))
+        cells = []
+        for prefix, vocab, signal in (("w", 30, 0.6), ("t", 12, 0.3)):
+            if rng.random() < 0.07:
+                cells.append("")
+                continue
+            words = {f"{prefix}{int(j)}"
+                     for j in rng.integers(0, vocab, size=int(rng.integers(0, 6)))}
+            if rng.random() < (signal if y else 0.1):
+                words.add(f"{prefix}key{int(rng.integers(0, 2))}")
+            cells.append("{" + " ".join(sorted(words)) + "}")
+        num = "" if rng.random() < 0.08 else f"{rng.normal(0.8 * y, 1.0):.3f}"
+        cat = "" if rng.random() < 0.08 else f"c{int(rng.integers(0, 5)) + y}"
+        weight = f"{rng.choice([0.25, 1.0, 1.5, 3.0])}"
+        lines.append(f"{y},{cells[0]},{cells[1]},{num},{cat},{weight}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 def test_rf_planted(planted):
     config = sf.TrainConfig.random_forest(num_trees=6, seed=11, compute_oob=True)
     assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted"]
@@ -75,3 +104,21 @@ def test_mart_mixed_csv(tmp_path):
                      weight_column="w")
     config = sf.TrainConfig.mart(num_trees=12, seed=9, sampling_rate=0.5)
     assert _digest(sf.train(ds, config)) == GOLDEN["mart_mixed_csv"]
+
+
+def test_rf_two_set_csv(tmp_path):
+    # two of the four features per node, so a set feature is often first
+    # sampled below the root; numerical and categorical splits are chosen too
+    ds = sf.load_csv(_two_set_csv(tmp_path / "two_set.csv"),
+                     {"text": "set", "tags": "set", "num": "numerical",
+                      "cat": "categorical"}, weight_column="w")
+    config = sf.TrainConfig.random_forest(num_trees=6, seed=13, sampling_rate=0.5,
+                                          compute_oob=True)
+    assert _digest(sf.train(ds, config)) == GOLDEN["rf_two_set_csv"]
+
+
+def test_mart_planted_thick_leaves(planted):
+    # leaves of at least 60 examples: the set splitter's closing size check
+    # turns down some masks the greedy search grew
+    config = sf.TrainConfig.mart(num_trees=8, seed=2, min_examples_per_leaf=60)
+    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted_thick_leaves"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.conditions import sets_intersect
+from setforest.conditions import evaluate_column, sets_intersect
+from setforest.dataset import FeatureType
 from setforest.rng import make_rng
 from setforest.splits import (
     SetColumnIndex,
@@ -14,11 +15,17 @@ from setforest.splits import (
     find_numerical_split,
     find_set_mask_split,
     gain_from_stats,
+)
+
+from helpers import (
+    best_singleton,
+    enumerate_mask_gains,
+    random_mixed_dataset,
+    reference_gain,
+    set_dataset,
     split_gain,
     weighted_entropy,
 )
-
-from helpers import best_singleton, enumerate_mask_gains, set_dataset
 
 
 def entropy(p):
@@ -283,6 +290,101 @@ class TestGainBounds:
         gain = gain_from_stats(n, float(labels.sum()),
                                float(routed.sum()), float(labels[routed].sum()))
         assert 0.0 <= gain <= node_entropy + 1e-12
+
+
+# a node's rows: (weight, target, routed positive); weights include fractions
+_NODE_ROWS = st.lists(
+    st.tuples(st.sampled_from([0.1, 0.25, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 7.0]),
+              st.integers(0, 1), st.booleans()),
+    min_size=1, max_size=30)
+
+
+def _branch_stats(rows, objective, partitions):
+    w = np.array([r[0] for r in rows])
+    t = np.array([float(r[1]) for r in rows])
+    if objective == "regression":
+        t = t * 2.5 - 1.25 + w  # real-valued residual-like targets
+    wt = w * t
+    routed = np.array(partitions, dtype=bool).reshape(len(partitions), len(rows))
+    return w.sum(), wt.sum(), routed @ w, routed @ wt
+
+
+class TestFusedGain:
+    """``gain_from_stats`` against the three-``weighted_entropy`` formula it
+    replaced, compared as bytes."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_NODE_ROWS, st.sampled_from(["classification", "regression"]), st.data())
+    def test_matches_reference_bit_for_bit(self, rows, objective, data):
+        n = len(rows)
+        given_split = [r[2] for r in rows]
+        # the drawn split, both empty branches, and splits that are pure in t
+        partitions = [given_split, [False] * n, [True] * n,
+                      [r[1] == 1 for r in rows], [r[1] == 0 for r in rows]]
+        partitions += data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                         max_size=4))
+        w, wt, pos_w, pos_wt = _branch_stats(rows, objective, partitions)
+        got = gain_from_stats(w, wt, pos_w, pos_wt, objective)
+        want = reference_gain(w, wt, pos_w, pos_wt, objective)
+        assert got.tobytes() == want.tobytes()
+        for i in range(len(partitions)):  # scalar branches
+            one = gain_from_stats(w, wt, pos_w[i], pos_wt[i], objective)
+            assert np.float64(one).tobytes() == np.float64(want[i]).tobytes()
+
+    def test_branch_totals_a_rounding_step_off_the_node(self):
+        # a positive branch summed in another order can exceed the node's
+        # total by an ulp; the negative branch is then a tiny negative weight
+        w = 0.1 + 0.2 + 0.3
+        for pos_w in (np.nextafter(w, 2.0), np.nextafter(w, 0.0), w):
+            for objective in ("classification", "regression"):
+                args = (w, 0.3, np.array([pos_w, 0.3]), np.array([0.3, 0.1]), objective)
+                assert gain_from_stats(*args).tobytes() == reference_gain(*args).tobytes()
+
+
+def _splitter_candidates(ds, indices, targets, weights, objective, rng):
+    for f, feature in enumerate(ds.features):
+        col = ds.columns[f]
+        if feature.ftype == FeatureType.NUMERICAL:
+            yield find_numerical_split(np.asarray(col)[indices], targets, weights, f,
+                                       objective=objective)
+        elif feature.ftype == FeatureType.CATEGORICAL:
+            yield find_categorical_split(np.asarray(col)[indices], targets, weights, f,
+                                         objective=objective)
+        else:
+            yield find_set_mask_split(ds.set_index(f), indices, targets, weights, f,
+                                      sampling_rate=0.7, rng=rng, objective=objective)
+
+
+class TestCarriedPartition:
+    @staticmethod
+    def _found(seed, objective, n_node):
+        """Every candidate the three splitters return on a random node, with
+        the node's rows."""
+        ds, _ = random_mixed_dataset(seed % 50, n=80)
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(0, ds.n_examples, size=n_node)  # rows repeat, as in a bootstrap
+        weights = rng.choice([0.5, 1.0, 2.5], size=n_node)
+        targets = ds.labels[indices].astype(np.float64)
+        if objective == "regression":
+            targets = targets - rng.random(n_node)
+        cands = _splitter_candidates(ds, indices, targets, weights, objective, make_rng(seed))
+        return ds, indices, [c for c in cands if c is not None]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10_000), st.sampled_from(["classification", "regression"]),
+           st.integers(2, 120))
+    def test_positive_equals_evaluate_column(self, seed, objective, n_node):
+        ds, indices, found = self._found(seed, objective, n_node)
+        for cand in found:
+            want = evaluate_column(cand.condition, ds, indices)
+            assert cand.positive.dtype == bool
+            assert np.array_equal(cand.positive, want)
+            assert (int(want.sum()), int((~want).sum())) == (cand.n_positive, cand.n_negative)
+
+    def test_every_splitter_is_exercised(self):
+        kinds = {type(c.condition) for seed in range(10)
+                 for c in self._found(seed, "classification", 60)[2]}
+        assert kinds == {sf.NumericalGE, sf.CategoryIn, sf.SetIntersects}
 
 
 def _slow_greedy(column, indices, targets, weights, p, rng, objective):
