@@ -259,9 +259,18 @@ def _parse_columns(cfg: RunConfig) -> dict[str, str]:
 def _load_corpus(cfg: RunConfig):
     if cfg["data"] is None:
         raise ConfigError("this command needs a 'data' key")
-    if cfg["format"] == "tsv":
-        return load_labeled_text(cfg["data"])
-    raise ConfigError("cross-validation commands support format = tsv only")
+    if cfg["format"] != "tsv":
+        raise ConfigError("cross-validation commands support format = tsv only")
+    token_sets, labels = load_labeled_text(cfg["data"])
+    if len(labels) < cfg["folds"]:
+        raise DataError(f"{cfg['data']}: {len(labels)} examples, "
+                        f"fewer than folds = {cfg['folds']}")
+    return token_sets, labels
+
+
+def _require_examples(dataset: Dataset, path: str) -> None:
+    if dataset.n_examples == 0:
+        raise DataError(f"{path}: no examples")
 
 
 def _require_output(cfg: RunConfig) -> Path:
@@ -309,6 +318,7 @@ def cmd_train(cfg: RunConfig) -> int:
         pipeline = {"kind": "csv",
                     "features": [f.to_dict() for f in dataset.features],
                     "label": cfg["label"]}
+    _require_examples(dataset, cfg["data"])
 
     chain = method.build_chain(cfg["seed"])
     if chain is not None:
@@ -425,7 +435,9 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
     started = time.time()
     out = _require_output(cfg)
     forest = _load_model(model_path)
-    rows = _dataset_for_model(forest, cfg, data_path).rows()
+    dataset = _dataset_for_model(forest, cfg, data_path)
+    _require_examples(dataset, data_path)
+    rows = dataset.rows()
     compiled = compile_forest(forest)
     label = forest.metadata.get("method", "model")
     results = benchmark_inference(label, forest, compiled, rows,

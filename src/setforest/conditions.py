@@ -8,7 +8,9 @@ Three condition kinds route an example to the positive or negative branch:
   a fixed term set (the condition's mask).
 
 A missing value always evaluates to False, i.e. routes to the negative
-branch, for every condition kind.
+branch, for every condition kind. ``evaluate`` is the one-row reference;
+over many rows, only the splitters' partitions and the compiled
+``inference.predict_dataset`` evaluate conditions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import MISSING_CATEGORY, Dataset, Feature, FeatureType
+from .dataset import MISSING_CATEGORY, Feature, FeatureType
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,32 +71,6 @@ def evaluate(condition: SplitCondition, row: tuple) -> bool:
         return v != MISSING_CATEGORY and v in condition.values
     x = row[condition.feature]
     return x is not None and sets_intersect(x, condition.mask)
-
-
-def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.ndarray:
-    """Vectorised `evaluate` over ``dataset`` rows selected by ``indices``;
-    ``tree_apply`` uses it, every splitter's partition equals it, and
-    `evaluate` is its reference."""
-    indices = np.asarray(indices)
-    ftype = dataset.features[condition.feature].ftype
-    col = dataset.columns[condition.feature]
-    if ftype == FeatureType.NUMERICAL:
-        vals = np.asarray(col)[indices]
-        with np.errstate(invalid="ignore"):
-            return ~np.isnan(vals) & (vals >= condition.threshold)
-    if ftype == FeatureType.CATEGORICAL:
-        vals = np.asarray(col)[indices]
-        wanted = np.fromiter(sorted(condition.values), dtype=np.int64,
-                             count=len(condition.values))
-        return np.isin(vals, wanted)
-    # set: look every token of the selected rows up in a table of the mask's
-    # ids; a row goes positive if any of its tokens hits
-    index = dataset.set_index(condition.feature)
-    rows, terms = index.node_tokens(indices)
-    table = np.zeros(index.n_terms, dtype=bool)
-    mask = np.asarray(condition.mask, dtype=np.int64)
-    table[mask[mask < index.n_terms]] = True
-    return np.bincount(rows[table[terms]], minlength=len(indices)) > 0
 
 
 def condition_to_dict(condition: SplitCondition) -> dict:

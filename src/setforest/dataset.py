@@ -217,9 +217,6 @@ class Dataset:
     def n_features(self) -> int:
         return len(self.features)
 
-    def column(self, i: int):
-        return self.columns[i]
-
     def set_index(self, feature: int) -> SetColumnIndex:
         """The CSR index of set column ``feature``, built on first use (the
         columns must not change afterwards)."""

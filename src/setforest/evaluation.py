@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import build_vocabulary, dataset_from_token_sets
+from .dataset import DataError, build_vocabulary, dataset_from_token_sets
 from .inference import (CompiledForest, compile_forest, predict_compiled, predict_dataset,
                         predict_top_down)
 from .model import DecisionForest, count_leaves, count_nodes, leaf_depths
@@ -185,7 +185,8 @@ def cross_validate(
     weights=None,
     keep_models: bool = False,
 ) -> EvaluationReport:
-    """K-fold evaluation of one method on a tokenized corpus."""
+    """K-fold evaluation of one method on a tokenized corpus. Raises
+    ``DataError`` when a fold's training or test labels hold one class."""
     labels = np.asarray(labels, dtype=np.int64)
     blocks = fold_indices(len(labels), folds, seed)
     fold_aucs: list[float] = []
@@ -194,9 +195,9 @@ def cross_validate(
     for k, test_idx in enumerate(blocks):
         train_idx = np.concatenate([b for j, b in enumerate(blocks) if j != k])
         if len(set(labels[test_idx].tolist())) < 2:
-            raise ValueError(f"fold {k} has single-class test labels")
+            raise DataError(f"fold {k} has single-class test labels")
         if len(set(labels[train_idx].tolist())) < 2:
-            raise ValueError(f"fold {k} has single-class training labels")
+            raise DataError(f"fold {k} has single-class training labels")
         vocab, chain, forest = _fit_fold(
             token_sets, labels, weights, train_idx, method,
             vocab_size, min_frequency,

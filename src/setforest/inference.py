@@ -24,7 +24,9 @@ conditions that held cleared everything to the left of the true path,
 conditions that failed (or were missing) cleared nothing of it, and the
 negative-first leaf order makes the fall-through leaf the leftmost one.
 
-``predict_dataset`` scores a whole dataset in blocks of ``_BLOCK_ROWS`` rows,
+``predict_dataset``, the one vectorised evaluator (training scores its
+validation and out-of-bag rows with it), scores a dataset's rows, or those a
+``rows=`` selection names in any order, in blocks of ``_BLOCK_ROWS`` rows,
 one (rows, slots) word array per block. A numerical value's ``searchsorted``
 count ``k`` says it clears the first ``k`` threshold-sorted entries (a NaN
 clears none); per block, the entries are scattered into a table over the
@@ -306,24 +308,26 @@ def _check_schema(compiled: CompiledForest, dataset: Dataset) -> None:
                              f"dataset and {want.ftype.value} in the model")
 
 
-def predict_dataset(compiled: CompiledForest, dataset: Dataset) -> np.ndarray:
-    """Probabilities of every row, bit-identical to ``predict_compiled`` row by
-    row; scores blocks of rows at once (see the module docstring). Raises
-    ``ValueError`` when the dataset's schema is not the model's."""
+def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np.ndarray:
+    """Probabilities of the dataset rows ``rows`` (every row when None; they
+    may be unsorted, repeated or empty), bit-identical to ``predict_compiled``
+    row by row; scores blocks of rows at once (see the module docstring).
+    Raises ``ValueError`` when the dataset's schema is not the model's."""
     _check_schema(compiled, dataset)
-    n, slots = dataset.n_examples, len(compiled.default_masks)
+    rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows, dtype=np.int64)
+    n, slots = len(rows), len(compiled.default_masks)
     numerical, keyed, sets = [], [], []
     for f, group in compiled.numerical.items():
-        values = np.asarray(dataset.columns[f], dtype=np.float64)
+        values = np.asarray(dataset.columns[f], dtype=np.float64)[rows]
         counts = np.searchsorted(group.thresholds, values, side="right")
         counts[np.isnan(values)] = 0  # missing applies nothing
         numerical.append((counts, group))
     for f, group in compiled.keyed.items():
         keys, table = _keyed_table(group, slots)
         if compiled.features[f].ftype == FeatureType.CATEGORICAL:
-            values = np.asarray(dataset.columns[f], dtype=np.int64)
-            rows = np.where(values == MISSING_CATEGORY, len(keys), _key_rows(keys, values))
-            keyed.append((rows, table))
+            values = np.asarray(dataset.columns[f], dtype=np.int64)[rows]
+            key_rows = np.where(values == MISSING_CATEGORY, len(keys), _key_rows(keys, values))
+            keyed.append((key_rows, table))
         else:
             sets.append((dataset.set_index(f), keys, table))
     trees = np.arange(compiled.num_trees)
@@ -333,16 +337,16 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset) -> np.ndarray:
         leafidx = np.tile(compiled.default_masks, (hi - lo, 1))
         for counts, group in numerical:
             leafidx &= _cleared_masks(counts[lo:hi], group, slots)
-        for rows, table in keyed:
-            leafidx &= table[rows[lo:hi]]
+        for key_rows, table in keyed:
+            leafidx &= table[key_rows[lo:hi]]
         for index, keys, table in sets:
-            positions, terms = index.node_tokens(np.arange(lo, hi))
-            rows = _key_rows(keys, terms)
-            known = rows < len(keys)  # a row without a known token applies nothing
-            positions, rows = positions[known], rows[known]
-            if len(rows):
+            positions, terms = index.node_tokens(rows[lo:hi])
+            key_rows = _key_rows(keys, terms)
+            known = key_rows < len(keys)  # a row without a known token applies nothing
+            positions, key_rows = positions[known], key_rows[known]
+            if len(key_rows):
                 begins, _ = _runs(positions)
-                leafidx[positions[begins]] &= np.bitwise_and.reduceat(table[rows], begins)
+                leafidx[positions[begins]] &= np.bitwise_and.reduceat(table[key_rows], begins)
         values = compiled.leaf_values[trees, _leaf_positions(compiled, leafidx)]
         scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
     return scores

@@ -24,9 +24,8 @@ from .conditions import (
     condition_from_dict,
     condition_to_dict,
     evaluate,
-    evaluate_column,
 )
-from .dataset import Dataset, Feature
+from .dataset import Feature
 
 MODEL_FORMAT = "setforest-model"
 MODEL_VERSION = 1
@@ -101,22 +100,6 @@ def predict(forest: DecisionForest, row: tuple) -> float:
         count=len(forest.trees),
     )
     return aggregate(forest.kind, forest.initial_score, values)
-
-
-def tree_apply(tree: TreeNode, dataset: Dataset, indices) -> np.ndarray:
-    """Leaf values for many rows at once (vectorised recursive routing)."""
-    indices = np.asarray(indices)
-    out = np.empty(len(indices), dtype=np.float64)
-
-    def fill(node, idx, where):
-        while isinstance(node, Internal):
-            pos = evaluate_column(node.condition, dataset, idx)
-            fill(node.positive, idx[pos], where[pos])
-            node, idx, where = node.negative, idx[~pos], where[~pos]
-        out[where] = node.value
-
-    fill(tree, indices, np.arange(len(indices)))
-    return out
 
 
 def count_leaves(tree: TreeNode) -> int:

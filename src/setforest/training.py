@@ -22,7 +22,9 @@ A node routes its rows with the partition its winning splitter returns
 CSR index only where a node first samples it; each child then inherits its
 share of its parent's tokens, in the order the index would give them. A node
 hands all its tokens to its children before growing them, so the tokens held
-along the recursion path never exceed the root's.
+along the recursion path never exceed the root's. MART's validation rows and
+RF's out-of-bag rows are scored by the compiled evaluator,
+``inference.predict_dataset``, through a one-tree forest.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, FeatureType
-from .model import MART, RF, DecisionForest, Internal, Leaf, TreeNode, tree_apply
+from .inference import compile_forest, predict_dataset
+from .model import MART, RF, DecisionForest, Internal, Leaf, TreeNode
 from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
@@ -214,6 +217,13 @@ def _child_tokens(tokens: dict, side: np.ndarray) -> dict:
     return child
 
 
+def _tree_values(tree: TreeNode, dataset: Dataset, rows) -> np.ndarray:
+    """The leaf values ``tree`` gives the dataset rows ``rows``: a one-tree
+    random forest predicts the mean of one value, that value bit for bit."""
+    forest = DecisionForest(RF, [tree], 0.0, dataset.features)
+    return predict_dataset(compile_forest(forest), dataset, rows)
+
+
 def _config_metadata(config: TrainConfig) -> dict:
     meta = asdict(config)
     meta["features_per_node"] = (
@@ -264,7 +274,7 @@ def train_random_forest(dataset: Dataset, config: TrainConfig) -> DecisionForest
         if config.compute_oob:
             oob = np.setdiff1d(np.arange(n), boot)
             if oob.size:
-                preds = tree_apply(tree, dataset, oob) >= 0.5
+                preds = _tree_values(tree, dataset, oob) >= 0.5
                 acc = float(np.average(preds == dataset.labels[oob],
                                        weights=weights[oob]))
             else:
@@ -332,7 +342,7 @@ def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:
         scores[train_idx] += fitted[train_idx]
         train_losses.append(mean_loss(train_idx))
         if n_val:
-            scores[val_idx] += tree_apply(tree, dataset, val_idx)
+            scores[val_idx] += _tree_values(tree, dataset, val_idx)
             val_losses.append(mean_loss(val_idx))
             if val_losses[-1] < best_val:
                 best_val = val_losses[-1]

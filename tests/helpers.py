@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 import setforest as sf
-from setforest.conditions import evaluate_column
-from setforest.dataset import Feature, FeatureType, Vocabulary
+from setforest.conditions import SplitCondition
+from setforest.dataset import Dataset, Feature, FeatureType, Vocabulary
 from setforest.splits import gain_from_stats
 
 
@@ -232,6 +232,32 @@ def reference_gain(w, wt, pos_w, pos_wt, objective="classification"):
                              out=np.zeros_like(neg_w), where=neg_w > 0)
         gain = (pos_term + neg_term - wt * wt / w) / w
     return np.maximum(gain, 0.0)
+
+
+def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.ndarray:
+    """Vectorised `evaluate` over ``dataset`` rows selected by ``indices``:
+    every splitter's partition must equal it, and `evaluate` is its
+    reference."""
+    indices = np.asarray(indices)
+    ftype = dataset.features[condition.feature].ftype
+    col = dataset.columns[condition.feature]
+    if ftype == FeatureType.NUMERICAL:
+        vals = np.asarray(col)[indices]
+        with np.errstate(invalid="ignore"):
+            return ~np.isnan(vals) & (vals >= condition.threshold)
+    if ftype == FeatureType.CATEGORICAL:
+        vals = np.asarray(col)[indices]
+        wanted = np.fromiter(sorted(condition.values), dtype=np.int64,
+                             count=len(condition.values))
+        return np.isin(vals, wanted)
+    # set: look every token of the selected rows up in a table of the mask's
+    # ids; a row goes positive if any of its tokens hits
+    index = dataset.set_index(condition.feature)
+    rows, terms = index.node_tokens(indices)
+    table = np.zeros(index.n_terms, dtype=bool)
+    mask = np.asarray(condition.mask, dtype=np.int64)
+    table[mask[mask < index.n_terms]] = True
+    return np.bincount(rows[table[terms]], minlength=len(indices)) > 0
 
 
 def split_gain(dataset, condition, indices=None, targets=None, objective="classification"):

@@ -369,3 +369,42 @@ class TestBench:
         assert lines[0] == "model,evaluator,us_per_example,examples,runs"
         assert len(lines) == 3
         assert {l.split(",")[1] for l in lines[1:]} == {"qs", "topdown"}
+
+
+class TestTooSmallInput:
+    """An input with too few examples for the command is a data error (exit 2)."""
+
+    @pytest.mark.parametrize("name,text,extra", [
+        ("empty.tsv", "", {}),
+        ("header.csv", "label,age\n", {"format": "csv", "columns": "age:numerical"}),
+    ], ids=["empty_tsv", "header_only_csv"])
+    def test_train_without_examples(self, tmp_path, capsys, name, text, extra):
+        data = tmp_path / name
+        data.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(_config(tmp_path, data, **extra))]) == 2
+        assert f"{name}: no examples" in capsys.readouterr().err
+
+    def test_bench_without_examples(self, tmp_path, corpus_path, capsys):
+        cfg = _config(tmp_path, corpus_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        model = str(tmp_path / "out" / "model.json")
+        assert main(["bench", model, str(empty), "--config", str(cfg)]) == 2
+        assert "empty.tsv: no examples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_more_folds_than_examples(self, tmp_path, capsys, command):
+        tokens, labels = sf.planted_keyword_corpus(
+            n=60, vocab_terms=40, signal_terms=4, seed=2)
+        path = tmp_path / "small.tsv"
+        sf.write_corpus_tsv(path, tokens, labels)
+        cfg = _config(tmp_path, path, folds=100, grid="1.0")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "60 examples, fewer than folds = 100" in capsys.readouterr().err
+
+    def test_evaluate_single_class_fold(self, tmp_path, capsys):
+        path = tmp_path / "five.tsv"
+        path.write_text("1\ta b\n0\ta c\n0\tb c\n0\ta\n0\tb\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(_config(tmp_path, path, folds=2))]) == 2
+        assert "single-class" in capsys.readouterr().err

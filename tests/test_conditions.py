@@ -1,9 +1,11 @@
 """Differential tests: the vectorised evaluators against the scalar reference.
 
-``evaluate_column`` (a table lookup over the CSR set index plus a bincount)
-must equal ``evaluate`` row by row, and ``tree_apply`` must equal ``route``,
-on random columns holding missing values, empty sets and the extreme ids 0
-and vocabulary - 1, and on masks holding ids absent from the column.
+The test-only ``evaluate_column`` (a table lookup over the CSR set index plus
+a bincount), the reference for the splitters' partitions, must equal
+``evaluate`` row by row, and the compiled evaluator scoring one tree through
+the trainer's ``_tree_values`` must equal ``route``, on random columns
+holding missing values, empty sets and the extreme ids 0 and vocabulary - 1,
+and on masks holding ids absent from the column.
 """
 
 import math
@@ -13,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.conditions import evaluate, evaluate_column
+from setforest.conditions import evaluate
 from setforest.dataset import Feature, FeatureType
-from setforest.model import route, tree_apply
+from setforest.model import route
+from setforest.training import _tree_values
 
-from helpers import make_vocab
+from helpers import evaluate_column, make_vocab
 
 
 @st.composite
@@ -105,4 +108,4 @@ class TestTreeApply:
         indices = np.array(data.draw(st.lists(st.integers(0, ds.n_examples - 1),
                                               min_size=1, max_size=40)), dtype=np.int64)
         expected = np.array([route(tree, ds.row(i)).value for i in indices])
-        np.testing.assert_array_equal(tree_apply(tree, ds, indices), expected)
+        np.testing.assert_array_equal(_tree_values(tree, ds, indices), expected)

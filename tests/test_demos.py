@@ -1,4 +1,4 @@
-"""The fast narrative scripts must keep running as the API evolves."""
+"""Every narrative script must keep running as the API evolves."""
 
 import runpy
 import sys
@@ -13,6 +13,9 @@ DEMOS = Path(__file__).parent.parent / "demos"
     "01_tokens_and_vocabulary.py",
     "02_classic_transforms.py",
     "03_growing_set_masks.py",
+    "04_training_forests.py",
+    "05_bitmask_inference.py",
+    "06_evaluation_protocol.py",
 ])
 def test_demo_runs(name, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [name])

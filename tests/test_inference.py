@@ -406,6 +406,28 @@ class TestPredictDataset:
         assert batch.dtype == np.float64 and batch.shape == (n,)
         assert batch.tobytes() == per_row.tobytes() == top_down.tobytes()
 
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=4),
+           widest=st.sampled_from([3, 65]),
+           selected=st.sampled_from([0, 1, 7, _BLOCK_ROWS + 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_selection(self, kind, ftypes, widest, selected, seed):
+        # unsorted, repeated or empty rows score as the same rows of the
+        # whole dataset, across a block boundary too
+        rng = np.random.default_rng(seed)
+        forest = _random_forest(rng, kind, ftypes, [widest, 2])
+        n = 30
+        ds = sf.Dataset.create(forest.features, [_random_column(rng, t, n) for t in ftypes],
+                               np.zeros(n, dtype=np.int64))
+        compiled = compile_forest(forest)
+        rows = rng.integers(0, n, size=selected)
+        got = predict_dataset(compiled, ds, rows)
+        assert got.dtype == np.float64 and got.shape == (selected,)
+        assert got.tobytes() == predict_dataset(compiled, ds)[rows].tobytes()
+        assert got.tolist() == [predict_top_down(forest, ds.row(i)) for i in rows]
+
     def test_many_numerical_entries_stay_within_the_block(self):
         # 200 complete depth-6 trees on one numerical feature: 12600 entries
         # over 200 slots, about 20 MB as one prefix table over all entries

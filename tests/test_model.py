@@ -14,8 +14,8 @@ from setforest.model import (
     leaf_depths,
     route,
     sigmoid,
-    tree_apply,
 )
+from setforest.training import _tree_values
 
 from helpers import build_complete_tree, one_split_document, random_mixed_dataset
 
@@ -89,7 +89,7 @@ class TestTreeWalkers:
         ds, forest = _trained(seed=2)
         idx = np.arange(ds.n_examples)
         for tree in forest.trees:
-            bulk = tree_apply(tree, ds, idx)
+            bulk = _tree_values(tree, ds, idx)
             scalar = np.array([route(tree, ds.row(i)).value for i in idx])
             np.testing.assert_array_equal(bulk, scalar)
 

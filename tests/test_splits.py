@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.conditions import evaluate_column, sets_intersect
+from setforest.conditions import sets_intersect
 from setforest.dataset import FeatureType
 from setforest.rng import make_rng
 from setforest.splits import (
@@ -20,6 +20,7 @@ from setforest.splits import (
 from helpers import (
     best_singleton,
     enumerate_mask_gains,
+    evaluate_column,
     random_mixed_dataset,
     reference_gain,
     set_dataset,

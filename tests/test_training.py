@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 import setforest as sf
 from setforest.dataset import FeatureType
-from setforest.model import Internal, Leaf, max_depth, tree_apply
+from setforest.model import Internal, Leaf, max_depth
 from setforest.rng import make_rng
 from setforest.splits import find_set_mask_split
-from setforest.training import MAX_INITIAL_SCORE, _child_tokens, log_loss, log_loss_gradient
+from setforest.training import (
+    MAX_INITIAL_SCORE,
+    _child_tokens,
+    _tree_values,
+    log_loss,
+    log_loss_gradient,
+)
 
-from helpers import random_mixed_dataset, set_dataset
+from helpers import evaluate_column, random_mixed_dataset, set_dataset
 
 
 def _separable_dataset(n=40, seed=0):
@@ -42,7 +48,7 @@ class TestGrowTree:
         tree = sf.grow_tree(ds, config)
         assert isinstance(tree, Internal)
         assert max_depth(tree) == 1
-        preds = tree_apply(tree, ds, np.arange(4))
+        preds = _tree_values(tree, ds, np.arange(4))
         assert ((preds >= 0.5) == ds.labels.astype(bool)).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -64,8 +70,6 @@ class TestGrowTree:
             if isinstance(node, Leaf):
                 assert len(idx) >= 1
                 return
-            from setforest.conditions import evaluate_column
-
             pos = evaluate_column(node.condition, ds, idx)
             assert 0 < pos.sum() < len(idx)
             walk(node.negative, idx[~pos])
