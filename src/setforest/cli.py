@@ -126,7 +126,6 @@ _KEYS: dict[str, tuple] = {
     "seed": (int, 0, None),
     "output": (str, "setforest-run", None),
     "baseline": (str, None, None),
-    "parameter": (str, "sampling_rate", _one_of("sampling_rate")),
     "grid": (_parse_grid, DEFAULT_SWEEP_GRID, _check(
         lambda g: len(g) > 0 and all(0.0 < p <= 1.0 for p in g),
         "a non-empty list of rates in (0, 1]")),

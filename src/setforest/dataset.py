@@ -9,13 +9,11 @@ Column storage is columnar:
 
 * numerical   -> ``float64`` array, NaN marks missing;
 * categorical -> ``int64`` array of value ids, ``-1`` marks missing;
-* set         -> python list of sorted id tuples, ``None`` marks missing.
+* set         -> ``SetColumnIndex`` (CSR): the term ids of every row laid
+  end to end, row offsets and a ``missing`` mask.
 
-Each set column also has a CSR index (``SetColumnIndex``): the term ids of
-every row laid end to end, with row offsets. ``Dataset.create`` builds it
-while validating the column, and ``Dataset.set_index`` builds it on first use
-for a dataset made any other way; the trainer's split search and the
-vectorised condition evaluator read set columns only through it.
+``Dataset`` converts a list of id tuples (``None`` for missing) to that one
+layout when it is built; indexing the column by row still gives the tuple.
 """
 
 from __future__ import annotations
@@ -142,21 +140,40 @@ def encode_tokens(tokens: Iterable[str], vocab: Vocabulary) -> tuple[int, ...]:
 
 
 class SetColumnIndex:
-    """CSR layout of a set column: row ``r``'s term ids are
-    ``term_ids[indptr[r]:indptr[r + 1]]``. A missing value and the empty set
-    both hold no ids; neither intersects any mask. ``n_terms`` is one past
-    the largest id (0 when the column holds none)."""
+    """A set column in CSR layout: row ``r``'s term ids are
+    ``term_ids[indptr[r]:indptr[r + 1]]``, and ``missing[r]`` marks a missing
+    value, which like the empty set holds no ids. It reads like the list of
+    id tuples it is built from: ``column[r]`` is a tuple of ints or ``None``."""
 
-    __slots__ = ("indptr", "term_ids", "n_terms")
+    __slots__ = ("indptr", "term_ids", "missing")
 
     def __init__(self, column):
-        lengths = np.fromiter((0 if x is None else len(x) for x in column),
+        lengths = np.fromiter((-1 if x is None else len(x) for x in column),
                               dtype=np.int64, count=len(column))
+        self.missing = lengths < 0
+        np.maximum(lengths, 0, out=lengths)
         self.indptr = np.zeros(len(column) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self.indptr[1:])
         self.term_ids = np.fromiter(chain.from_iterable(filter(None, column)),
                                     dtype=np.int64, count=int(self.indptr[-1]))
-        self.n_terms = int(self.term_ids.max()) + 1 if self.term_ids.size else 0
+
+    def __len__(self) -> int:
+        return len(self.missing)
+
+    def __getitem__(self, r: int) -> tuple[int, ...] | None:
+        r = range(len(self.missing))[r]
+        if self.missing[r]:
+            return None
+        return tuple(self.term_ids[self.indptr[r]:self.indptr[r + 1]].tolist())
+
+    def take(self, indices) -> "SetColumnIndex":
+        """The column of the rows ``indices``, in that order."""
+        out = SetColumnIndex.__new__(SetColumnIndex)
+        rows, out.term_ids = self.node_tokens(indices)
+        out.missing = self.missing[indices]
+        out.indptr = np.zeros(len(out.missing) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(out.missing)), out=out.indptr[1:])
+        return out
 
     def node_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(positions in ``indices``, term ids) of every token of the selected
@@ -196,7 +213,14 @@ class Dataset:
     columns: list
     labels: np.ndarray
     weights: np.ndarray
-    _set_indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.features) != len(self.columns):
+            raise ValueError("schema and column count mismatch")
+        # the one place a set column becomes its CSR layout
+        self.columns = [SetColumnIndex(col) if feat.ftype == FeatureType.CATEGORICAL_SET
+                        and not isinstance(col, SetColumnIndex) else col
+                        for feat, col in zip(self.features, self.columns)]
 
     @classmethod
     def create(cls, features, columns, labels, weights=None) -> "Dataset":
@@ -217,29 +241,19 @@ class Dataset:
     def n_features(self) -> int:
         return len(self.features)
 
-    def set_index(self, feature: int) -> SetColumnIndex:
-        """The CSR index of set column ``feature``, built on first use (the
-        columns must not change afterwards)."""
-        index = self._set_indexes.get(feature)
-        if index is None:
-            index = self._set_indexes[feature] = SetColumnIndex(self.columns[feature])
-        return index
-
     def validate(self) -> None:
         """Check the schema against the columns, with numpy passes: labels are
         0/1, weights positive, categorical ids ``MISSING_CATEGORY`` or inside
         the vocabulary, and every set value a strictly increasing tuple of
-        non-negative ids inside the vocabulary. Builds the set indexes."""
+        non-negative ids inside the vocabulary."""
         n = self.n_examples
         if len(self.weights) != n:
             raise ValueError("labels and weights length mismatch")
-        if len(self.features) != len(self.columns):
-            raise ValueError("schema and column count mismatch")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be binary 0/1")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        for i, (feat, col) in enumerate(zip(self.features, self.columns)):
+        for feat, col in zip(self.features, self.columns):
             size = len(feat.vocabulary) if feat.vocabulary else None
             if feat.ftype == FeatureType.NUMERICAL:
                 if len(col) != n or np.asarray(col).dtype != np.float64:
@@ -255,12 +269,10 @@ class Dataset:
             else:
                 if len(col) != n:
                     raise ValueError(f"bad set column {feat.name}")
-                index = SetColumnIndex(col)
-                row = index.first_bad(size)
+                row = col.first_bad(size)
                 if row is not None:
                     raise ValueError(f"set value {col[row]!r} of row {row} in {feat.name}: term "
                                      "ids must be strictly increasing and in its vocabulary")
-                self._set_indexes[i] = index
 
     def row(self, i: int) -> tuple:
         return tuple(col[i] for col in self.columns)
@@ -275,7 +287,7 @@ class Dataset:
         cols = []
         for feat, col in zip(self.features, self.columns):
             if feat.ftype == FeatureType.CATEGORICAL_SET:
-                cols.append([col[i] for i in indices])
+                cols.append(col.take(indices))
             else:
                 cols.append(np.asarray(col)[indices])
         return Dataset(list(self.features), cols, self.labels[indices], self.weights[indices])

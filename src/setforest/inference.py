@@ -329,7 +329,7 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
             key_rows = np.where(values == MISSING_CATEGORY, len(keys), _key_rows(keys, values))
             keyed.append((key_rows, table))
         else:
-            sets.append((dataset.set_index(f), keys, table))
+            sets.append((dataset.columns[f], keys, table))
     trees = np.arange(compiled.num_trees)
     scores = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):

@@ -20,15 +20,16 @@ examples containing that term (and not already routed positive) across the
 partition. The search keeps only the tokens of the examples still on the
 negative side and drops those of the examples each accepted term moves, so
 each pass over the candidates is two ``bincount`` calls over a token set
-that shrinks as the mask grows. The node's tokens come from the dataset's
-CSR set index (``SetColumnIndex``), or from the caller through ``tokens=``
-(the tree grower passes each child the share of its parent's tokens).
+that shrinks as the mask grows. An accepted term leaves no token behind,
+so its extended gain equals the current gain and it cannot be chosen again.
+The node's tokens come from the dataset's set column (a CSR
+``SetColumnIndex``), or from the caller through ``tokens=`` (the tree
+grower passes each child the share of its parent's tokens).
 
 All three splitters score with one kernel, ``gain_from_stats``: the node's
 own term is one scalar per call, and classification takes ``x log2 x`` of
-the six branch statistics in one stacked pass. The greedy step masks
-accepted terms by adding a row of ``-inf`` to the clipped gains. Each
-candidate carries its node-local partition (``SplitCandidate.positive``).
+the six branch statistics in one stacked pass. Each candidate carries its
+node-local partition (``SplitCandidate.positive``).
 """
 
 from __future__ import annotations
@@ -283,7 +284,6 @@ def find_set_mask_split(
     # on the negative side, in their original order, so every bincount sums
     # the same values in the same order as a pass over all the node's tokens
     in_pos = np.zeros(n_node, dtype=bool)
-    penalty = np.zeros(present.size)  # -inf on accepted terms
     pos_w = pos_wt = 0.0
     current_gain = 0.0
     accepted: list[int] = []
@@ -297,7 +297,6 @@ def find_set_mask_split(
         ext_w += pos_w
         ext_wt += pos_wt
         gains = gain_from_stats(w_total, wt_total, ext_w, ext_wt, objective)
-        gains += penalty
         best = int(np.argmax(gains))
         gain = float(gains[best])
         if gain <= current_gain:
@@ -309,7 +308,6 @@ def find_set_mask_split(
         pos_w = float(ext_w[best])
         pos_wt = float(ext_wt[best])
         current_gain = gain
-        penalty[best] = -np.inf
         accepted.append(int(present[best]))
         steps.append((int(present[best]), gain))
 

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FeatureType
+from .dataset import DataError, Dataset, FeatureType
 from .inference import compile_forest, predict_dataset
 from .model import MART, RF, DecisionForest, Internal, Leaf, TreeNode
 from .rng import make_rng
@@ -153,12 +153,12 @@ class _TreeGrower:
                       else find_categorical_split)
             return search(np.asarray(self.ds.columns[feature])[indices], node_targets,
                           node_weights, feature, cfg.min_examples_per_leaf, self.objective)
-        set_index = self.ds.set_index(feature)
+        column = self.ds.columns[feature]
         if feature not in tokens:
-            tokens[feature] = set_index.node_tokens(indices)
+            tokens[feature] = column.node_tokens(indices)
         rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
         return find_set_mask_split(
-            set_index, indices, node_targets, node_weights, feature,
+            column, indices, node_targets, node_weights, feature,
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
             tokens=tokens[feature])
 
@@ -305,7 +305,7 @@ def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:
     n_val = int(round(config.validation_fraction * n))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
-        raise ValueError("validation holdout leaves no training examples")
+        raise DataError("validation holdout leaves no training examples")
 
     p_pos = float(np.average(labels[train_idx], weights=weights[train_idx]))
     p_pos = min(max(p_pos, 1e-9), 1.0 - 1e-9)

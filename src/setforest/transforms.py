@@ -130,6 +130,20 @@ def _replace_columns(dataset: Dataset, replacements: dict[int, list]) -> Dataset
     return Dataset(features, columns, dataset.labels, dataset.weights)
 
 
+def _membership(dataset: Dataset, i: int, ftype: FeatureType) -> list:
+    """Set column ``i`` as one 0/1 column of type ``ftype`` per vocabulary
+    term, as (Feature, column) pairs; a missing row is NaN in a numerical
+    column and ``MISSING_CATEGORY`` in a categorical one."""
+    feat, col = dataset.features[i], dataset.columns[i]
+    vocab = feat.vocabulary
+    numerical = ftype == FeatureType.NUMERICAL
+    matrix = np.zeros((len(col), len(vocab)), dtype=np.float64 if numerical else np.int64)
+    matrix[np.repeat(np.arange(len(col)), np.diff(col.indptr)), col.term_ids] = 1
+    matrix[col.missing] = np.nan if numerical else MISSING_CATEGORY
+    return [(Feature(f"{feat.name}:{term}", ftype), matrix[:, j])
+            for j, term in enumerate(vocab.terms)]
+
+
 class BagOfWords:
     """Set columns -> one numerical membership column per vocabulary term."""
 
@@ -141,21 +155,8 @@ class BagOfWords:
     def transform(self, dataset: Dataset) -> Dataset:
         replacements: dict[int, list] = {}
         for i, feat in enumerate(dataset.features):
-            if feat.ftype != FeatureType.CATEGORICAL_SET:
-                continue
-            vocab = feat.vocabulary
-            m = len(vocab)
-            matrix = np.zeros((dataset.n_examples, m), dtype=np.float64)
-            for r, x in enumerate(dataset.columns[i]):
-                if x is None:
-                    matrix[r, :] = np.nan
-                elif x:
-                    matrix[r, list(x)] = 1.0
-            replacements[i] = [
-                (Feature(f"{feat.name}:{vocab.terms[j]}", FeatureType.NUMERICAL),
-                 matrix[:, j])
-                for j in range(m)
-            ]
+            if feat.ftype == FeatureType.CATEGORICAL_SET:
+                replacements[i] = _membership(dataset, i, FeatureType.NUMERICAL)
         if not replacements:
             raise ValueError("bag-of-words found no set columns to expand")
         return _replace_columns(dataset, replacements)
@@ -194,19 +195,7 @@ class OneHot:
         replacements: dict[int, list] = {}
         for i, feat in enumerate(dataset.features):
             if feat.ftype == FeatureType.CATEGORICAL_SET:
-                vocab = feat.vocabulary
-                m = len(vocab)
-                matrix = np.zeros((dataset.n_examples, m), dtype=np.int64)
-                for r, x in enumerate(dataset.columns[i]):
-                    if x is None:
-                        matrix[r, :] = MISSING_CATEGORY
-                    elif x:
-                        matrix[r, list(x)] = 1
-                replacements[i] = [
-                    (Feature(f"{feat.name}:{vocab.terms[j]}", FeatureType.CATEGORICAL),
-                     matrix[:, j])
-                    for j in range(m)
-                ]
+                replacements[i] = _membership(dataset, i, FeatureType.CATEGORICAL)
             elif feat.ftype == FeatureType.CATEGORICAL and feat.name in self.observed:
                 col = np.asarray(dataset.columns[i])
                 new = []
@@ -259,31 +248,27 @@ class MaxHash:
         for i, feat in enumerate(dataset.features):
             if feat.ftype != FeatureType.CATEGORICAL_SET:
                 continue
-            vocab = feat.vocabulary
-            # hash every vocabulary term once, then reduce per row
+            vocab, col = feat.vocabulary, dataset.columns[i]
+            # hash every vocabulary term once, then reduce over each non-empty row
             table = np.array(
                 [[hash64(t, s) for s in self.seeds] for t in vocab.terms],
                 dtype=np.int64,
             ).reshape(len(vocab), self.k)
-            matrix = np.zeros((dataset.n_examples, self.k), dtype=np.int64)
-            missing = np.zeros(dataset.n_examples, dtype=bool)
-            for r, x in enumerate(dataset.columns[i]):
-                if x is None:
-                    missing[r] = True
-                elif x:
-                    matrix[r] = table[list(x)].max(axis=0)
+            matrix = np.zeros((len(col), self.k), dtype=np.int64)
+            filled = np.diff(col.indptr) > 0
+            matrix[filled] = np.maximum.reduceat(table[col.term_ids], col.indptr[:-1][filled])
             new = []
             for j in range(self.k):
                 if self.treat == "categorical":
-                    col = matrix[:, j].copy()
-                    col[missing] = MISSING_CATEGORY
+                    out = matrix[:, j].copy()
+                    out[col.missing] = MISSING_CATEGORY
                     new.append(
-                        (Feature(f"{feat.name}#h{j}", FeatureType.CATEGORICAL), col))
+                        (Feature(f"{feat.name}#h{j}", FeatureType.CATEGORICAL), out))
                 else:
-                    col = matrix[:, j].astype(np.float64)
-                    col[missing] = np.nan
+                    out = matrix[:, j].astype(np.float64)
+                    out[col.missing] = np.nan
                     new.append(
-                        (Feature(f"{feat.name}#h{j}", FeatureType.NUMERICAL), col))
+                        (Feature(f"{feat.name}#h{j}", FeatureType.NUMERICAL), out))
             replacements[i] = new
         if not replacements:
             raise ValueError("max-hash found no set columns")

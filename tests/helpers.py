@@ -8,6 +8,7 @@ import setforest as sf
 from setforest.conditions import SplitCondition
 from setforest.dataset import Dataset, Feature, FeatureType, Vocabulary
 from setforest.splits import gain_from_stats
+from setforest.transforms import hash64
 
 
 def make_vocab(terms):
@@ -252,12 +253,9 @@ def evaluate_column(condition: SplitCondition, dataset: Dataset, indices) -> np.
         return np.isin(vals, wanted)
     # set: look every token of the selected rows up in a table of the mask's
     # ids; a row goes positive if any of its tokens hits
-    index = dataset.set_index(condition.feature)
-    rows, terms = index.node_tokens(indices)
-    table = np.zeros(index.n_terms, dtype=bool)
-    mask = np.asarray(condition.mask, dtype=np.int64)
-    table[mask[mask < index.n_terms]] = True
-    return np.bincount(rows[table[terms]], minlength=len(indices)) > 0
+    rows, terms = col.node_tokens(indices)
+    hits = np.isin(terms, np.asarray(condition.mask, dtype=np.int64))
+    return np.bincount(rows[hits], minlength=len(indices)) > 0
 
 
 def split_gain(dataset, condition, indices=None, targets=None, objective="classification"):
@@ -271,3 +269,68 @@ def split_gain(dataset, condition, indices=None, targets=None, objective="classi
     wt = w * t
     pos = evaluate_column(condition, dataset, indices)
     return float(gain_from_stats(w.sum(), wt.sum(), w[pos].sum(), wt[pos].sum(), objective))
+
+
+# The per-row loops the set-column transforms ran before they read the CSR
+# arrays, kept as references: each maps a set feature and its column as a
+# list of id tuples (None for missing) to the (Feature, column) pairs that
+# replace it.
+def reference_bag_of_words(feat, column):
+    vocab = feat.vocabulary
+    m = len(vocab)
+    matrix = np.zeros((len(column), m), dtype=np.float64)
+    for r, x in enumerate(column):
+        if x is None:
+            matrix[r, :] = np.nan
+        elif x:
+            matrix[r, list(x)] = 1.0
+    return [
+        (Feature(f"{feat.name}:{vocab.terms[j]}", FeatureType.NUMERICAL),
+         matrix[:, j])
+        for j in range(m)
+    ]
+
+
+def reference_one_hot(feat, column):
+    vocab = feat.vocabulary
+    m = len(vocab)
+    matrix = np.zeros((len(column), m), dtype=np.int64)
+    for r, x in enumerate(column):
+        if x is None:
+            matrix[r, :] = sf.MISSING_CATEGORY
+        elif x:
+            matrix[r, list(x)] = 1
+    return [
+        (Feature(f"{feat.name}:{vocab.terms[j]}", FeatureType.CATEGORICAL),
+         matrix[:, j])
+        for j in range(m)
+    ]
+
+
+def reference_max_hash(feat, column, seeds, treat):
+    k = len(seeds)
+    vocab = feat.vocabulary
+    table = np.array(
+        [[hash64(t, s) for s in seeds] for t in vocab.terms],
+        dtype=np.int64,
+    ).reshape(len(vocab), k)
+    matrix = np.zeros((len(column), k), dtype=np.int64)
+    missing = np.zeros(len(column), dtype=bool)
+    for r, x in enumerate(column):
+        if x is None:
+            missing[r] = True
+        elif x:
+            matrix[r] = table[list(x)].max(axis=0)
+    new = []
+    for j in range(k):
+        if treat == "categorical":
+            col = matrix[:, j].copy()
+            col[missing] = sf.MISSING_CATEGORY
+            new.append(
+                (Feature(f"{feat.name}#h{j}", FeatureType.CATEGORICAL), col))
+        else:
+            col = matrix[:, j].astype(np.float64)
+            col[missing] = np.nan
+            new.append(
+                (Feature(f"{feat.name}#h{j}", FeatureType.NUMERICAL), col))
+    return new

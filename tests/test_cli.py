@@ -88,7 +88,6 @@ OUT_OF_RANGE = [
     ("train", "min_frequency", "0"),
     ("evaluate", "folds", "1"),
     ("sweep", "folds", "0"),
-    ("sweep", "parameter", "depth"),
     ("sweep", "grid", "0"),
     ("sweep", "grid", "2"),
     ("sweep", "grid", ","),
@@ -402,6 +401,13 @@ class TestTooSmallInput:
         cfg = _config(tmp_path, path, folds=100, grid="1.0")
         assert main([command, "--config", str(cfg)]) == 2
         assert "60 examples, fewer than folds = 100" in capsys.readouterr().err
+
+    def test_mart_holdout_takes_every_example(self, tmp_path, capsys):
+        path = tmp_path / "two.tsv"
+        path.write_text("1\ta b\n0\ta c\n", encoding="utf-8")
+        cfg = _config(tmp_path, path, algorithm="mart", validation_fraction=0.9)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "validation holdout leaves no training examples" in capsys.readouterr().err
 
     def test_evaluate_single_class_fold(self, tmp_path, capsys):
         path = tmp_path / "five.tsv"

@@ -267,17 +267,47 @@ class TestDatasetInvariants:
     @pytest.mark.parametrize("value", [None, (), (0,), (3,), (0, 1, 2, 3)])
     def test_edge_values_accepted(self, value):
         ds = self._create(set_value=value, category=sf.MISSING_CATEGORY)
-        index = ds.set_index(0)
+        index = ds.columns[0]
         assert index.term_ids.tolist() == [1, 2, *(value or ())]
         assert index.indptr.tolist() == [0, 2, 2 + len(value or ()), 2 + len(value or ()),
                                          2 + len(value or ())]
 
     def test_index_built_once_and_lazily_for_subsets(self):
         ds = self._create()
-        assert ds.set_index(0) is ds.set_index(0)
+        assert ds.columns[0] is ds.columns[0]
         sub = ds.subset([3, 0])
-        assert sub.set_index(0).term_ids.tolist() == [1, 2]
-        assert sub.set_index(0).indptr.tolist() == [0, 0, 2]
+        assert sub.columns[0].term_ids.tolist() == [1, 2]
+        assert sub.columns[0].indptr.tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["create", "direct"])
+    def test_set_column_reads_back_row_by_row(self, direct):
+        features = [Feature("text", FeatureType.CATEGORICAL_SET, make_vocab("abcd"))]
+        sets = [(1, 2), (), None, (0, 3), (3,)]
+        if direct:
+            ds = sf.Dataset(features, [sets], np.zeros(5, dtype=np.int64), np.ones(5))
+        else:
+            ds = sf.Dataset.create(features, [sets], [0] * 5)
+        column = ds.columns[0]
+        assert isinstance(column, sf.SetColumnIndex)
+        assert len(column) == 5
+        assert list(column) == sets
+        assert column[1] == () and column[2] is None
+        assert all(type(t) is int for t in column[3])
+        assert column[-1] == (3,) and column[-5] == (1, 2)
+        for r in (5, -6):
+            with pytest.raises(IndexError):
+                column[r]
+        assert ds.row(2) == (None,)
+        for rows in ([3, 0], [2, 4, 0, 1]):
+            sub = ds.subset(rows)
+            assert isinstance(sub.columns[0], sf.SetColumnIndex)
+            assert list(sub.columns[0]) == [sets[r] for r in rows]
+
+    def test_existing_set_column_kept_as_is(self):
+        features = [Feature("text", FeatureType.CATEGORICAL_SET, make_vocab("ab"))]
+        column = sf.SetColumnIndex([(0,), None])
+        ds = sf.Dataset.create(features, [column], [0, 1])
+        assert ds.columns[0] is column
 
     def test_row_materialisation(self):
         from helpers import set_dataset

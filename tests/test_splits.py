@@ -352,7 +352,7 @@ def _splitter_candidates(ds, indices, targets, weights, objective, rng):
             yield find_categorical_split(np.asarray(col)[indices], targets, weights, f,
                                          objective=objective)
         else:
-            yield find_set_mask_split(ds.set_index(f), indices, targets, weights, f,
+            yield find_set_mask_split(ds.columns[f], indices, targets, weights, f,
                                       sampling_rate=0.7, rng=rng, objective=objective)
 
 

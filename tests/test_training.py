@@ -94,18 +94,18 @@ class TestInheritedTokens:
             targets = targets - rng.random(ds.n_examples)
         set_features = [f for f, feat in enumerate(ds.features)
                         if feat.ftype == FeatureType.CATEGORICAL_SET]
-        tokens = {f: ds.set_index(f).node_tokens(indices) for f in set_features}
+        tokens = {f: ds.columns[f].node_tokens(indices) for f in set_features}
         for depth in range(12):
             node_t, node_w = targets[indices], ds.weights[indices]
             found = []
             for f in set_features:
-                for a, b in zip(tokens[f], ds.set_index(f).node_tokens(indices)):
+                for a, b in zip(tokens[f], ds.columns[f].node_tokens(indices)):
                     assert np.array_equal(a, b) and a.dtype == b.dtype
                 inherited = find_set_mask_split(
-                    ds.set_index(f), indices, node_t, node_w, f, p, make_rng(seed, depth, f),
+                    ds.columns[f], indices, node_t, node_w, f, p, make_rng(seed, depth, f),
                     objective=objective, tokens=tokens[f])
                 fresh = find_set_mask_split(
-                    ds.set_index(f), indices, node_t, node_w, f, p, make_rng(seed, depth, f),
+                    ds.columns[f], indices, node_t, node_w, f, p, make_rng(seed, depth, f),
                     objective=objective)
                 if fresh is None:
                     assert inherited is None

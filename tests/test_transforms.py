@@ -11,7 +11,13 @@ from setforest.transforms import (
     hash64,
 )
 
-from helpers import make_vocab, set_dataset
+from helpers import (
+    make_vocab,
+    reference_bag_of_words,
+    reference_max_hash,
+    reference_one_hot,
+    set_dataset,
+)
 
 
 class TestHash64:
@@ -207,3 +213,56 @@ class TestSteps:
                               maxhash_treat="numerical")
         out = chain.fit_transform(_text_dataset())
         assert all(f.ftype == FeatureType.NUMERICAL for f in out.features)
+
+
+@st.composite
+def _two_set_columns(draw):
+    """Vocabulary sizes and two set columns of one length: missing rows,
+    empty sets, and ids 0 and V - 1 all turn up."""
+    n = draw(st.integers(1, 25))
+    sizes, columns = [], []
+    for _ in range(2):
+        v = draw(st.integers(1, 8))
+        ids = st.sets(st.integers(0, v - 1), min_size=1).map(lambda x: tuple(sorted(x)))
+        sizes.append(v)
+        columns.append(draw(st.lists(st.one_of(st.none(), st.just(()), ids),
+                                     min_size=n, max_size=n)))
+    return sizes, columns
+
+
+class TestSetColumnsMatchRowLoops:
+    """Each set-column transform equals the per-row loop it replaced, byte
+    for byte, however the dataset was built."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_two_set_columns(), st.booleans(), st.integers(0, 2**32),
+           st.sampled_from(["categorical", "numerical"]))
+    def test_transforms_equal_reference_loops(self, drawn, direct, seed, treat):
+        sizes, (a, b) = drawn
+        n = len(a)
+        features = [Feature("a", FeatureType.CATEGORICAL_SET,
+                            make_vocab([f"a{j}" for j in range(sizes[0])])),
+                    Feature("x", FeatureType.NUMERICAL),
+                    Feature("b", FeatureType.CATEGORICAL_SET,
+                            make_vocab([f"b{j}" for j in range(sizes[1])]))]
+        x = np.arange(n, dtype=np.float64)
+        labels = np.zeros(n, dtype=np.int64)
+        if direct:
+            ds = sf.Dataset(features, [a, x, b], labels, np.ones(n))
+        else:
+            ds = sf.Dataset.create(features, [a, x, b], labels)
+        maxhash = sf.MaxHash(k=3, seed=seed, treat=treat)
+        cases = [
+            (sf.BagOfWords(), reference_bag_of_words),
+            (sf.OneHot(), reference_one_hot),
+            (maxhash, lambda f, c: reference_max_hash(f, c, maxhash.seeds, treat)),
+        ]
+        for step, reference in cases:
+            out = step.fit(ds).transform(ds)
+            expected = [*reference(features[0], a),
+                        (features[1], x),
+                        *reference(features[2], b)]
+            assert out.features == [f for f, _ in expected]
+            for got, (_, want) in zip(out.columns, expected, strict=True):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
