@@ -283,7 +283,8 @@ class Dataset:
         return [self.row(i) for i in indices]
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
+        # int64 even when empty: np.asarray([]) is float64 and cannot index
+        indices = np.asarray(indices, dtype=np.int64)
         cols = []
         for feat, col in zip(self.features, self.columns):
             if feat.ftype == FeatureType.CATEGORICAL_SET:

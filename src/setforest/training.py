@@ -17,6 +17,17 @@ Reproducibility: every random draw flows from TrainConfig.seed through
 derive_seed keyed by (tree, node, feature), so identical (dataset, config,
 seed) gives a bit-identical serialized model.
 
+A random forest's trees grow in a pool of forked worker processes, one per
+CPU in ``os.sched_getaffinity(0)`` and at most one per tree; ``taskset``
+limits them. The workers inherit the dataset by fork, each tree comes back
+in tree order, and the model bytes are the same at any worker count. The
+trees grow in this process instead where there is one CPU or one tree,
+where ``os.fork`` or ``os.sched_getaffinity`` is missing, in a daemonic
+process and while other threads are alive. The pool's modules are imported
+only when a pool starts. The pool is shut down before ``train`` returns or
+raises, and a worker exits by itself once the training process is gone.
+MART grows its rounds one after another in this process.
+
 A node routes its rows with the partition its winning splitter returns
 (``SplitCandidate.positive``). A set feature's tokens are gathered from the
 CSR index only where a node first samples it; each child then inherits its
@@ -30,6 +41,10 @@ RF's out-of-bag rows are scored by the compiled evaluator,
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -258,34 +273,125 @@ def grow_tree(dataset: Dataset, config: TrainConfig, indices=None,
     return grower.grow(indices)
 
 
+def _forest_tree(dataset: Dataset, config: TrainConfig, i: int):
+    """Tree ``i`` of a random forest: its bootstrap draw, the tree grown on
+    it and, under ``compute_oob``, its out-of-bag stats (else ``None``)."""
+    n = dataset.n_examples
+    boot = make_rng(config.seed, _TAG_TREE, i, 0).integers(0, n, size=n)
+    tree = grow_tree(dataset, config, boot, CLASSIFICATION,
+                     dataset.labels.astype(np.float64), tree_tag=i)
+    if not config.compute_oob:
+        return tree, None
+    oob = np.setdiff1d(np.arange(n), boot)
+    if oob.size:
+        preds = _tree_values(tree, dataset, oob) >= 0.5
+        acc = float(np.average(preds == dataset.labels[oob],
+                               weights=dataset.weights[oob]))
+    else:
+        acc = float("nan")
+    return tree, {"tree": i, "oob_examples": int(oob.size), "oob_accuracy": acc}
+
+
+def _forest_workers(num_trees: int) -> int:
+    """The number of processes that grow a forest of ``num_trees`` trees:
+    one per CPU this process may run on, at most one per tree. It is 1, and
+    the trees grow in this process, where forking is missing or unsafe:
+    without ``os.fork`` or ``os.sched_getaffinity``, in a daemonic process
+    (which may not have children) and while another thread is alive (a
+    fork can copy a lock that thread holds)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    # a daemonic process was started by multiprocessing, so it is imported
+    mp = sys.modules.get("multiprocessing")
+    if (mp is not None and mp.current_process().daemon) or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), num_trees)
+
+
+def _tree_preorder(tree: TreeNode) -> list:
+    """``tree`` as a flat list, each node before its negative and then its
+    positive subtree: an internal node as its condition, a leaf as itself.
+    Pickling the list takes no recursion however deep the tree is."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            nodes.append(node)
+        else:
+            nodes.append(node.condition)
+            stack += (node.positive, node.negative)
+    return nodes
+
+
+def _tree_from_preorder(nodes: list) -> TreeNode:
+    """The tree that ``_tree_preorder`` listed as ``nodes``."""
+    items = iter(nodes)
+
+    def build():
+        item = next(items)
+        if isinstance(item, Leaf):
+            return item
+        negative = build()
+        return Internal(item, negative, build())
+
+    return build()
+
+
+# a pool worker's (dataset, config), set when the worker starts
+_worker_job = None
+
+
+def _start_worker(parent: int, dataset: Dataset, config: TrainConfig) -> None:
+    """Pool worker initializer. A forked worker inherits its arguments, so
+    the dataset is not pickled. The worker exits once the training process
+    is gone, so a trainer killed mid-forest leaves no worker behind."""
+    global _worker_job
+    _worker_job = dataset, config
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pooled_forest_tree(i: int):
+    """``_forest_tree`` in a pool worker, the tree sent back in preorder."""
+    tree, oob = _forest_tree(*_worker_job, i)
+    return _tree_preorder(tree), oob
+
+
+def _pooled_forest_trees(dataset: Dataset, config: TrainConfig, workers: int) -> list:
+    """Every ``_forest_tree`` of the forest, grown by ``workers`` forked
+    processes that inherit the dataset, in tree order. The pool is shut down
+    before this returns or raises."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker,
+                               initargs=(os.getpid(), dataset, config))
+    try:
+        return [(_tree_from_preorder(nodes), oob) for nodes, oob in
+                pool.map(_pooled_forest_tree, range(config.num_trees), chunksize=1)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def train_random_forest(dataset: Dataset, config: TrainConfig) -> DecisionForest:
     if dataset.n_examples == 0:
         raise ValueError("empty dataset")
-    n = dataset.n_examples
-    targets = dataset.labels.astype(np.float64)
-    weights = dataset.weights
-
-    trees: list[TreeNode] = []
-    oob_stats: list[dict] = []
-    for i in range(config.num_trees):
-        boot = make_rng(config.seed, _TAG_TREE, i, 0).integers(0, n, size=n)
-        tree = grow_tree(dataset, config, boot, CLASSIFICATION, targets, tree_tag=i)
-        trees.append(tree)
-        if config.compute_oob:
-            oob = np.setdiff1d(np.arange(n), boot)
-            if oob.size:
-                preds = _tree_values(tree, dataset, oob) >= 0.5
-                acc = float(np.average(preds == dataset.labels[oob],
-                                       weights=weights[oob]))
-            else:
-                acc = float("nan")
-            oob_stats.append({"tree": i, "oob_examples": int(oob.size),
-                              "oob_accuracy": acc})
-
-    metadata = {"config": _config_metadata(config), "n_examples": n}
+    workers = _forest_workers(config.num_trees)
+    if workers > 1:
+        grown = _pooled_forest_trees(dataset, config, workers)
+    else:
+        grown = [_forest_tree(dataset, config, i) for i in range(config.num_trees)]
+    metadata = {"config": _config_metadata(config), "n_examples": dataset.n_examples}
     if config.compute_oob:
-        metadata["oob"] = oob_stats
-    return DecisionForest(RF, trees, 0.0, list(dataset.features), metadata)
+        metadata["oob"] = [oob for _, oob in grown]
+    return DecisionForest(RF, [tree for tree, _ in grown], 0.0, list(dataset.features),
+                          metadata)
 
 
 def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:

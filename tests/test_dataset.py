@@ -279,6 +279,28 @@ class TestDatasetInvariants:
         assert sub.columns[0].term_ids.tolist() == [1, 2]
         assert sub.columns[0].indptr.tolist() == [0, 0, 2]
 
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=np.int64)],
+                             ids=["list", "int64-array"])
+    def test_empty_subset(self, rows):
+        # np.asarray([]) is float64, which numpy refuses as an index
+        from helpers import random_mixed_dataset
+
+        ds, _ = random_mixed_dataset(seed=2, n=30)
+        sub = ds.subset(rows)
+        assert sub.n_examples == 0
+        assert sub.features == ds.features
+        assert sub.labels.shape == sub.weights.shape == (0,)
+        kinds = set()
+        for feat, col in zip(sub.features, sub.columns):
+            kinds.add(feat.ftype)
+            if feat.ftype == FeatureType.CATEGORICAL_SET:
+                assert col.indptr.tolist() == [0]
+                assert col.term_ids.size == 0 and len(col) == 0
+            else:
+                assert len(col) == 0
+        assert kinds == {FeatureType.NUMERICAL, FeatureType.CATEGORICAL,
+                         FeatureType.CATEGORICAL_SET}
+
     @pytest.mark.parametrize("direct", [False, True], ids=["create", "direct"])
     def test_set_column_reads_back_row_by_row(self, direct):
         features = [Feature("text", FeatureType.CATEGORICAL_SET, make_vocab("abcd"))]

@@ -1,4 +1,12 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
+from setforest import training
 from setforest.dataset import FeatureType
 from setforest.model import Internal, Leaf, max_depth
 from setforest.rng import make_rng
@@ -13,6 +22,7 @@ from setforest.splits import find_set_mask_split
 from setforest.training import (
     MAX_INITIAL_SCORE,
     _child_tokens,
+    _forest_workers,
     _tree_values,
     log_loss,
     log_loss_gradient,
@@ -209,6 +219,186 @@ class TestRandomForest:
         ds = set_dataset([], [], vocab_size=1)
         with pytest.raises(ValueError, match="empty"):
             sf.train_random_forest(ds, sf.TrainConfig.random_forest(num_trees=1))
+
+
+def _force_workers(monkeypatch, count):
+    """Grow forests with ``count`` processes, whatever this host has."""
+    monkeypatch.setattr(training, "_forest_workers", lambda num_trees: count)
+
+
+def _serial_bytes(ds, config):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_workers(monkeypatch, 1)
+        return sf.forest_to_json(sf.train(ds, config))
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """A host that can fork, where this process may run on four CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "fork", getattr(os, "fork", None), raising=False)
+
+
+def _unpicklable(self, protocol):
+    raise TypeError(f"{type(self).__name__} is not pickled")
+
+
+def _train_in_daemon(ds, config, conn):
+    conn.send((_forest_workers(4), sf.forest_to_json(sf.train(ds, config))))
+    conn.close()
+
+
+class TestPooledForest:
+    """Trees grown by forked worker processes: the same bytes as one process,
+    and no process left behind."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return random_mixed_dataset(seed=11, n=300)[0]
+
+    @pytest.mark.parametrize("compute_oob", [False, True], ids=["plain", "oob"])
+    @pytest.mark.parametrize("workers", [2, 3, 7])  # 7 is more than the trees
+    def test_bytes_equal_at_any_worker_count(self, mixed, monkeypatch, workers, compute_oob):
+        config = sf.TrainConfig.random_forest(num_trees=5, max_depth=8, seed=5,
+                                              compute_oob=compute_oob)
+        serial = _serial_bytes(mixed, config)
+        _force_workers(monkeypatch, workers)
+        # the workers inherit the dataset by fork; pickling it would fail
+        monkeypatch.setattr(sf.Dataset, "__reduce_ex__", _unpicklable)
+        forest = sf.train(mixed, config)
+        assert sf.forest_to_json(forest) == serial
+        if compute_oob:
+            assert [s["tree"] for s in forest.metadata["oob"]] == list(range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_the_caller(self, mixed, monkeypatch):
+        parent = os.getpid()
+        grow = training.grow_tree
+
+        def failing_in_workers(*args, **kw):
+            if os.getpid() != parent:
+                raise sf.DataError("raised in a worker")
+            return grow(*args, **kw)
+
+        monkeypatch.setattr(training, "grow_tree", failing_in_workers)
+        _force_workers(monkeypatch, 2)
+        with pytest.raises(sf.DataError, match="raised in a worker"):
+            sf.train(mixed, sf.TrainConfig.random_forest(num_trees=4, max_depth=4))
+        assert multiprocessing.active_children() == []
+
+    def test_tree_deeper_than_pickle_nests(self, monkeypatch):
+        # each row outweighs the lighter ones, so every split peels the
+        # heaviest row off: a chain of ~416 levels. Nested, such a tree passes
+        # pickle's recursion limit (between 300 and 400 levels on CPython
+        # 3.11); the workers send trees back flat, in preorder
+        n = 900
+        ds = sf.Dataset.create([sf.Feature("x", FeatureType.NUMERICAL)],
+                               [np.arange(n, dtype=np.float64)], np.arange(n) % 2,
+                               0.6 ** np.arange(n))
+        config = sf.TrainConfig.random_forest(num_trees=2, max_depth=10_000, seed=0)
+        serial = _serial_bytes(ds, config)
+        _force_workers(monkeypatch, 2)
+        forest = sf.train(ds, config)
+        assert min(map(max_depth, forest.trees)) > 400
+        assert sf.forest_to_json(forest) == serial
+
+    def test_workers_follow_the_cpus_and_the_trees(self, four_cpus):
+        assert [_forest_workers(n) for n in (1, 3, 4, 500)] == [1, 3, 4, 4]
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, four_cpus, monkeypatch, missing):
+        monkeypatch.delattr(os, missing)
+        assert _forest_workers(4) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_serial_in_a_daemonic_process(self, mixed, four_cpus):
+        config = sf.TrainConfig.random_forest(num_trees=3, max_depth=6, seed=2)
+        serial = _serial_bytes(mixed, config)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_train_in_daemon, args=(mixed, config, send), daemon=True)
+        child.start()
+        send.close()  # so recv raises EOFError if the child dies first
+        workers, text = receive.recv()
+        child.join()
+        assert child.exitcode == 0
+        assert workers == 1 and text == serial
+
+    def test_serial_while_another_thread_lives(self, mixed, four_cpus, monkeypatch):
+        config = sf.TrainConfig.random_forest(num_trees=3, max_depth=6, seed=2)
+        serial = _serial_bytes(mixed, config)
+        monkeypatch.setattr(training, "_pooled_forest_trees", None)  # calling it fails
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert _forest_workers(4) == 1
+            text = sf.forest_to_json(sf.train(mixed, config))
+        finally:
+            stop.set()
+            other.join()
+        assert text == serial
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_no_worker_outlives_a_killed_trainer(self):
+        code = ("import os, time, setforest as sf\n"
+                "from setforest import training\n"
+                "from helpers import random_mixed_dataset\n"
+                "def stuck(*args, **kw):\n"
+                "    os.write(1, b'%d\\n' % os.getpid())  # one write: no interleaving\n"
+                "    time.sleep(600)\n"
+                "training.grow_tree = stuck\n"
+                "training._forest_workers = lambda num_trees: 2\n"
+                "sf.train(random_mixed_dataset(seed=1, n=60)[0],\n"
+                "         sf.TrainConfig.random_forest(num_trees=2))\n")
+        workers = []
+        with subprocess.Popen([sys.executable, "-c", code], env=_env_with_src(),
+                              stdout=subprocess.PIPE, text=True) as trainer:
+            try:
+                workers += [int(trainer.stdout.readline()) for _ in range(2)]
+                trainer.kill()
+                trainer.wait(timeout=10)
+                deadline = time.monotonic() + 10
+                while any(map(_running, workers)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not any(map(_running, workers))
+            finally:
+                trainer.kill()
+                for pid in filter(_running, workers):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _env_with_src() -> dict:
+    """This environment, with the package and the test helpers importable."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
+    return env
+
+
+def test_import_loads_no_pool_module():
+    # the pool's modules cost import time and memory; only a pooled forest
+    # may load them
+    code = ("import sys, setforest as sf\n"
+            "from helpers import random_mixed_dataset\n"
+            "ds = random_mixed_dataset(seed=1, n=120)[0]\n"
+            "sf.train(ds, sf.TrainConfig.mart(num_trees=3))\n"
+            "sf.train(ds, sf.TrainConfig.random_forest(num_trees=1, max_depth=4))\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 class TestMart:
