@@ -8,7 +8,11 @@ masks for every condition the example satisfies, and reads the answer off
 the lowest surviving bit. A tree's bits fill as many 64-bit words as the
 forest's widest tree needs; the small trees below fit one word. Per-term
 masks make set-intersection conditions as cheap as lookups: presence of a
-term kills exactly the leaves it makes unreachable.
+term kills exactly the leaves it makes unreachable. Compiling packs each
+term's masks over all trees into one Python int (tree t's word at bits
+64t..64t+63, all ones where the term clears nothing), so scoring a row costs
+one dict lookup and one int AND per token, then a fixed handful of numpy
+calls that read every tree's lowest surviving bit at once.
 """
 
 import time
@@ -43,6 +47,9 @@ for term, name in zip((a, b, c, d), "abcd"):
         width = int(compiled.num_leaves[tree_id])
         bits = format(int(mask), f"0{width}b")[::-1]  # printed l0 first
         print(f"term {name}: tree {tree_id} mask {bits}")
+
+# the same masks of c packed into one int over both trees' words
+print("packed c:", hex(group.packed[c]))
 
 # an example containing c: tree 0 can only reach l2, tree 1 only l1
 print("leaves for {c}:", sf.compiled_leaf_indices(compiled, ((c,),)).tolist())

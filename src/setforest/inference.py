@@ -24,6 +24,17 @@ conditions that held cleared everything to the left of the true path,
 conditions that failed (or were missing) cleared nothing of it, and the
 negative-first leaf order makes the fall-through leaf the leftmost one.
 
+Compiling also packs each keyed feature's masks per key into one Python
+int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``: the
+AND of the key's entries at their slots, all ones elsewhere. A row is then
+scored with no numpy call per token: ``predict_compiled`` starts from the
+packed default masks, ANDs in one int per known token or category, folds in
+each numerical feature's first ``k`` threshold-sorted entries (one scatter
+per feature), and reads every tree's leaf off the result with a fixed handful
+of numpy calls at any width. The packed ints keep keys x slots words alive
+per keyed feature, and row scoring costs a dict lookup and an int AND per
+token.
+
 ``predict_dataset``, the one vectorised evaluator (training scores its
 validation and out-of-bag rows with it), scores a dataset's rows, or those a
 ``rows=`` selection names in any order, in blocks of ``_BLOCK_ROWS`` rows,
@@ -33,28 +44,30 @@ clears none); per block, the entries are scattered into a table over the
 block's distinct counts and AND-accumulated down it, so every row reads
 the AND of its first ``k`` entries and the table never outgrows the block.
 A keyed feature gets, once per call, a table with one row of slot masks
-per key and an all-ones row last for a missing, unseen or absent value.
-Values find their key rows with ``searchsorted``, never by indexing with
-the value itself, because max-hash categorical values have no vocabulary
-and reach 2**63 - 1. A set feature ANDs the key rows of a block row's
-tokens together with ``reduceat``, over the rows that hold a known token
-only. The key tables take (keys + 1) x slots uint64 words per feature and
-are rebuilt on every call, so compiling and per-row scoring cost what they
-did before.
+per key, the bytes of its packed int, and an all-ones row last for a
+missing, unseen or absent value. Values find their key rows with
+``searchsorted``, never by indexing with the value itself, because max-hash
+categorical values have no vocabulary and reach 2**63 - 1. A set feature
+ANDs the key rows of a block row's tokens together with ``reduceat``, over
+the rows that hold a known token only, gathering at most ``_GATHER_BYTES``
+of key rows at a time. A key table takes (keys + 1) x slots words per
+feature and lives for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .conditions import NumericalGE, SetIntersects
 from .dataset import Dataset, Feature, FeatureType, MISSING_CATEGORY
-from .model import DecisionForest, Leaf, TreeNode, aggregate, predict
+from .model import DecisionForest, Internal, Leaf, aggregate, predict
 
 _ONE = np.uint64(1)
 _ALL = np.uint64(2**64 - 1)
+_WORD = np.dtype("<u8")  # a leaf word as a packed int holds it, on any host
 
 
 @dataclass
@@ -72,12 +85,16 @@ class KeyedEntries:
 
     ``index`` maps a term id to its [begin, end) range in the flat arrays;
     ranges tile the arrays in ascending key order and slots are strictly
-    increasing inside each range.
+    increasing inside each range. ``packed`` maps the same keys, in the same
+    order, to the key's masks over all slots as one int: slot ``s`` is bits
+    ``64 * s`` to ``64 * s + 63``, the AND of the key's entries at their
+    slots and all ones elsewhere.
     """
 
     index: dict[int, tuple[int, int]]
     tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
     masks: np.ndarray  # uint64
+    packed: dict[int, int]
 
 
 @dataclass
@@ -90,6 +107,8 @@ class CompiledForest:
     leaf_values: np.ndarray  # (num_trees, 64 * words_per_tree) float64, padded
     num_leaves: np.ndarray  # int64 per tree
     default_masks: np.ndarray  # uint64 per slot, every leaf of the word set
+    default_packed: int  # default_masks packed as in KeyedEntries.packed
+    first_bits: int  # packed likewise: bit 0 of every tree's first word
     numerical: dict[int, NumericalEntries]
     keyed: dict[int, KeyedEntries]
 
@@ -121,29 +140,41 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     # drops a NaN-threshold numerical node: it never holds)
     los, n_lefts, node_features, thresholds, key_counts, keys, values = ([] for _ in range(7))
 
-    def walk(node: TreeNode, lo: int) -> int:
-        if isinstance(node, Leaf):
-            values.append(node.value)
-            return 1
+    def walk(node: Internal, lo: int) -> int:
+        # a leaf child is listed here, not in a call of its own
         i, cond = len(los), node.condition
         los.append(lo)
         n_lefts.append(0)
         node_features.append(cond.feature)
-        if isinstance(cond, NumericalGE):
+        if type(cond) is NumericalGE:
             thresholds.append(cond.threshold)
             key_counts.append(0)
         else:
-            terms = cond.mask if isinstance(cond, SetIntersects) else cond.values
+            terms = cond.mask if type(cond) is SetIntersects else cond.values
             thresholds.append(np.nan)
             key_counts.append(len(terms))
             keys.extend(terms)
-        n_left = n_lefts[i] = walk(node.negative, lo)
-        return n_left + walk(node.positive, lo + n_left)
+        child = node.negative
+        if type(child) is Leaf:
+            values.append(child.value)
+            n_left = 1
+        else:
+            n_left = walk(child, lo)
+        n_lefts[i] = n_left
+        child = node.positive
+        if type(child) is Leaf:
+            values.append(child.value)
+            return n_left + 1
+        return n_left + walk(child, lo + n_left)
 
     num_trees = len(forest.trees)
     num_leaves, node_ends = [], []
     for tree in forest.trees:
-        num_leaves.append(walk(tree, 0))
+        if type(tree) is Leaf:
+            values.append(tree.value)
+            num_leaves.append(1)
+        else:
+            num_leaves.append(walk(tree, 0))
         node_ends.append(len(los))
     num_leaves = np.array(num_leaves, dtype=np.int64)
     words = max(1, -(-int(num_leaves.max(initial=1)) // 64))
@@ -186,78 +217,103 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     starts, _ = _runs(feature, term, slots)
     key_masks = np.bitwise_and.reduceat(np.repeat(masks, per_entry)[order], starts)
     feature, term, slots = feature[starts], term[starts], slots[starts]
+    # each (feature, term) key's entries [begin, end), scattered into a row of
+    # ones over all slots, one packed int per row
+    key_begins, key_ends = _runs(feature, term)
+    n_slots = len(default_masks)
+    table = np.full((len(key_begins), n_slots), _ALL, dtype=_WORD)
+    table[np.repeat(np.arange(len(key_begins)), key_ends - key_begins), slots] = key_masks
+    # each row as one bytes object (a forest without trees has no slots and
+    # no rows); the fixed-width bytes dtype drops a row's trailing zero bytes,
+    # the high bytes of its last word, which leaves its int the same
+    rows = table.view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel().tolist()
+    del table  # the rows are a copy; the ints need not share the peak with it
+    packed = list(map(int.from_bytes, rows, repeat("little")))
     keyed = {}
-    for b, e in zip(*(a.tolist() for a in _runs(feature))):
-        term_begins, term_ends = (a.tolist() for a in _runs(term[b:e]))
-        index = dict(zip(term[b:e][term_begins].tolist(), zip(term_begins, term_ends)))
-        keyed[int(feature[b])] = KeyedEntries(index, slots[b:e], key_masks[b:e])
+    for kb, ke in zip(*(a.tolist() for a in _runs(feature[key_begins]))):
+        b, e = int(key_begins[kb]), int(key_ends[ke - 1])
+        terms = term[key_begins[kb:ke]].tolist()
+        spans = zip((key_begins[kb:ke] - b).tolist(), (key_ends[kb:ke] - b).tolist())
+        keyed[int(feature[b])] = KeyedEntries(dict(zip(terms, spans)), slots[b:e],
+                                              key_masks[b:e], dict(zip(terms, packed[kb:ke])))
 
     return CompiledForest(
         kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,
         features=list(forest.features), words_per_tree=words, leaf_values=leaf_values,
-        num_leaves=num_leaves, default_masks=default_masks, numerical=numerical,
-        keyed=keyed)
+        num_leaves=num_leaves, default_masks=default_masks,
+        default_packed=_pack(default_masks), first_bits=_pack(np.arange(n_slots) % words == 0),
+        numerical=numerical, keyed=keyed)
 
 
-def _apply_masks(compiled: CompiledForest, row: tuple) -> np.ndarray:
-    leafidx = compiled.default_masks.copy()
-    tid_chunks = []
-    mask_chunks = []
+def _pack(words: np.ndarray) -> int:
+    """One int of the (slots,) ``words``, slot ``s`` at bits ``64 * s`` up."""
+    return int.from_bytes(np.asarray(words, dtype=_WORD).tobytes(), "little")
+
+
+def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
+    """The packed leaf words of one row: the packed default ANDed with the
+    packed mask of every known token and category, and with the numerical
+    entries that hold. Raises ``ValueError`` when the row's length is not the
+    schema's."""
+    if len(row) != len(compiled.features):
+        raise ValueError(f"row has {len(row)} values, schema has {len(compiled.features)}")
+    leafidx = compiled.default_packed
+    for feature, group in compiled.keyed.items():
+        value, get = row[feature], group.packed.get
+        if compiled.features[feature].ftype == FeatureType.CATEGORICAL:
+            if value != MISSING_CATEGORY and (mask := get(int(value))) is not None:
+                leafidx &= mask
+        elif value:  # missing or empty set: nothing to apply
+            for term in value:
+                if (mask := get(term)) is not None:
+                    leafidx &= mask
     for feature, group in compiled.numerical.items():
         value = row[feature]
         if value != value:  # NaN: missing skips the feature entirely
             continue
-        k = int(np.searchsorted(group.thresholds, value, side="right"))
+        k = int(group.thresholds.searchsorted(value, "right"))
         if k:
-            tid_chunks.append(group.tree_ids[:k])
-            mask_chunks.append(group.masks[:k])
-    for feature, group in compiled.keyed.items():
-        value = row[feature]
-        if compiled.features[feature].ftype == FeatureType.CATEGORICAL:
-            if value == MISSING_CATEGORY:
-                continue
-            terms = (int(value),)
-        else:
-            if not value:  # missing or empty set: nothing to apply
-                continue
-            terms = value
-        index = group.index
-        for term in terms:
-            span = index.get(term)
-            if span is not None:
-                tid_chunks.append(group.tree_ids[span[0]:span[1]])
-                mask_chunks.append(group.masks[span[0]:span[1]])
-    if tid_chunks:
-        np.bitwise_and.at(leafidx, np.concatenate(tid_chunks),
-                          np.concatenate(mask_chunks))
+            words = np.full(len(compiled.default_masks), _ALL, dtype=_WORD)
+            np.bitwise_and.at(words, group.tree_ids[:k], group.masks[:k])
+            leafidx &= _pack(words)
     return leafidx
 
 
+def _row_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
+    """Per-tree position of the lowest leaf left for one row."""
+    leafidx = _apply_masks(compiled, row)
+    # every tree keeps a leaf, so taking 1 from each tree's first word
+    # borrows within the tree only, and sets just the bits below that leaf
+    below = (leafidx - compiled.first_bits) & ~leafidx
+    counts = np.bitwise_count(np.frombuffer(
+        below.to_bytes(_WORD.itemsize * len(compiled.default_masks), "little"), dtype=_WORD))
+    if compiled.words_per_tree == 1:
+        return counts  # uint8, only ever used as an index
+    return counts.reshape(compiled.num_trees, -1).sum(axis=1, dtype=np.int64)
+
+
 def _leaf_positions(compiled: CompiledForest, leafidx: np.ndarray) -> np.ndarray:
-    """Per-tree position of the lowest leaf left in a ``(slots,)`` or
-    ``(rows, slots)`` word array: one entry per tree along the last axis."""
+    """Per-tree position of the lowest leaf left in a (rows, slots) word
+    array: one (rows, trees) entry per row and tree."""
     # trailing zeros of every word; a word with no leaf left reads 64
     low = np.bitwise_count((leafidx - _ONE) & ~leafidx)
     if compiled.words_per_tree == 1:
         return low  # uint8, only ever used as an index
     low = low.reshape(-1, compiled.words_per_tree)
     word = np.argmax(low < 64, axis=1)  # every tree keeps its reached leaf
-    positions = 64 * word + low[np.arange(len(low)), word]
-    return positions if leafidx.ndim == 1 else positions.reshape(len(leafidx), -1)
+    return (64 * word + low[np.arange(len(low)), word]).reshape(len(leafidx), -1)
 
 
 def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
     """Per-tree active leaf position (int64), counted left to right."""
-    return _leaf_positions(compiled, _apply_masks(compiled, row)).astype(np.int64)
+    return _row_positions(compiled, row).astype(np.int64)
 
 
 def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
     """Probability from the compiled evaluator; bit-identical to ``predict``."""
-    if len(row) != len(compiled.features):
-        raise ValueError(
-            f"row has {len(row)} values, schema has {len(compiled.features)}")
-    low = _leaf_positions(compiled, _apply_masks(compiled, row))
-    values = compiled.leaf_values[np.arange(compiled.num_trees), low]
+    width = compiled.leaf_values.shape[1]
+    values = compiled.leaf_values.take(_row_positions(compiled, row)
+                                       + np.arange(0, compiled.num_trees * width, width))
     return aggregate(compiled.kind, compiled.initial_score, values)
 
 
@@ -265,6 +321,7 @@ predict_top_down = predict  # the reference evaluator, named for comparisons
 
 
 _BLOCK_ROWS = 256  # rows scored together; keeps a block's word arrays small
+_GATHER_BYTES = 2**19  # bound on a block's gathered set-token key rows
 
 
 def _cleared_masks(counts: np.ndarray, group: NumericalEntries, slots: int) -> np.ndarray:
@@ -281,14 +338,13 @@ def _cleared_masks(counts: np.ndarray, group: NumericalEntries, slots: int) -> n
 
 
 def _keyed_table(group: KeyedEntries, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending keys, and per key a row of its masks, then a row of ones
-    for a value with no entry."""
-    keys = np.fromiter(group.index, dtype=np.int64, count=len(group.index))
-    spans = np.array(list(group.index.values()), dtype=np.int64).reshape(-1, 2)
-    table = np.full((len(keys) + 1, slots), _ALL)
-    table[np.repeat(np.arange(len(keys)), spans[:, 1] - spans[:, 0]), group.tree_ids] = \
-        group.masks
-    return keys, table
+    """The ascending keys, and per key a row of its packed masks, then a row
+    of ones for a value with no entry."""
+    keys = np.fromiter(group.packed, dtype=np.int64, count=len(group.packed))
+    width = _WORD.itemsize * slots
+    rows = [mask.to_bytes(width, "little") for mask in group.packed.values()]
+    rows.append(b"\xff" * width)
+    return keys, np.frombuffer(b"".join(rows), dtype=_WORD).reshape(len(rows), slots)
 
 
 def _key_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -331,6 +387,7 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
         else:
             sets.append((dataset.columns[f], keys, table))
     trees = np.arange(compiled.num_trees)
+    tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -344,9 +401,12 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
             key_rows = _key_rows(keys, terms)
             known = key_rows < len(keys)  # a row without a known token applies nothing
             positions, key_rows = positions[known], key_rows[known]
-            if len(key_rows):
-                begins, _ = _runs(positions)
-                leafidx[positions[begins]] &= np.bitwise_and.reduceat(table[key_rows], begins)
+            # a row cut between two gathers gets both ANDs: the same bits
+            for c in range(0, len(key_rows), tokens_per_gather):
+                part = positions[c:c + tokens_per_gather]
+                begins, _ = _runs(part)
+                leafidx[part[begins]] &= np.bitwise_and.reduceat(
+                    table[key_rows[c:c + tokens_per_gather]], begins)
         values = compiled.leaf_values[trees, _leaf_positions(compiled, leafidx)]
         scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
     return scores

@@ -6,7 +6,7 @@ import numpy as np
 
 import setforest as sf
 from setforest.conditions import SplitCondition
-from setforest.dataset import Dataset, Feature, FeatureType, Vocabulary
+from setforest.dataset import MISSING_CATEGORY, Dataset, Feature, FeatureType, Vocabulary
 from setforest.splits import gain_from_stats
 from setforest.transforms import hash64
 
@@ -112,6 +112,35 @@ def random_rows_for(dataset, seed, n=1000):
                     row.append(sf.encode_tokens(tokens, vocab))
         rows.append(tuple(row))
     return rows
+
+
+def reference_apply_masks(compiled, row) -> np.ndarray:
+    """The (slots,) uint64 leaf words of one row from a compiled forest's
+    sparse entries: the default masks, then a per-token scatter of every
+    keyed entry the row applies and of the numerical entries that hold."""
+    leafidx = compiled.default_masks.copy()
+    tid_chunks, mask_chunks = [], []
+    for feature, group in compiled.numerical.items():
+        value = row[feature]
+        if value != value:  # NaN: missing skips the feature entirely
+            continue
+        k = int(np.searchsorted(group.thresholds, value, side="right"))
+        tid_chunks.append(group.tree_ids[:k])
+        mask_chunks.append(group.masks[:k])
+    for feature, group in compiled.keyed.items():
+        value = row[feature]
+        if compiled.features[feature].ftype == FeatureType.CATEGORICAL:
+            terms = () if value == MISSING_CATEGORY else (int(value),)
+        else:
+            terms = value or ()  # missing or empty set: nothing to apply
+        for term in terms:
+            span = group.index.get(term)
+            if span is not None:
+                tid_chunks.append(group.tree_ids[span[0]:span[1]])
+                mask_chunks.append(group.masks[span[0]:span[1]])
+    if tid_chunks:
+        np.bitwise_and.at(leafidx, np.concatenate(tid_chunks), np.concatenate(mask_chunks))
+    return leafidx
 
 
 def build_complete_tree(depth, leaf_values=None):

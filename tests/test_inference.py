@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import setforest as sf
 from setforest.inference import (
     _BLOCK_ROWS,
+    _apply_masks,
+    _leaf_positions,
     compile_forest,
     compiled_leaf_indices,
     predict_compiled,
@@ -21,6 +23,7 @@ from helpers import (
     make_vocab,
     random_mixed_dataset,
     random_rows_for,
+    reference_apply_masks,
     set_dataset,
 )
 
@@ -80,10 +83,12 @@ class TestCompileStructure:
         assert a.numerical.keys() == b.numerical.keys()
         for f in a.numerical:
             np.testing.assert_array_equal(a.numerical[f].masks, b.numerical[f].masks)
+        assert (a.default_packed, a.first_bits) == (b.default_packed, b.first_bits)
         assert a.keyed.keys() == b.keyed.keys()
         for f in a.keyed:
             assert a.keyed[f].index == b.keyed[f].index
             np.testing.assert_array_equal(a.keyed[f].masks, b.keyed[f].masks)
+            assert list(a.keyed[f].packed.items()) == list(b.keyed[f].packed.items())
 
 
 class TestGoldenForest:
@@ -124,6 +129,14 @@ class TestGoldenForest:
             x = tuple(t for t in range(4) if bits >> t & 1)
             row = (x,)
             assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+
+    @pytest.mark.parametrize("row", [((1,), 5.0), ()])
+    def test_row_length_checked_by_both_per_row_entries(self, row):
+        forest, _ = golden_two_tree_forest()
+        compiled = compile_forest(forest)
+        for score in (compiled_leaf_indices, predict_compiled):
+            with pytest.raises(ValueError, match=f"row has {len(row)} values, schema has 1"):
+                score(compiled, row)
 
 
 class TestOracleEquivalence:
@@ -381,6 +394,52 @@ def _random_column(rng, ftype, n):
                      for i in rng.integers(0, len(pool), size=n)], dtype=np.int64)
 
 
+def _words(compiled, packed: int) -> list[int]:
+    """A packed int's (slots,) leaf words."""
+    size = 8 * len(compiled.default_masks)
+    return np.frombuffer(packed.to_bytes(size, "little"), dtype="<u8").tolist()
+
+
+def _other_int_types(value):
+    """The same value with numpy-integer set tokens and Python-int categories."""
+    if isinstance(value, tuple):
+        return tuple(np.int64(t) for t in value)
+    return int(value) if isinstance(value, np.integer) else value
+
+
+class TestPackedMasks:
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=4),
+           num_trees=st.integers(0, 4),
+           widest=st.sampled_from([1, 3, 64, 65, 140]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_words_match_sparse_reference(self, kind, ftypes, num_trees, widest, seed):
+        rng = np.random.default_rng(seed)
+        num_trees = max(num_trees, int(kind == "rf"))  # only a boosted forest has no trees
+        leaf_counts = [widest] + rng.integers(1, widest + 1, size=num_trees).tolist()
+        forest = _random_forest(rng, kind, ftypes, leaf_counts[:num_trees])
+        compiled = compile_forest(forest)
+        slots = len(compiled.default_masks)
+        assert _words(compiled, compiled.default_packed) == compiled.default_masks.tolist()
+        for group in compiled.keyed.values():
+            assert list(group.packed) == list(group.index)
+            for key, (begin, end) in group.index.items():
+                expected = np.full(slots, 2**64 - 1, dtype=np.uint64)
+                np.bitwise_and.at(expected, group.tree_ids[begin:end], group.masks[begin:end])
+                assert _words(compiled, group.packed[key]) == expected.tolist()
+        columns = [_random_column(rng, t, 40) for t in ftypes]
+        for i in range(40):
+            row = tuple(column[i] for column in columns)
+            expected = reference_apply_masks(compiled, row)
+            assert _words(compiled, _apply_masks(compiled, row)) == expected.tolist()
+            other = tuple(map(_other_int_types, row))
+            assert _words(compiled, _apply_masks(compiled, other)) == expected.tolist()
+            assert compiled_leaf_indices(compiled, row).tolist() == \
+                _leaf_positions(compiled, expected[None]).ravel().tolist()
+
+
 class TestPredictDataset:
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["rf", "mart"]),
@@ -451,6 +510,36 @@ class TestPredictDataset:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert scores.tolist() == [predict_top_down(forest, row) for row in ds.rows()]
+
+    def test_wide_set_forest_gathers_within_a_budget(self):
+        # 100 chains of 70 leaves (two words per tree) over 100 terms, and 20
+        # rows of 90 tokens: one gather of a key row per token of the block
+        # would be 1800 x 200 words, about 2.9 MB
+        rng = np.random.default_rng(5)
+        sets = [tuple(sorted(rng.choice(100, size=90, replace=False).tolist()))
+                for _ in range(20)]
+        ds = set_dataset(sets, np.zeros(20, dtype=np.int64), vocab_size=100)
+
+        def chain():
+            node = sf.Leaf(float(rng.normal()))
+            for term in rng.integers(0, 100, size=69).tolist():
+                node = sf.Internal(sf.SetIntersects(0, (term,)), node,
+                                   sf.Leaf(float(rng.normal())))
+            return node
+
+        forest = sf.DecisionForest("mart", [chain() for _ in range(100)], 0.1,
+                                   ds.features, {})
+        compiled = compile_forest(forest)
+        assert compiled.words_per_tree == 2
+        table_bytes = (len(compiled.keyed[0].index) + 1) * len(compiled.default_masks) * 8
+        tracemalloc.start()
+        try:
+            scores = predict_dataset(compiled, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table_bytes < 2**20
         assert scores.tolist() == [predict_top_down(forest, row) for row in ds.rows()]
 
     @staticmethod
