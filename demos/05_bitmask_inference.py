@@ -12,7 +12,9 @@ term kills exactly the leaves it makes unreachable. Compiling packs each
 term's masks over all trees into one Python int (tree t's word at bits
 64t..64t+63, all ones where the term clears nothing), so scoring a row costs
 one dict lookup and one int AND per token, then a fixed handful of numpy
-calls that read every tree's lowest surviving bit at once.
+calls that read every tree's lowest surviving bit at once. Batched scoring
+(`predict_dataset`) does the same for blocks of rows with numpy arrays and
+gives the same bits.
 """
 
 import time
@@ -77,3 +79,10 @@ for name, fn in (("compiled", lambda r: sf.predict_compiled(cm, r)),
         fn(row)
     per = (time.perf_counter() - start) / len(rows) * 1e6
     print(f"{name}: {per:7.1f} us/example over {len(model.trees)} trees")
+
+# batched: every row at once, the same bits as scoring row by row
+start = time.perf_counter()
+batch = sf.predict_dataset(cm, ds)
+per = (time.perf_counter() - start) / len(rows) * 1e6
+assert batch.tolist() == [sf.predict_compiled(cm, row) for row in rows]
+print(f"batched : {per:7.1f} us/example over {len(model.trees)} trees")

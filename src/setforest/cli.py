@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .dataset import (
     DataError,
     Dataset,
     Feature,
+    FeatureType,
     Vocabulary,
     build_vocabulary,
     dataset_from_token_sets,
@@ -43,7 +45,7 @@ from .evaluation import (
     summary_table,
 )
 from .inference import compile_forest, predict_dataset, predict_top_down
-from .model import DecisionForest, load_forest, save_forest
+from .model import MAX_TREE_DEPTH, DecisionForest, load_forest, save_forest
 from .training import TrainConfig, train
 from .transforms import TransformChain, make_chain
 
@@ -107,7 +109,8 @@ _KEYS: dict[str, tuple] = {
     "algorithm": (str, "rf", _one_of("rf", "mart")),
     "transform": (str, "", None),
     "num_trees": (int, None, _AT_LEAST_1),
-    "max_depth": (int, None, _AT_LEAST_1),
+    "max_depth": (int, None, _check(lambda v: 1 <= v <= MAX_TREE_DEPTH,
+                                    f"in [1, {MAX_TREE_DEPTH}]")),
     "min_examples_per_leaf": (int, None, _AT_LEAST_1),
     "features_per_node": (_parse_features_per_node, None, _check(
         lambda v: isinstance(v, str) or v >= 1, "'sqrt', 'all' or a count >= 1")),
@@ -393,27 +396,54 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _dataset_for_model(forest: DecisionForest, cfg: RunConfig, data_path: str,
+@dataclass(frozen=True)
+class _Pipeline:
+    """How raw input becomes the rows a model scores, from its metadata."""
+
+    vocabulary: Vocabulary | None  # a text model's
+    features: list[Feature] | None  # a csv model's input schema
+    chain: TransformChain | None
+
+
+def _model_pipeline(forest: DecisionForest) -> _Pipeline:
+    """The model's ``metadata.pipeline`` and ``metadata.transform_chain``,
+    parsed and checked; raises ``ValueError``. A model without transforms
+    scores its input as read, so the pipeline's schema must be the model's:
+    a text pipeline's vocabulary the set feature's, a csv pipeline's features
+    the model's features. A transformed model keeps no such second copy."""
+    pipeline = forest.metadata.get("pipeline")
+    if not isinstance(pipeline, dict) or pipeline.get("kind") not in ("text", "csv"):
+        raise ValueError("metadata.pipeline must be an object of kind 'text' or 'csv'")
+    chain = forest.metadata.get("transform_chain")
+    chain = None if chain is None else TransformChain.from_dict(chain)
+    try:
+        if pipeline["kind"] == "text":
+            vocabulary, features = Vocabulary.from_dict(pipeline["vocabulary"]), None
+            read = [Feature(f.name, FeatureType.CATEGORICAL_SET, vocabulary)
+                    for f in forest.features[:1]]
+        else:
+            vocabulary = None
+            features = read = [Feature.from_dict(f) for f in pipeline["features"]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed metadata.pipeline: {exc!r}") from None
+    if (chain is None or not chain.steps) and read != forest.features:
+        raise ValueError(f"metadata.pipeline does not read the model's "
+                         f"{len(forest.features)} features as they were trained")
+    return _Pipeline(vocabulary, features, chain)
+
+
+def _dataset_for_model(pipeline: _Pipeline, data_path: str,
                        lines: list[str] | None = None) -> Dataset:
-    pipeline = forest.metadata.get("pipeline", {"kind": "text"})
-    chain_dict = forest.metadata.get("transform_chain")
-    chain = TransformChain.from_dict(chain_dict) if chain_dict else None
-    if pipeline.get("kind") == "csv":
-        features = [Feature.from_dict(f) for f in pipeline["features"]]
-        dataset = load_csv_with_schema(data_path, features)
-        if chain is not None:
-            dataset = chain.transform(dataset)
-        return dataset
-    vocab = Vocabulary.from_dict(pipeline["vocabulary"])
-    if lines is None:
-        token_sets, _ = load_labeled_text(data_path)
+    if pipeline.features is not None:
+        dataset = load_csv_with_schema(data_path, pipeline.features)
     else:
-        token_sets = [_tokens_from_line(line) for line in lines]
-    dataset = dataset_from_token_sets(
-        token_sets, vocab, np.zeros(len(token_sets), dtype=np.int64))
-    if chain is not None:
-        dataset = chain.transform(dataset)
-    return dataset
+        if lines is None:
+            token_sets, _ = load_labeled_text(data_path)
+        else:
+            token_sets = [_tokens_from_line(line) for line in lines]
+        dataset = dataset_from_token_sets(
+            token_sets, pipeline.vocabulary, np.zeros(len(token_sets), dtype=np.int64))
+    return dataset if pipeline.chain is None else pipeline.chain.transform(dataset)
 
 
 def _tokens_from_line(line: str):
@@ -423,18 +453,23 @@ def _tokens_from_line(line: str):
     return tokenize(line)
 
 
-def _load_model(path: str) -> DecisionForest:
+def _load_model(path: str) -> tuple[DecisionForest, _Pipeline]:
+    """The model at ``path`` and its ingest pipeline, both checked once, on
+    load: a malformed document raises ``DataError``."""
     try:
-        return load_forest(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        forest = load_forest(path)
+        return forest, _model_pipeline(forest)
+    except (ValueError, KeyError) as exc:
         raise DataError(f"cannot load model {path}: {exc}") from exc
+    except RecursionError:  # json.loads on a document nested too deeply
+        raise DataError(f"cannot load model {path}: nested too deeply") from None
 
 
 def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
     started = time.time()
     out = _require_output(cfg)
-    forest = _load_model(model_path)
-    dataset = _dataset_for_model(forest, cfg, data_path)
+    forest, pipeline = _load_model(model_path)
+    dataset = _dataset_for_model(pipeline, data_path)
     _require_examples(dataset, data_path)
     rows = dataset.rows()
     compiled = compile_forest(forest)
@@ -453,19 +488,19 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
 
 
 def cmd_predict(cfg: RunConfig, model_path: str, input_path: str | None) -> int:
-    forest = _load_model(model_path)
+    forest, pipeline = _load_model(model_path)
     evaluator = cfg["evaluator"]
     if input_path is None:
-        if forest.metadata.get("pipeline", {}).get("kind") == "csv":
+        if pipeline.features is not None:
             raise ConfigError("csv-schema models need an input file to predict")
         lines = [line.rstrip("\n") for line in sys.stdin if line.strip()]
-        dataset = _dataset_for_model(forest, cfg, "", lines=lines)
-    elif cfg["format"] == "csv" or forest.metadata.get("pipeline", {}).get("kind") == "csv":
-        dataset = _dataset_for_model(forest, cfg, input_path)
+        dataset = _dataset_for_model(pipeline, "", lines=lines)
+    elif cfg["format"] == "csv" or pipeline.features is not None:
+        dataset = _dataset_for_model(pipeline, input_path)
     else:
         with open(input_path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
-        dataset = _dataset_for_model(forest, cfg, input_path, lines=lines)
+        dataset = _dataset_for_model(pipeline, input_path, lines=lines)
     try:
         if evaluator == "qs":
             scores = predict_dataset(compile_forest(forest), dataset).tolist()

@@ -70,7 +70,17 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(tuple(data["terms"]), tuple(int(f) for f in data["frequencies"]))
+        """Raises ``ValueError`` unless ``terms`` is a list of distinct strings
+        and ``frequencies`` a list of as many ints."""
+        terms, frequencies = data["terms"], data["frequencies"]
+        if (type(terms) is not list or type(frequencies) is not list
+                or len(terms) != len(frequencies)
+                or list(map(type, terms)).count(str) != len(terms)
+                or list(map(type, frequencies)).count(int) != len(terms)
+                or len(set(terms)) != len(terms)):
+            raise ValueError("a vocabulary needs a list of distinct string terms "
+                             "and a list of as many integer frequencies")
+        return cls(tuple(terms), tuple(frequencies))
 
 
 @dataclass(frozen=True)
@@ -169,25 +179,31 @@ class SetColumnIndex:
     def take(self, indices) -> "SetColumnIndex":
         """The column of the rows ``indices``, in that order."""
         out = SetColumnIndex.__new__(SetColumnIndex)
-        rows, out.term_ids = self.node_tokens(indices)
+        lengths, out.term_ids = self.row_tokens(indices)
         out.missing = self.missing[indices]
         out.indptr = np.zeros(len(out.missing) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(out.missing)), out=out.indptr[1:])
+        np.cumsum(lengths, out=out.indptr[1:])
         return out
 
     def node_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(positions in ``indices``, term ids) of every token of the selected
         rows, row by row and in id order within a row."""
+        lengths, terms = self.row_tokens(indices)
+        return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths), terms
+
+    def row_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(token count of each selected row, term ids of every token of the
+        selected rows, row by row and in id order within a row)."""
         indices = np.asarray(indices)
         starts = self.indptr[indices]
         lengths = self.indptr[1:][indices] - starts
-        rows = np.repeat(np.arange(len(indices), dtype=np.int64), lengths)
-        if rows.size == 0:
-            return rows, np.empty(0, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        if not len(ends) or not ends[-1]:
+            return lengths, np.empty(0, dtype=np.int64)
         # a token's place in term_ids: its row's start plus its rank in the row
-        flat = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        flat += np.arange(rows.size, dtype=np.int64)
-        return rows, self.term_ids[flat]
+        flat = np.repeat(starts - (ends - lengths), lengths)
+        flat += np.arange(int(ends[-1]), dtype=np.int64)
+        return lengths, self.term_ids[flat]
 
     def first_bad(self, size: int | None) -> int | None:
         """The first row whose ids are not strictly increasing, non-negative

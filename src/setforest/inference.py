@@ -43,15 +43,19 @@ count ``k`` says it clears the first ``k`` threshold-sorted entries (a NaN
 clears none); per block, the entries are scattered into a table over the
 block's distinct counts and AND-accumulated down it, so every row reads
 the AND of its first ``k`` entries and the table never outgrows the block.
-A keyed feature gets, once per call, a table with one row of slot masks
-per key, the bytes of its packed int, and an all-ones row last for a
-missing, unseen or absent value. Values find their key rows with
-``searchsorted``, never by indexing with the value itself, because max-hash
-categorical values have no vocabulary and reach 2**63 - 1. A set feature
-ANDs the key rows of a block row's tokens together with ``reduceat``, over
-the rows that hold a known token only, gathering at most ``_GATHER_BYTES``
-of key rows at a time. A key table takes (keys + 1) x slots words per
-feature and lives for one call.
+A keyed feature gets, once per call, a key table: one row of slot masks per
+key, scattered from its entries, then a row of ones. Where the feature has a
+vocabulary, a value finds its row with one array index: an array over ids 0
+to the largest key + 1 holds each key's row and the ones row elsewhere, and
+values are clipped into it, so an id past the model's keys (a dataset's
+vocabulary may be larger than the model's) and ``MISSING_CATEGORY`` read the
+ones row. A feature without a vocabulary ranks its values among the keys
+with ``searchsorted`` instead: max-hash categorical values reach 2**63 - 1.
+A set feature ANDs the key rows of a block row's tokens together with
+``reduceat``, unknown tokens included, since their ones row changes nothing;
+the runs start where the CSR row lengths say, and at most ``_GATHER_BYTES``
+of key rows are gathered at a time. A key table takes (keys + 1) x slots
+words per feature and lives for one call, as does its lookup array.
 """
 
 from __future__ import annotations
@@ -337,21 +341,32 @@ def _cleared_masks(counts: np.ndarray, group: NumericalEntries, slots: int) -> n
     return np.bitwise_and.accumulate(table, axis=0)[inverse]
 
 
-def _keyed_table(group: KeyedEntries, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending keys, and per key a row of its packed masks, then a row
-    of ones for a value with no entry."""
-    keys = np.fromiter(group.packed, dtype=np.int64, count=len(group.packed))
-    width = _WORD.itemsize * slots
-    rows = [mask.to_bytes(width, "little") for mask in group.packed.values()]
-    rows.append(b"\xff" * width)
-    return keys, np.frombuffer(b"".join(rows), dtype=_WORD).reshape(len(rows), slots)
+def _keyed_table(group: KeyedEntries, slots: int) -> np.ndarray:
+    """Per key, in ascending key order, a row of its slot masks (ones at the
+    slots it has no entry in), then a row of ones for a value with no key."""
+    ends = np.fromiter((end for _, end in group.index.values()), dtype=np.int64,
+                       count=len(group.index))
+    table = np.full((len(ends) + 1, slots), _ALL, dtype=_WORD)
+    table[np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0)), group.tree_ids] = group.masks
+    return table
 
 
-def _key_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each value's table row: its rank among ``keys``, or ``len(keys)``."""
-    rank = np.searchsorted(keys, values)
-    found = keys[np.minimum(rank, len(keys) - 1)] == values
-    return np.where(found, rank, len(keys))
+def _key_finder(group: KeyedEntries, feature: Feature):
+    """A function from an int64 array of ids (or category values) to their
+    rows of ``_keyed_table``: a key's rank among the keys, else the ones row.
+    One array index where the feature has a vocabulary, whose size bounds the
+    keys; ``searchsorted`` where it has none (see the module docstring)."""
+    keys = np.fromiter(group.index, dtype=np.int64, count=len(group.index))
+    if feature.vocabulary is not None:
+        dense = np.full(int(keys[-1]) + 2, len(keys), dtype=np.intp)
+        dense[keys] = np.arange(len(keys))
+        return lambda values: dense[np.clip(values, -1, len(dense) - 1)]
+
+    def ranks(values):
+        rank = np.searchsorted(keys, values)
+        found = keys[np.minimum(rank, len(keys) - 1)] == values
+        return np.where(found, rank, len(keys))
+    return ranks
 
 
 def _check_schema(compiled: CompiledForest, dataset: Dataset) -> None:
@@ -379,14 +394,13 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
         counts[np.isnan(values)] = 0  # missing applies nothing
         numerical.append((counts, group))
     for f, group in compiled.keyed.items():
-        keys, table = _keyed_table(group, slots)
+        table, find = _keyed_table(group, slots), _key_finder(group, compiled.features[f])
         if compiled.features[f].ftype == FeatureType.CATEGORICAL:
-            values = np.asarray(dataset.columns[f], dtype=np.int64)[rows]
-            key_rows = np.where(values == MISSING_CATEGORY, len(keys), _key_rows(keys, values))
-            keyed.append((key_rows, table))
+            keyed.append((find(np.asarray(dataset.columns[f], dtype=np.int64)[rows]), table))
         else:
-            sets.append((dataset.columns[f], keys, table))
-    trees = np.arange(compiled.num_trees)
+            sets.append((dataset.columns[f], find, table))
+    width = compiled.leaf_values.shape[1]
+    tree_starts = np.arange(0, compiled.num_trees * width, width)
     tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
@@ -395,18 +409,21 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
         for counts, group in numerical:
             leafidx &= _cleared_masks(counts[lo:hi], group, slots)
         for key_rows, table in keyed:
-            leafidx &= table[key_rows[lo:hi]]
-        for index, keys, table in sets:
-            positions, terms = index.node_tokens(rows[lo:hi])
-            key_rows = _key_rows(keys, terms)
-            known = key_rows < len(keys)  # a row without a known token applies nothing
-            positions, key_rows = positions[known], key_rows[known]
-            # a row cut between two gathers gets both ANDs: the same bits
+            leafidx &= table.take(key_rows[lo:hi], axis=0)
+        for index, find, table in sets:
+            lengths, terms = index.row_tokens(rows[lo:hi])
+            key_rows = find(terms)  # an unknown token reads the ones row: a no-op
+            # the block rows that hold tokens, and their [begins, ends) among them
+            filled = np.flatnonzero(lengths)
+            ends = np.cumsum(lengths[filled])
+            begins = ends - lengths[filled]
+            # each gather ANDs into the rows its tokens [c, e) overlap; a row
+            # cut between two gathers gets both ANDs: the same bits
             for c in range(0, len(key_rows), tokens_per_gather):
-                part = positions[c:c + tokens_per_gather]
-                begins, _ = _runs(part)
-                leafidx[part[begins]] &= np.bitwise_and.reduceat(
-                    table[key_rows[c:c + tokens_per_gather]], begins)
-        values = compiled.leaf_values[trees, _leaf_positions(compiled, leafidx)]
+                e = c + tokens_per_gather
+                first, last = ends.searchsorted(c, "right"), begins.searchsorted(e)
+                leafidx[filled[first:last]] &= np.bitwise_and.reduceat(
+                    table.take(key_rows[c:e], axis=0), np.maximum(begins[first:last] - c, 0))
+        values = compiled.leaf_values.take(_leaf_positions(compiled, leafidx) + tree_starts)
         scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
     return scores

@@ -33,6 +33,10 @@ MODEL_VERSION = 1
 RF = "rf"
 MART = "mart"
 
+# the deepest tree trained or loaded, root at depth 0: every tree walk
+# recurses, and this leaves room under Python's default recursion limit
+MAX_TREE_DEPTH = 512
+
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
@@ -76,17 +80,20 @@ def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray):
     """Combine per-tree leaf values; shared by every evaluator so that the
     floating-point summation order is identical across them. One row of
     values gives a float; a C-contiguous (rows, trees) array gives a float64
-    array with each row's float, bit for bit."""
+    array with each row's float, bit for bit: a boosted forest's rows apply
+    ``sigmoid``'s formula inline, in one pass over the row sums."""
     if leaf_values.ndim == 1:
         if kind == RF:
             return float(leaf_values.mean())
         return sigmoid(initial_score + float(leaf_values.sum()))
     if kind == RF:
         return leaf_values.mean(axis=-1)
-    # the scalar sigmoid (math.exp), not np.exp: libm's bits are the reference
-    sums = leaf_values.sum(axis=-1).tolist()
-    return np.fromiter((sigmoid(initial_score + s) for s in sums), dtype=np.float64,
-                       count=len(sums))
+    # sigmoid's own formula inline, with math.exp, not np.exp: libm's bits
+    # are the reference
+    exp = math.exp
+    return np.array([1.0 / (1.0 + exp(-x)) if x >= 0 else (e := exp(x)) / (1.0 + e)
+                     for x in (leaf_values.sum(axis=-1) + initial_score).tolist()],
+                    dtype=np.float64)
 
 
 def predict(forest: DecisionForest, row: tuple) -> float:
@@ -159,17 +166,21 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict, features: list[Feature], id_lists, numbers) -> TreeNode:
-    """One node and its subtree; every leaf value and threshold also goes
-    onto ``numbers`` for ``forest_from_dict``'s finiteness check."""
+def _node_from_dict(data: dict, features: list[Feature], id_lists, numbers,
+                    room: int = MAX_TREE_DEPTH) -> TreeNode:
+    """One node and its subtree, which may be ``room`` levels deep below it;
+    every leaf value and threshold also goes onto ``numbers`` for
+    ``forest_from_dict``'s finiteness check."""
+    if room < 0:
+        raise ValueError(f"a tree is deeper than {MAX_TREE_DEPTH}")
     if "leaf" in data:
         value = float(data["leaf"])
         numbers.append(value)
         return Leaf(value)
     return Internal(
         condition_from_dict(data["split"], features, id_lists, numbers),
-        _node_from_dict(data["negative"], features, id_lists, numbers),
-        _node_from_dict(data["positive"], features, id_lists, numbers),
+        _node_from_dict(data["negative"], features, id_lists, numbers, room - 1),
+        _node_from_dict(data["positive"], features, id_lists, numbers, room - 1),
     )
 
 
@@ -188,21 +199,24 @@ def forest_to_dict(forest: DecisionForest) -> dict:
 def forest_from_dict(data: dict) -> DecisionForest:
     """Parse a model document, validating it against its own schema: the
     forest kind, every split's feature, kind and ids (see
-    ``condition_from_dict``), and finite thresholds, leaf values and initial
-    score. Raises ``ValueError``."""
+    ``condition_from_dict``), tree depth at most ``MAX_TREE_DEPTH``, finite
+    thresholds, leaf values and initial score, and an object of metadata.
+    Raises ``ValueError``."""
     if data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     if data.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {data.get('version')!r}")
     if data["kind"] not in (RF, MART):
         raise ValueError(f"unknown forest kind {data['kind']!r}")
+    if not isinstance(data.get("metadata", {}), dict):
+        raise ValueError("the model's metadata must be an object")
     try:
         features = [Feature.from_dict(f) for f in data["features"]]
         id_lists = defaultdict(list)
         numbers = [float(data["initial_score"])]
         trees = [_node_from_dict(t, features, id_lists, numbers) for t in data["trees"]]
         check_id_lists(id_lists, features)
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if not np.isfinite(np.fromiter(numbers, dtype=np.float64, count=len(numbers))).all():
         raise ValueError("thresholds, leaf values and the initial score must be finite")

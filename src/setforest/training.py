@@ -51,7 +51,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, FeatureType
 from .inference import compile_forest, predict_dataset
-from .model import MART, RF, DecisionForest, Internal, Leaf, TreeNode
+from .model import MART, MAX_TREE_DEPTH, RF, DecisionForest, Internal, Leaf, TreeNode
 from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
@@ -87,6 +87,8 @@ class TrainConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.num_trees < 1 or self.max_depth < 1 or self.min_examples_per_leaf < 1:
             raise ValueError("num_trees, max_depth, min_examples_per_leaf must be >= 1")
+        if self.max_depth > MAX_TREE_DEPTH:
+            raise ValueError(f"max_depth must be <= {MAX_TREE_DEPTH}")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
         if not 0.0 < self.shrinkage <= 1.0:

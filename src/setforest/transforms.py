@@ -375,10 +375,12 @@ class TransformChain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransformChain":
-        steps = []
-        for spec in data.get("steps", []):
-            steps.append(_STEP_TYPES[spec["step"]].from_dict(spec))
-        return cls(steps)
+        """Raises ``ValueError`` for a malformed chain document."""
+        try:
+            return cls([_STEP_TYPES[spec["step"]].from_dict(spec)
+                        for spec in data.get("steps", [])])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed transform chain: {exc!r}") from None
 
 
 def make_chain(

@@ -5,6 +5,7 @@ import pytest
 
 import setforest as sf
 from setforest.cli import _KEYS, ConfigError, main, parse_config
+from setforest.model import MAX_TREE_DEPTH
 
 from helpers import one_split_document
 
@@ -70,6 +71,7 @@ OUT_OF_RANGE = [
     ("train", "algorithm", "xgb"),
     ("train", "num_trees", "0"),
     ("train", "max_depth", "-1"),
+    ("train", "max_depth", "513"),
     ("train", "min_examples_per_leaf", "0"),
     ("train", "features_per_node", "0"),
     ("train", "sampling_rate", "0"),
@@ -182,6 +184,74 @@ class TestExitCodes:
                        encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 2
         assert ":4:" in capsys.readouterr().err
+
+
+def _chain_tree(depth, leaf=0.5):
+    """A tree whose positive branches nest ``depth`` splits deep."""
+    node = {"leaf": leaf}
+    for _ in range(depth):
+        node = {"split": {"kind": "set_intersects", "feature": 0, "mask": [0]},
+                "negative": {"leaf": 0.1}, "positive": node}
+    return node
+
+
+def _cut_vocabulary(meta):
+    meta["pipeline"]["vocabulary"] = {
+        key: values[:5] for key, values in meta["pipeline"]["vocabulary"].items()}
+
+
+class TestModelOnLoad:
+    """``predict`` and ``bench`` check the whole model document once, on
+    load: a malformed ingest pipeline, a pipeline that disagrees with the
+    model, or a tree or document nested too deeply is a data error (exit 2)."""
+
+    @pytest.fixture()
+    def trained(self, tmp_path, corpus_path, capsys):
+        assert main(["train", "--config", str(_config(tmp_path, corpus_path))]) == 0
+        capsys.readouterr()
+        model = tmp_path / "out" / "model.json"
+        return model, json.loads(model.read_text())
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(metadata=[]),
+        lambda doc: doc["metadata"]["pipeline"].pop("vocabulary"),
+        lambda doc: doc["metadata"].pop("pipeline"),
+        lambda doc: doc["metadata"].update(transform_chain=[1]),
+        lambda doc: doc["metadata"]["pipeline"]["vocabulary"].update(terms=7),
+        lambda doc: doc["metadata"].update(transform_chain={"steps": [{"k": 3}]}),
+        lambda doc: doc["metadata"]["pipeline"].update(kind="csv"),
+        lambda doc: _cut_vocabulary(doc["metadata"]),
+    ], ids=["metadata_list", "no_vocabulary", "no_pipeline", "chain_list", "terms_int",
+            "step_without_name", "csv_without_features", "vocabulary_cut_to_5"])
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_bad_pipeline_is_two(self, trained, corpus_path, tmp_path, capsys, corrupt,
+                                 command):
+        model, document = trained
+        corrupt(document)
+        model.write_text(json.dumps(document), encoding="utf-8")
+        argv = [command, str(model), str(corpus_path)]
+        if command == "bench":
+            argv += ["--set", f"output={tmp_path / 'bench'}"]
+        assert main(argv) == 2
+        assert "cannot load model" in capsys.readouterr().err
+
+    def test_tree_deeper_than_the_bound_is_two(self, tmp_path, corpus_path, capsys):
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["features"] = text = document["features"][:1]
+        document["metadata"] = {"pipeline": {"kind": "text", "vocabulary": text[0]["vocabulary"]}}
+        model = tmp_path / "model.json"
+        for depth, code in ((MAX_TREE_DEPTH, 0), (MAX_TREE_DEPTH + 1, 2)):
+            document["trees"] = [_chain_tree(depth)]
+            model.write_text(json.dumps(document), encoding="utf-8")
+            assert main(["predict", str(model), str(corpus_path)]) == code
+        assert f"deeper than {MAX_TREE_DEPTH}" in capsys.readouterr().err
+
+    def test_document_nested_too_deeply_is_two(self, tmp_path, corpus_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"format": "setforest-model", "trees": ' + "[" * 5000
+                         + "]" * 5000 + "}", encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestTrainPredict:

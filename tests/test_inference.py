@@ -562,3 +562,122 @@ class TestPredictDataset:
                                     [np.array([0.0, 1.0])], [0, 1])
         with pytest.raises(ValueError, match="numerical in the dataset and set in the model"):
             predict_dataset(compiled, numbers)
+
+
+def _assert_batch_agrees(forest, ds):
+    """``predict_dataset`` equals per-row ``predict_compiled`` and
+    ``predict_top_down`` bit for bit, over every row and a shuffled selection."""
+    compiled = compile_forest(forest)
+    rows = ds.rows()
+    per_row = np.array([predict_compiled(compiled, row) for row in rows], dtype=np.float64)
+    top_down = np.array([predict_top_down(forest, row) for row in rows], dtype=np.float64)
+    batch = predict_dataset(compiled, ds)
+    assert batch.tobytes() == per_row.tobytes() == top_down.tobytes()
+    shuffled = np.random.default_rng(0).permutation(ds.n_examples)
+    assert predict_dataset(compiled, ds, shuffled).tobytes() == per_row[shuffled].tobytes()
+    return batch
+
+
+class TestBatchKeyLookup:
+    """``predict_dataset`` finds a value's key row by indexing one array over
+    the model's keys where the feature has a vocabulary, and with
+    ``searchsorted`` where it has none; a value that is no key reads the row
+    of ones."""
+
+    @staticmethod
+    def _set_and_category_forest(kind, vocab_size, rng):
+        vocab = make_vocab([f"v{i}" for i in range(vocab_size)])
+        features = [sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, vocab),
+                    sf.Feature("c", sf.FeatureType.CATEGORICAL, vocab)]
+
+        def tree(n_leaves):
+            if n_leaves == 1:
+                return sf.Leaf(float(rng.normal()))
+            ids = tuple(sorted(set(rng.integers(0, vocab_size, size=2).tolist())))
+            cond = sf.SetIntersects(0, ids) if rng.random() < 0.5 else \
+                sf.CategoryIn(1, frozenset(ids))
+            k = int(rng.integers(1, n_leaves))
+            return sf.Internal(cond, tree(k), tree(n_leaves - k))
+
+        return sf.DecisionForest(kind, [tree(9), tree(70), tree(3)],
+                                 0.0 if kind == "rf" else 0.4, features, {})
+
+    @pytest.mark.parametrize("kind", ["rf", "mart"])
+    def test_dataset_vocabulary_larger_than_the_models(self, kind):
+        # the model knows terms 0..7, the dataset's vocabulary 0..11: ids past
+        # the model's largest key read the row of ones, as does a missing category
+        rng = np.random.default_rng(11)
+        forest = forest_from_json(forest_to_json(self._set_and_category_forest(kind, 8, rng)))
+        wide = make_vocab([f"v{i}" for i in range(12)])
+        features = [sf.Feature(f.name, f.ftype, wide) for f in forest.features]
+        n = _BLOCK_ROWS + 40
+        sets = [None if u < 0.1 else
+                tuple(sorted(set(rng.integers(0, 12, size=int(rng.integers(0, 6))).tolist())))
+                for u in rng.random(n)]
+        categories = rng.integers(-1, 12, size=n)
+        ds = sf.Dataset.create(features, [sets, categories], np.zeros(n, dtype=np.int64))
+        assert max(max(s) for s in sets if s) == 11 and categories.max() == 11
+        _assert_batch_agrees(forest, ds)
+
+    def test_set_feature_without_a_vocabulary(self):
+        # hashed-style ids up to 2**62: one array indexed by id would not fit
+        big = [3, 2**40 + 1, 2**61, 2**62 - 5, 2**62]
+        feature = sf.Feature("h", sf.FeatureType.CATEGORICAL_SET, None)
+        trees = [
+            sf.Internal(sf.SetIntersects(0, (big[1], big[3])), sf.Leaf(0.1),
+                        sf.Internal(sf.SetIntersects(0, (big[4],)), sf.Leaf(0.6), sf.Leaf(0.9))),
+            sf.Internal(sf.SetIntersects(0, (big[0], big[2])), sf.Leaf(0.2), sf.Leaf(0.7)),
+        ]
+        forest = forest_from_json(forest_to_json(sf.DecisionForest(
+            "rf", trees, 0.0, [feature], {})))
+        values = big + [0, 4, 2**62 - 1, 2**62 + 1, 2**63 - 1]
+        rng = np.random.default_rng(2)
+        sets = [None, ()] + [tuple(sorted(set(rng.choice(values, size=int(k)).tolist())))
+                             for k in rng.integers(1, 5, size=60)]
+        ds = sf.Dataset.create([feature], [sets], np.zeros(len(sets), dtype=np.int64))
+        _assert_batch_agrees(forest, ds)
+
+    @pytest.mark.parametrize("gather_tokens", [None, 3])
+    def test_rows_of_unknown_tokens_missing_and_empty(self, monkeypatch, gather_tokens):
+        # the model splits on terms 0..3 only; across a block boundary, rows
+        # hold only terms 4..7, or are missing, or empty, between known rows.
+        # With a 3-token gather budget, rows are cut between gathers too
+        rng = np.random.default_rng(4)
+        ds_vocab = make_vocab([f"v{i}" for i in range(8)])
+        feature = sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, ds_vocab)
+
+        def tree(n_leaves):
+            if n_leaves == 1:
+                return sf.Leaf(float(rng.normal()))
+            k = int(rng.integers(1, n_leaves))
+            ids = tuple(sorted(set(rng.integers(0, 4, size=2).tolist())))
+            return sf.Internal(sf.SetIntersects(0, ids), tree(k), tree(n_leaves - k))
+
+        forest = sf.DecisionForest("mart", [tree(5), tree(66)], -0.3, [feature], {})
+        pattern = [None, (), (4, 5, 6, 7), (5,), (0, 4), (1, 2, 3, 6), (), None, (7,)]
+        n = 2 * _BLOCK_ROWS + 5
+        sets = [pattern[int(i)] for i in rng.integers(0, len(pattern), size=n)]
+        sets[_BLOCK_ROWS - 2:_BLOCK_ROWS + 3] = [(4, 6), None, (), (5, 7), (0,)]
+        ds = sf.Dataset.create([feature], [sets], np.zeros(n, dtype=np.int64))
+        if gather_tokens is not None:
+            slots = len(compile_forest(forest).default_masks)
+            monkeypatch.setattr("setforest.inference._GATHER_BYTES", 8 * slots * gather_tokens)
+        _assert_batch_agrees(forest, ds)
+
+    def test_boosted_sums_reach_both_exp_branches(self):
+        # leaf values of +-20 over two trees and an initial score: the row
+        # sums span about -40..40, through both sides of the sigmoid formula
+        vocab = make_vocab([f"v{i}" for i in range(4)])
+        feature = sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, vocab)
+        trees = [
+            sf.Internal(sf.SetIntersects(0, (0,)), sf.Leaf(-19.75),
+                        sf.Internal(sf.SetIntersects(0, (1,)), sf.Leaf(0.0), sf.Leaf(20.0))),
+            sf.Internal(sf.SetIntersects(0, (2, 3)), sf.Leaf(-20.0),
+                        sf.Internal(sf.SetIntersects(0, (3,)), sf.Leaf(1e-9), sf.Leaf(19.5))),
+        ]
+        forest = sf.DecisionForest("mart", trees, -0.25, [feature], {})
+        sets = [tuple(t for t in range(4) if bits >> t & 1) for bits in range(16)] + [None]
+        ds = sf.Dataset.create([feature], [sets], np.zeros(len(sets), dtype=np.int64))
+        scores = _assert_batch_agrees(forest, ds)
+        assert scores.min() < 1e-17 and scores.max() == 1.0
+        assert len(set(scores.tolist())) > 5

@@ -4,6 +4,7 @@ import pytest
 import setforest as sf
 from setforest.model import (
     MART,
+    MAX_TREE_DEPTH,
     RF,
     aggregate,
     count_leaves,
@@ -12,6 +13,7 @@ from setforest.model import (
     forest_from_json,
     forest_to_json,
     leaf_depths,
+    max_depth,
     route,
     sigmoid,
 )
@@ -93,6 +95,27 @@ class TestTreeWalkers:
             scalar = np.array([route(tree, ds.row(i)).value for i in idx])
             np.testing.assert_array_equal(bulk, scalar)
 
+    def test_walkers_reach_the_depth_bound(self):
+        # a chain of MAX_TREE_DEPTH splits nested along its positive branches
+        # (1000 raised RecursionError in the JSON writer, the compiler and
+        # count_nodes)
+        vocab = sf.Vocabulary(("a", "b"), (2, 1))
+        feature = sf.Feature("text", sf.FeatureType.CATEGORICAL_SET, vocab)
+        node = sf.Leaf(1.0)
+        for depth in range(MAX_TREE_DEPTH):
+            node = sf.Internal(sf.SetIntersects(0, (depth % 2,)), sf.Leaf(depth / 1000), node)
+        forest = sf.DecisionForest(RF, [node], 0.0, [feature], {})
+        assert max_depth(node) == MAX_TREE_DEPTH and count_nodes(node) == 2 * MAX_TREE_DEPTH + 1
+        assert leaf_depths(node)[-1] == MAX_TREE_DEPTH
+        text = forest_to_json(forest)
+        assert forest_to_json(forest_from_json(text)) == text
+        ds = sf.Dataset.create([feature], [[(), (0,), (1,), (0, 1), None]], [0] * 5)
+        compiled = sf.compile_forest(forest)
+        expected = [sf.predict(forest, row) for row in ds.rows()]
+        assert expected == [0.511, 0.511, 0.51, 1.0, 0.511]
+        assert [sf.predict_compiled(compiled, row) for row in ds.rows()] == expected
+        assert sf.predict_dataset(compiled, ds).tolist() == expected
+
     def test_predict_schema_mismatch(self):
         _, forest = _trained(seed=4)
         with pytest.raises(ValueError, match="schema"):
@@ -152,6 +175,40 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             forest_from_dict(one_split_document(
                 {"kind": "category_in", "feature": 1, "values": values}))
+
+    def test_tree_past_the_depth_bound_rejected(self):
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        for _ in range(MAX_TREE_DEPTH - 1):
+            document["trees"][0] = {"split": {"kind": "set_intersects", "feature": 0,
+                                              "mask": [1]},
+                                    "negative": {"leaf": 0.5}, "positive": document["trees"][0]}
+        forest_from_dict(document)  # leaves at depth MAX_TREE_DEPTH
+        document["trees"][0] = {"split": {"kind": "category_in", "feature": 1, "values": [0]},
+                                "negative": document["trees"][0], "positive": {"leaf": 0.5}}
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TREE_DEPTH}"):
+            forest_from_dict(document)
+
+    @pytest.mark.parametrize("metadata", [[], "x", 3, None])
+    def test_metadata_must_be_an_object(self, metadata):
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["metadata"] = metadata
+        with pytest.raises(ValueError, match="metadata must be an object"):
+            forest_from_dict(document)
+
+    @pytest.mark.parametrize("vocabulary", [
+        {"terms": 3, "frequencies": [1]},
+        {"terms": "abc", "frequencies": [1, 1, 1]},
+        {"terms": ["a", "a", "b"], "frequencies": [3, 2, 1]},
+        {"terms": ["a", "b", "c"], "frequencies": [3, 2]},
+        {"terms": ["a", 2, "c"], "frequencies": [3, 2, 1]},
+        {"terms": ["a", "b", "c"], "frequencies": [3, 2.0, 1]},
+        {"terms": ["a", "b", "c"]},
+    ])
+    def test_bad_vocabulary_rejected(self, vocabulary):
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["features"][0]["vocabulary"] = vocabulary
+        with pytest.raises(ValueError):
+            forest_from_dict(document)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("where", ["leaf", "threshold", "initial_score"])

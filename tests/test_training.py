@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import setforest as sf
 from setforest import training
 from setforest.dataset import FeatureType
-from setforest.model import Internal, Leaf, max_depth
+from setforest.model import MAX_TREE_DEPTH, Internal, Leaf, max_depth
 from setforest.rng import make_rng
 from setforest.splits import find_set_mask_split
 from setforest.training import (
@@ -148,7 +148,7 @@ class TestTrainingMemory:
         # traced peak of 2.9 MiB; 17.2 MiB when every node keeps its tokens
         # until its subtree is grown
         ds = _chain_dataset()
-        config = sf.TrainConfig.random_forest(num_trees=1, max_depth=10_000,
+        config = sf.TrainConfig.random_forest(num_trees=1, max_depth=MAX_TREE_DEPTH,
                                               sampling_rate=1.0, seed=0)
         tracemalloc.start()
         try:
@@ -295,7 +295,7 @@ class TestPooledForest:
         ds = sf.Dataset.create([sf.Feature("x", FeatureType.NUMERICAL)],
                                [np.arange(n, dtype=np.float64)], np.arange(n) % 2,
                                0.6 ** np.arange(n))
-        config = sf.TrainConfig.random_forest(num_trees=2, max_depth=10_000, seed=0)
+        config = sf.TrainConfig.random_forest(num_trees=2, max_depth=MAX_TREE_DEPTH, seed=0)
         serial = _serial_bytes(ds, config)
         _force_workers(monkeypatch, 2)
         forest = sf.train(ds, config)
@@ -509,6 +509,7 @@ class TestConfigValidation:
         {"features_per_node": "half"},
         {"features_per_node": 0},
         {"algorithm": "xgb"},
+        {"max_depth": MAX_TREE_DEPTH + 1},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
