@@ -49,6 +49,7 @@ from .model import (
     DecisionForest,
     Internal,
     Leaf,
+    Tree,
     forest_from_json,
     forest_to_json,
     load_forest,

@@ -43,6 +43,7 @@ from .evaluation import (
     sampling_rate_sweep,
     summary_csv,
     summary_table,
+    text_pipeline,
 )
 from .inference import compile_forest, predict_dataset, predict_top_down
 from .model import MAX_TREE_DEPTH, DecisionForest, load_forest, save_forest
@@ -313,7 +314,7 @@ def cmd_train(cfg: RunConfig) -> int:
         token_sets, labels = load_labeled_text(cfg["data"])
         vocab = build_vocabulary(token_sets, cfg["vocab_size"], cfg["min_frequency"])
         dataset = dataset_from_token_sets(token_sets, vocab, labels)
-        pipeline = {"kind": "text", "vocabulary": vocab.to_dict()}
+        pipeline = text_pipeline(vocab)
     else:
         dataset = load_csv(cfg["data"], _parse_columns(cfg),
                            label_column=cfg["label"], weight_column=cfg["weight"])

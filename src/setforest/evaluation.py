@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import DataError, build_vocabulary, dataset_from_token_sets
+from .dataset import DataError, Vocabulary, build_vocabulary, dataset_from_token_sets
 from .inference import (CompiledForest, compile_forest, predict_compiled, predict_dataset,
                         predict_top_down)
 from .model import DecisionForest, count_leaves, count_nodes, leaf_depths
@@ -80,18 +80,12 @@ def structure_stats(forest: DecisionForest) -> StructureStats:
     """
     if not forest.trees:
         raise ValueError("structure stats need at least one tree")
-    mean_depths = []
-    nodes = []
-    leaves = []
-    for tree in forest.trees:
-        depths = leaf_depths(tree)
-        mean_depths.append(float(np.mean(depths)))
-        nodes.append(count_nodes(tree))
-        leaves.append(count_leaves(tree))
-    avg_depth = float(np.mean(mean_depths))
-    leaves_per_tree = float(np.mean(leaves))
+    trees = forest.trees
+    avg_depth = float(np.mean([np.mean(leaf_depths(tree)) for tree in trees]))
+    leaves_per_tree = float(np.mean([count_leaves(tree) for tree in trees]))
     balance = 1.0 if avg_depth == 0 else math.log2(leaves_per_tree) / avg_depth
-    return StructureStats(avg_depth, float(np.mean(nodes)), leaves_per_tree, balance)
+    return StructureStats(avg_depth, float(np.mean([count_nodes(tree) for tree in trees])),
+                          leaves_per_tree, balance)
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,12 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return blocks
 
 
+def text_pipeline(vocabulary: Vocabulary) -> dict:
+    """A model's ``metadata.pipeline`` when it scores raw text: tokenized,
+    then encoded with ``vocabulary`` (``cli`` reads it back)."""
+    return {"kind": "text", "vocabulary": vocabulary.to_dict()}
+
+
 def _fit_fold(token_sets, labels, weights, train_idx, method: MethodSpec,
               vocab_size, min_frequency, fold_seed, chain_seed):
     vocab = build_vocabulary((token_sets[i] for i in train_idx),
@@ -162,6 +162,8 @@ def _fit_fold(token_sets, labels, weights, train_idx, method: MethodSpec,
         train_ds = chain.fit_transform(train_ds)
     config = replace(method.config, seed=fold_seed)
     forest = train(train_ds, config)
+    forest.metadata["pipeline"] = text_pipeline(vocab)
+    forest.metadata["transform_chain"] = chain.to_dict() if chain else None
     return vocab, chain, forest
 
 
@@ -185,8 +187,10 @@ def cross_validate(
     weights=None,
     keep_models: bool = False,
 ) -> EvaluationReport:
-    """K-fold evaluation of one method on a tokenized corpus. Raises
-    ``DataError`` when a fold's training or test labels hold one class."""
+    """K-fold evaluation of one method on a tokenized corpus. A kept fold
+    model holds its ingest pipeline in its metadata (``text_pipeline``).
+    Raises ``DataError`` when a fold's training or test labels hold one
+    class."""
     labels = np.asarray(labels, dtype=np.int64)
     blocks = fold_indices(len(labels), folds, seed)
     fold_aucs: list[float] = []

@@ -13,6 +13,11 @@ holds:
 * a categorical node stores one entry per value of its value set, applied
   when the example carries that value.
 
+The compiler reads the trees' preorder node arrays (``model.Tree``),
+stacked into one forest, and walks no tree: a node's leaf span starts at
+the count of its tree's leaves before it, and its negative subtree's span
+ends where its positive child's starts.
+
 Each tree's bits fill ``words_per_tree`` uint64 words: as many as the
 widest tree of the forest needs. Word ``w`` of tree ``t`` is the slot
 ``t * words_per_tree + w``, and a node stores a mask only for the words in
@@ -65,9 +70,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .conditions import NumericalGE, SetIntersects
 from .dataset import Dataset, Feature, FeatureType, MISSING_CATEGORY
-from .model import DecisionForest, Internal, Leaf, aggregate, predict
+from .model import LEAF, DecisionForest, Tree, aggregate, predict, stack_trees
 
 _ONE = np.uint64(1)
 _ALL = np.uint64(2**64 - 1)
@@ -137,68 +141,42 @@ def _runs(*columns: np.ndarray):
     return begins, np.append(begins[1:], len(new))
 
 
+def _negative_spans(nodes: Tree, starts: np.ndarray):
+    """The internal nodes of a ``stack_trees`` forest, by index, and the leaf
+    positions [lo, hi) of each one's negative subtree in its tree (see the
+    module docstring)."""
+    is_leaf = nodes.kind == LEAF
+    before = np.cumsum(is_leaf) - is_leaf
+    lo = before - np.repeat(before[starts[:-1]], np.diff(starts))
+    internal = np.flatnonzero(~is_leaf)
+    return internal, lo[internal], lo[nodes.positive[internal]]
+
+
 def compile_forest(forest: DecisionForest) -> CompiledForest:
-    # one walk per tree lists its nodes in preorder: the first leaf of the
-    # node's span, the leaf count of its negative subtree, its feature, and
-    # its threshold or its terms (a keyed node's threshold is NaN, which also
-    # drops a NaN-threshold numerical node: it never holds)
-    los, n_lefts, node_features, thresholds, key_counts, keys, values = ([] for _ in range(7))
-
-    def walk(node: Internal, lo: int) -> int:
-        # a leaf child is listed here, not in a call of its own
-        i, cond = len(los), node.condition
-        los.append(lo)
-        n_lefts.append(0)
-        node_features.append(cond.feature)
-        if type(cond) is NumericalGE:
-            thresholds.append(cond.threshold)
-            key_counts.append(0)
-        else:
-            terms = cond.mask if type(cond) is SetIntersects else cond.values
-            thresholds.append(np.nan)
-            key_counts.append(len(terms))
-            keys.extend(terms)
-        child = node.negative
-        if type(child) is Leaf:
-            values.append(child.value)
-            n_left = 1
-        else:
-            n_left = walk(child, lo)
-        n_lefts[i] = n_left
-        child = node.positive
-        if type(child) is Leaf:
-            values.append(child.value)
-            return n_left + 1
-        return n_left + walk(child, lo + n_left)
-
+    nodes, starts = stack_trees(forest.trees)
     num_trees = len(forest.trees)
-    num_leaves, node_ends = [], []
-    for tree in forest.trees:
-        if type(tree) is Leaf:
-            values.append(tree.value)
-            num_leaves.append(1)
-        else:
-            num_leaves.append(walk(tree, 0))
-        node_ends.append(len(los))
-    num_leaves = np.array(num_leaves, dtype=np.int64)
+    is_leaf = nodes.kind == LEAF
+    num_leaves = np.diff(np.searchsorted(np.flatnonzero(is_leaf), starts))
     words = max(1, -(-int(num_leaves.max(initial=1)) // 64))
     leaf_values = np.zeros((num_trees, 64 * words))
-    leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = values
+    leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = \
+        nodes.value[is_leaf]
     default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
 
-    # one entry per (node, word in which the node clears leaves): the word's
-    # leaves minus the node's negative span [lo, hi)
-    lo = np.array(los, dtype=np.int64)
-    hi = lo + np.array(n_lefts, dtype=np.int64)
+    # one entry per (internal node, word in which the node clears leaves): the
+    # word's leaves minus the node's negative span [lo, hi). A keyed node's
+    # threshold is NaN, which also drops a NaN-threshold numerical node: it
+    # never holds
+    internal, lo, hi = _negative_spans(nodes, starts)
     span = (hi - 1) // 64 - lo // 64 + 1
     node = np.repeat(np.arange(len(lo)), span)
     word = _ranges(lo // 64, span)
     begin = np.maximum(lo[node] - 64 * word, 0)
     count = np.minimum(hi[node] - 64 * word, 64) - begin
-    slots = np.searchsorted(node_ends, node, side="right") * words + word
+    slots = (np.searchsorted(starts, internal, side="right") - 1)[node] * words + word
     masks = default_masks[slots] ^ (_low_bits(count) << begin.astype(np.uint64))
-    feature = np.array(node_features, dtype=np.int64)[node]
-    threshold = np.array(thresholds, dtype=np.float64)[node]
+    feature = nodes.feature[internal][node]
+    threshold = nodes.threshold[internal][node]
 
     # numerical entries sort by (feature, threshold, slot); lexsort is
     # stable, so ties keep preorder
@@ -210,10 +188,9 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     # keyed entries repeat once per term of their node and sort by
     # (feature, term, slot), each key cast to its narrowest dtype (lexsort
     # radix-sorts up to 16 bits); the masks of equal triples AND-combine
-    key_count = np.array(key_counts, dtype=np.int64)
+    key_count = np.diff(nodes.id_ends, prepend=0)[internal]
     per_entry = key_count[node]
-    term = np.fromiter(keys, dtype=np.int64, count=len(keys))[
-        _ranges((np.cumsum(key_count) - key_count)[node], per_entry)]
+    term = nodes.ids[_ranges((nodes.id_ends[internal] - key_count)[node], per_entry)]
     feature, slots = np.repeat(feature, per_entry), np.repeat(slots, per_entry)
     order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)))
                         for a in (slots, term, feature)])

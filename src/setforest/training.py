@@ -19,16 +19,17 @@ seed) gives a bit-identical serialized model.
 
 A random forest's trees grow in a pool of forked worker processes, one per
 CPU in ``os.sched_getaffinity(0)`` and at most one per tree; ``taskset``
-limits them. The workers inherit the dataset by fork, each tree comes back
-in tree order, and the model bytes are the same at any worker count. The
-trees grow in this process instead where there is one CPU or one tree,
-where ``os.fork`` or ``os.sched_getaffinity`` is missing, in a daemonic
-process and while other threads are alive. The pool's modules are imported
-only when a pool starts. The pool is shut down before ``train`` returns or
-raises, and a worker exits by itself once the training process is gone.
-MART grows its rounds one after another in this process.
+limits them. The workers inherit the dataset by fork, each ``Tree`` comes
+back as its flat arrays, in tree order, and the model bytes are the same at
+any worker count. The trees grow in this process instead where there is one
+CPU or one tree, where ``os.fork`` or ``os.sched_getaffinity`` is missing, in
+a daemonic process and while other threads are alive. The pool's modules are
+imported only when a pool starts. The pool is shut down before ``train``
+returns or raises, and a worker exits by itself once the training process is
+gone. MART grows its rounds one after another in this process.
 
-A node routes its rows with the partition its winning splitter returns
+The grower appends its nodes to a ``model.TreeBuilder`` in preorder. A node
+routes its rows with the partition its winning splitter returns
 (``SplitCandidate.positive``). A set feature's tokens are gathered from the
 CSR index only where a node first samples it; each child then inherits its
 share of its parent's tokens, in the order the index would give them. A node
@@ -51,7 +52,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, FeatureType
 from .inference import compile_forest, predict_dataset
-from .model import MART, MAX_TREE_DEPTH, RF, DecisionForest, Internal, Leaf, TreeNode
+from .model import MART, MAX_TREE_DEPTH, RF, DecisionForest, Tree, TreeBuilder
 from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
@@ -148,7 +149,7 @@ class _TreeGrower:
         self.leaf_value = leaf_value
         self.tree_tag = tree_tag
         self.fitted = fitted
-        self.node_counter = 0
+        self.nodes = TreeBuilder()
         f = dataset.n_features
         policy = config.features_per_node
         if policy == "sqrt":
@@ -158,8 +159,9 @@ class _TreeGrower:
         else:
             self.features_per_node = min(f, int(policy))
 
-    def grow(self, indices) -> TreeNode:
-        return self._grow(np.asarray(indices, dtype=np.int64), 0, {})
+    def grow(self, indices) -> Tree:
+        self._grow(np.asarray(indices, dtype=np.int64), 0, {})
+        return self.nodes.tree()
 
     def _find_split(self, feature: int, indices, node_targets, node_weights, node_id,
                     tokens: dict):
@@ -179,11 +181,11 @@ class _TreeGrower:
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
             tokens=tokens[feature])
 
-    def _grow(self, indices, depth, tokens: dict) -> TreeNode:
-        """Grow the subtree of the rows ``indices``; ``tokens`` maps each set
-        feature gathered so far to its (rows, terms) over these rows."""
-        node_id = self.node_counter
-        self.node_counter += 1
+    def _grow(self, indices, depth, tokens: dict) -> None:
+        """Append the subtree of the rows ``indices`` to ``self.nodes``, in
+        preorder; ``tokens`` maps each set feature gathered so far to its
+        (rows, terms) over these rows."""
+        node_id = len(self.nodes)
         cfg = self.config
         node_targets = self.targets[indices]
         if (
@@ -212,15 +214,16 @@ class _TreeGrower:
         # child's tokens here once that child is grown
         children = [_child_tokens(tokens, ~pos), _child_tokens(tokens, pos)]
         tokens.clear()
-        negative = self._grow(indices[~pos], depth + 1, children.pop(0))
-        positive = self._grow(indices[pos], depth + 1, children.pop())
-        return Internal(best.condition, negative, positive)
+        split = self.nodes.split(best.condition)
+        self._grow(indices[~pos], depth + 1, children.pop(0))
+        self.nodes.positive_next(split)
+        self._grow(indices[pos], depth + 1, children.pop())
 
-    def _leaf(self, indices) -> Leaf:
+    def _leaf(self, indices) -> None:
         value = self.leaf_value(indices)
         if self.fitted is not None:
             self.fitted[indices] = value
-        return Leaf(value)
+        self.nodes.leaf(value)
 
 
 def _child_tokens(tokens: dict, side: np.ndarray) -> dict:
@@ -234,7 +237,7 @@ def _child_tokens(tokens: dict, side: np.ndarray) -> dict:
     return child
 
 
-def _tree_values(tree: TreeNode, dataset: Dataset, rows) -> np.ndarray:
+def _tree_values(tree: Tree, dataset: Dataset, rows) -> np.ndarray:
     """The leaf values ``tree`` gives the dataset rows ``rows``: a one-tree
     random forest predicts the mean of one value, that value bit for bit."""
     forest = DecisionForest(RF, [tree], 0.0, dataset.features)
@@ -251,7 +254,7 @@ def _config_metadata(config: TrainConfig) -> dict:
 
 def grow_tree(dataset: Dataset, config: TrainConfig, indices=None,
               objective: str = CLASSIFICATION, targets=None, tree_tag: int = 0,
-              leaf_value=None, fitted=None) -> TreeNode:
+              leaf_value=None, fitted=None) -> Tree:
     """Grow a single tree on the rows ``indices`` (default: all).
 
     Leaves hold ``leaf_value(rows)`` of the rows that reach them, by default
@@ -310,35 +313,6 @@ def _forest_workers(num_trees: int) -> int:
     return min(len(os.sched_getaffinity(0)), num_trees)
 
 
-def _tree_preorder(tree: TreeNode) -> list:
-    """``tree`` as a flat list, each node before its negative and then its
-    positive subtree: an internal node as its condition, a leaf as itself.
-    Pickling the list takes no recursion however deep the tree is."""
-    nodes, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            nodes.append(node)
-        else:
-            nodes.append(node.condition)
-            stack += (node.positive, node.negative)
-    return nodes
-
-
-def _tree_from_preorder(nodes: list) -> TreeNode:
-    """The tree that ``_tree_preorder`` listed as ``nodes``."""
-    items = iter(nodes)
-
-    def build():
-        item = next(items)
-        if isinstance(item, Leaf):
-            return item
-        negative = build()
-        return Internal(item, negative, build())
-
-    return build()
-
-
 # a pool worker's (dataset, config), set when the worker starts
 _worker_job = None
 
@@ -359,9 +333,9 @@ def _start_worker(parent: int, dataset: Dataset, config: TrainConfig) -> None:
 
 
 def _pooled_forest_tree(i: int):
-    """``_forest_tree`` in a pool worker, the tree sent back in preorder."""
-    tree, oob = _forest_tree(*_worker_job, i)
-    return _tree_preorder(tree), oob
+    """``_forest_tree`` in a pool worker. A ``Tree`` pickles as flat arrays,
+    however deep it is."""
+    return _forest_tree(*_worker_job, i)
 
 
 def _pooled_forest_trees(dataset: Dataset, config: TrainConfig, workers: int) -> list:
@@ -375,8 +349,7 @@ def _pooled_forest_trees(dataset: Dataset, config: TrainConfig, workers: int) ->
                                initializer=_start_worker,
                                initargs=(os.getpid(), dataset, config))
     try:
-        return [(_tree_from_preorder(nodes), oob) for nodes, oob in
-                pool.map(_pooled_forest_tree, range(config.num_trees), chunksize=1)]
+        return list(pool.map(_pooled_forest_tree, range(config.num_trees), chunksize=1))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -435,7 +408,7 @@ def train_mart(dataset: Dataset, config: TrainConfig) -> DecisionForest:
         return float(np.average(log_loss(scores[idx], labels[idx]),
                                 weights=weights[idx]))
 
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = math.inf

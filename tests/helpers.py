@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import setforest as sf
-from setforest.conditions import SplitCondition
+from setforest.conditions import SplitCondition, evaluate
 from setforest.dataset import MISSING_CATEGORY, Dataset, Feature, FeatureType, Vocabulary
 from setforest.splits import gain_from_stats
 from setforest.transforms import hash64
@@ -141,6 +141,57 @@ def reference_apply_masks(compiled, row) -> np.ndarray:
     if tid_chunks:
         np.bitwise_and.at(leafidx, np.concatenate(tid_chunks), np.concatenate(mask_chunks))
     return leafidx
+
+
+# The walkers over nested Leaf and Internal nodes that the model used before
+# a tree became preorder node arrays, kept as references for the arrays'
+# walkers, the reference ``predict`` and the compiler's leaf spans.
+def route(tree, row) -> sf.Leaf:
+    node = tree
+    while isinstance(node, sf.Internal):
+        node = node.positive if evaluate(node.condition, row) else node.negative
+    return node
+
+
+def count_leaves(tree) -> int:
+    if isinstance(tree, sf.Leaf):
+        return 1
+    return count_leaves(tree.negative) + count_leaves(tree.positive)
+
+
+def count_nodes(tree) -> int:
+    if isinstance(tree, sf.Leaf):
+        return 1
+    return 1 + count_nodes(tree.negative) + count_nodes(tree.positive)
+
+
+def leaf_depths(tree, depth=0) -> list[int]:
+    if isinstance(tree, sf.Leaf):
+        return [depth]
+    return leaf_depths(tree.negative, depth + 1) + leaf_depths(tree.positive, depth + 1)
+
+
+def leaf_values(tree) -> list[float]:
+    if isinstance(tree, sf.Leaf):
+        return [tree.value]
+    return leaf_values(tree.negative) + leaf_values(tree.positive)
+
+
+def max_depth(tree) -> int:
+    if isinstance(tree, sf.Leaf):
+        return 0
+    return 1 + max(max_depth(tree.negative), max_depth(tree.positive))
+
+
+def negative_spans(tree, lo=0) -> list[tuple[int, int]]:
+    """(first leaf, leaves of the negative subtree) of every internal node in
+    preorder, leaves counted left to right from 0: the compiler's recursive
+    walk."""
+    if isinstance(tree, sf.Leaf):
+        return []
+    n_left = count_leaves(tree.negative)
+    return [(lo, n_left)] + negative_spans(tree.negative, lo) \
+        + negative_spans(tree.positive, lo + n_left)
 
 
 def build_complete_tree(depth, leaf_values=None):

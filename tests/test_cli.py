@@ -246,6 +246,42 @@ class TestModelOnLoad:
             assert main(["predict", str(model), str(corpus_path)]) == code
         assert f"deeper than {MAX_TREE_DEPTH}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [["setforest-model"], "setforest-model"],
+                             ids=["array", "string"])
+    def test_document_not_an_object_is_two(self, tmp_path, corpus_path, capsys, document):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 2
+        assert "not a setforest model document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False, "0.25"])
+    @pytest.mark.parametrize("where", ["leaf", "threshold", "initial_score"])
+    def test_number_of_another_json_type_is_two(self, tmp_path, capsys, where, value):
+        model, test = TestTrainPredict._mixed_csv_model(tmp_path)
+        document = json.loads(model.read_text())
+        if where == "initial_score":
+            document["initial_score"] = value
+        else:  # the first such field in the first tree that has one
+            nodes = list(reversed(document["trees"]))
+            while not (where in nodes[-1] or where in nodes[-1].get("split", {})):
+                node = nodes.pop()
+                nodes += [node["positive"], node["negative"]] if "split" in node else []
+            node = nodes[-1]
+            (node if where == "leaf" else node["split"])[where] = value
+        model.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", str(model), str(test)]) == 2
+        assert "must be finite numbers" in capsys.readouterr().err
+
+    def test_models_that_evaluate_saves_can_be_scored(self, tmp_path, corpus_path, capsys):
+        cfg = _config(tmp_path, corpus_path, methods="rf; rf:bow")
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        for name in ("rf_fold0.json", "rf_bow_fold0.json"):
+            capsys.readouterr()
+            model = tmp_path / "out" / "models" / name
+            assert main(["predict", str(model), str(corpus_path)]) == 0
+            assert len(capsys.readouterr().out.split()) == 150
+
     def test_document_nested_too_deeply_is_two(self, tmp_path, corpus_path, capsys):
         model = tmp_path / "model.json"
         model.write_text('{"format": "setforest-model", "trees": ' + "[" * 5000

@@ -3,7 +3,7 @@
 The test-only ``evaluate_column`` (a table lookup over the CSR set index plus
 a bincount), the reference for the splitters' partitions, must equal
 ``evaluate`` row by row, and the compiled evaluator scoring one tree through
-the trainer's ``_tree_values`` must equal ``route``, on random columns
+the trainer's ``_tree_values`` must equal the nested ``route``, on random columns
 holding missing values, empty sets and the extreme ids 0 and vocabulary - 1,
 and on masks holding ids absent from the column.
 """
@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 import setforest as sf
 from setforest.conditions import evaluate
 from setforest.dataset import Feature, FeatureType
-from setforest.model import route
 from setforest.training import _tree_values
 
-from helpers import evaluate_column, make_vocab
+from helpers import evaluate_column, make_vocab, route
 
 
 @st.composite

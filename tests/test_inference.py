@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from setforest.inference import (
     predict_dataset,
     predict_top_down,
 )
-from setforest.model import forest_from_json, forest_to_json, route
+from setforest.model import CATEGORY_IN, forest_from_json, forest_to_json, leaf_index
 
 from helpers import (
     golden_two_tree_forest,
@@ -279,7 +280,7 @@ class TestWideTrees:
         assert compiled.words_per_tree == -(-n_leaves // 64)
         for row in self._rows(n_leaves, seed=n_leaves):
             assert predict_compiled(compiled, row) == predict_top_down(forest, row)
-            expected = [route(tree, row).value for tree in forest.trees]
+            expected = [tree.value[leaf_index(tree, row)] for tree in forest.trees]
             leaves = compiled_leaf_indices(compiled, row).tolist()
             assert leaves[:2] == expected[:2]  # chain leaf values are positions
             assert leaves[2] == (0 if expected[2] == 0.5 else 1)
@@ -292,12 +293,8 @@ class TestHashedCategories:
 
     @staticmethod
     def _hashed_splits(tree):
-        if isinstance(tree, sf.Leaf):
-            return []
-        cond = tree.condition
-        own = [cond] if isinstance(cond, sf.CategoryIn) and max(cond.values) >= 2**32 else []
-        return own + TestHashedCategories._hashed_splits(tree.negative) \
-            + TestHashedCategories._hashed_splits(tree.positive)
+        conditions = map(tree.condition, np.flatnonzero(tree.kind == CATEGORY_IN))
+        return [cond for cond in conditions if max(cond.values) >= 2**32]
 
     @pytest.mark.parametrize("algorithm", ["rf", "mart"])
     def test_maxhash_chain_matches_top_down(self, algorithm):
@@ -681,3 +678,94 @@ class TestBatchKeyLookup:
         scores = _assert_batch_agrees(forest, ds)
         assert scores.min() < 1e-17 and scores.max() == 1.0
         assert len(set(scores.tolist())) > 5
+
+
+_DELETE = object()  # a mutation that removes the field's key
+
+
+def _document_fields(document):
+    """Every field of a model document, as (container, key) pairs: its own
+    keys, and every node and split key of its trees: leaf values,
+    thresholds, features, kinds and id lists."""
+    fields = [(document, key) for key in document]
+    nodes = list(document["trees"])
+    while nodes:
+        node = nodes.pop()
+        fields += [(node, key) for key in node]
+        if "split" in node:
+            fields += [(node["split"], key) for key in node["split"]]
+            nodes += (node["negative"], node["positive"])
+    return fields
+
+
+def _field_mutations(value, n_features):
+    """Replacement values for one field, ``_DELETE`` among them."""
+    if isinstance(value, list) and not {type(v) for v in value} <= {int}:  # features, trees
+        return [_DELETE, [], value[::-1], value + value[-1:], value[1:], value + [VOCAB], {}]
+    if isinstance(value, list):  # a mask or a value set
+        return [_DELETE, value + [VOCAB], value + [2**63], value + [2**64], [-1] + value,
+                value[::-1], value + value[-1:], [], [True] + value, value[:-1] + [False],
+                [float(v) for v in value], [str(v) for v in value], value[0]]
+    if isinstance(value, str):  # a condition kind
+        return [_DELETE, "numerical_ge", "category_in", "set_intersects", "set_equals", 3]
+    if isinstance(value, dict):  # a subtree or a split
+        return [_DELETE, {"leaf": 0.5}, {}, [], "leaf"]
+    if type(value) is int:  # a feature
+        return [_DELETE, n_features, n_features + 7, -1, (value + 1) % n_features, True,
+                float(value), str(value), None]
+    return [_DELETE, float("nan"), float("inf"), -float("inf"), True, False, "0.25", None,
+            [value], value + 1.0, -0.0, 10**400]
+
+
+class TestModelDocument:
+    """Every model document either parses to a model whose three evaluators
+    agree bit for bit, or is rejected with ``ValueError``."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=4),
+           num_trees=st.integers(0, 4),
+           widest=st.sampled_from([1, 3, 64, 65, 140]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_serialise_parse_serialise_is_the_identity(self, kind, ftypes, num_trees,
+                                                       widest, seed):
+        rng = np.random.default_rng(seed)
+        num_trees = max(num_trees, int(kind == "rf"))
+        leaf_counts = rng.integers(1, widest + 1, size=num_trees).tolist()
+        forest = _random_forest(rng, kind, ftypes, leaf_counts)
+        text = forest_to_json(forest)
+        assert forest_to_json(forest_from_json(text)) == text
+        assert sf.model.forest_to_dict(forest_from_json(text)) == json.loads(text)
+
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=4),
+           widest=st.sampled_from([1, 3, 65]),
+           seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_single_field_mutation_is_rejected_or_agrees(self, kind, ftypes, widest, seed,
+                                                         data):
+        rng = np.random.default_rng(seed)
+        forest = _random_forest(rng, kind, ftypes, [widest, 2])
+        document = sf.model.forest_to_dict(forest)
+        fields = _document_fields(document)
+        container, key = fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
+        mutation = data.draw(st.sampled_from(_field_mutations(container[key], len(ftypes))),
+                             label="mutation")
+        if mutation is _DELETE:
+            del container[key]
+        else:
+            container[key] = mutation
+        try:
+            parsed = sf.model.forest_from_dict(document)
+        except ValueError:
+            return
+        n = 40
+        columns = [_random_column(rng, "num" if f.ftype == sf.FeatureType.NUMERICAL else
+                                  "set" if f.ftype == sf.FeatureType.CATEGORICAL_SET else
+                                  "cat" if f.vocabulary else "hashed", n)
+                   for f in parsed.features]
+        ds = sf.Dataset.create(parsed.features, columns, np.zeros(n, dtype=np.int64))
+        _assert_batch_agrees(parsed, ds)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import setforest as sf
 from setforest.model import (
@@ -13,12 +15,16 @@ from setforest.model import (
     forest_from_json,
     forest_to_json,
     leaf_depths,
+    leaf_index,
+    leaf_values,
     max_depth,
-    route,
     sigmoid,
+    stack_trees,
 )
+from setforest.inference import _negative_spans
 from setforest.training import _tree_values
 
+import helpers
 from helpers import build_complete_tree, one_split_document, random_mixed_dataset
 
 
@@ -30,6 +36,12 @@ def _trained(seed=0, algorithm="rf", **kw):
         return ds, sf.train_random_forest(ds, config)
     config = sf.TrainConfig.mart(num_trees=6, seed=seed, sampling_rate=0.8, **kw)
     return ds, sf.train_mart(ds, config)
+
+
+def _flat(nested):
+    """A nested Leaf or Internal tree as the Tree a forest holds."""
+    return sf.DecisionForest(RF, [nested], 0.0, [sf.Feature("x", sf.FeatureType.NUMERICAL)]
+                             ).trees[0]
 
 
 class TestSerialization:
@@ -82,7 +94,7 @@ class TestSerialization:
 
 class TestTreeWalkers:
     def test_complete_tree_counts(self):
-        tree = build_complete_tree(3)
+        tree = _flat(build_complete_tree(3))
         assert count_leaves(tree) == 8
         assert count_nodes(tree) == 15
         assert leaf_depths(tree) == [3] * 8
@@ -92,7 +104,7 @@ class TestTreeWalkers:
         idx = np.arange(ds.n_examples)
         for tree in forest.trees:
             bulk = _tree_values(tree, ds, idx)
-            scalar = np.array([route(tree, ds.row(i)).value for i in idx])
+            scalar = np.array([tree.value[leaf_index(tree, ds.row(i))] for i in idx])
             np.testing.assert_array_equal(bulk, scalar)
 
     def test_walkers_reach_the_depth_bound(self):
@@ -105,8 +117,9 @@ class TestTreeWalkers:
         for depth in range(MAX_TREE_DEPTH):
             node = sf.Internal(sf.SetIntersects(0, (depth % 2,)), sf.Leaf(depth / 1000), node)
         forest = sf.DecisionForest(RF, [node], 0.0, [feature], {})
-        assert max_depth(node) == MAX_TREE_DEPTH and count_nodes(node) == 2 * MAX_TREE_DEPTH + 1
-        assert leaf_depths(node)[-1] == MAX_TREE_DEPTH
+        tree = forest.trees[0]
+        assert max_depth(tree) == MAX_TREE_DEPTH and count_nodes(tree) == 2 * MAX_TREE_DEPTH + 1
+        assert leaf_depths(tree)[-1] == MAX_TREE_DEPTH
         text = forest_to_json(forest)
         assert forest_to_json(forest_from_json(text)) == text
         ds = sf.Dataset.create([feature], [[(), (0,), (1,), (0, 1), None]], [0] * 5)
@@ -115,6 +128,43 @@ class TestTreeWalkers:
         assert expected == [0.511, 0.511, 0.51, 1.0, 0.511]
         assert [sf.predict_compiled(compiled, row) for row in ds.rows()] == expected
         assert sf.predict_dataset(compiled, ds).tolist() == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(n_leaves=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), chain=st.just(False))
+    @example(n_leaves=MAX_TREE_DEPTH + 1, seed=0, chain=True)
+    def test_arrays_match_the_nested_references(self, n_leaves, seed, chain):
+        # a random nested tree of up to 300 leaves, or a chain 512 levels deep
+        # down alternating sides, stacked after a small tree so that its leaf
+        # positions start over
+        rng = np.random.default_rng(seed)
+        values = iter(rng.permutation(2 * n_leaves).tolist())
+
+        def nested(n):
+            if n == 1:
+                return sf.Leaf(float(next(values)))
+            k = int(rng.integers(1, n))
+            return sf.Internal(sf.NumericalGE(0, float(rng.normal())), nested(k), nested(n - k))
+
+        if chain:
+            root = sf.Leaf(-1.0)
+            for depth in range(n_leaves - 1):
+                leaf = sf.Leaf(float(depth))
+                root = sf.Internal(sf.NumericalGE(0, float(depth)),
+                                   *((leaf, root) if depth % 2 else (root, leaf)))
+        else:
+            root = nested(n_leaves)
+        first = build_complete_tree(2)
+        small, tree = (_flat(t) for t in (first, root))
+        assert count_leaves(tree) == helpers.count_leaves(root) == n_leaves
+        assert count_nodes(tree) == helpers.count_nodes(root)
+        assert leaf_depths(tree) == helpers.leaf_depths(root)
+        assert leaf_values(tree) == helpers.leaf_values(root)
+        assert max_depth(tree) == helpers.max_depth(root)
+        _, lo, hi = _negative_spans(*stack_trees([small, tree]))
+        spans = helpers.negative_spans(first) + helpers.negative_spans(root)
+        assert list(zip(lo.tolist(), (hi - lo).tolist())) == spans
+        for x in rng.normal(scale=2.0, size=20).tolist() + [np.nan]:
+            assert tree.value[leaf_index(tree, (x,))] == helpers.route(root, (x,)).value
 
     def test_predict_schema_mismatch(self):
         _, forest = _trained(seed=4)
@@ -235,6 +285,15 @@ class TestValidation:
         assert '"leaf": NaN' in text
         with pytest.raises(ValueError, match="must be finite"):
             forest_from_json(text)
+
+    def test_random_forest_without_trees_rejected(self):
+        # its mean over no trees is NaN; a boosted forest without trees
+        # predicts its initial score
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["trees"] = []
+        assert forest_from_dict({**document, "kind": "mart"}).trees == []
+        with pytest.raises(ValueError, match="at least one tree"):
+            forest_from_dict(document)
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError, match="forest kind"):

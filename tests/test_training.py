@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import setforest as sf
 from setforest import training
 from setforest.dataset import FeatureType
-from setforest.model import MAX_TREE_DEPTH, Internal, Leaf, max_depth
+from setforest.model import MAX_TREE_DEPTH, count_nodes, leaf_index, max_depth
 from setforest.rng import make_rng
 from setforest.splits import find_set_mask_split
 from setforest.training import (
@@ -49,14 +49,14 @@ class TestGrowTree:
     def test_pure_node_is_single_leaf(self):
         ds = set_dataset([(0,), (1,)], [1, 1], vocab_size=2)
         tree = sf.grow_tree(ds, sf.TrainConfig.random_forest(num_trees=1))
-        assert isinstance(tree, Leaf)
-        assert tree.value == 1.0
+        assert count_nodes(tree) == 1
+        assert tree.value[0] == 1.0
 
     def test_separable_four_examples_depth_one(self):
         ds = set_dataset([(0,), (0,), (1,), (1,)], [1, 1, 0, 0], vocab_size=2)
         config = sf.TrainConfig.random_forest(num_trees=1, sampling_rate=1.0)
         tree = sf.grow_tree(ds, config)
-        assert isinstance(tree, Internal)
+        assert count_nodes(tree) > 1
         assert max_depth(tree) == 1
         preds = _tree_values(tree, ds, np.arange(4))
         assert ((preds >= 0.5) == ds.labels.astype(bool)).all()
@@ -75,17 +75,17 @@ class TestGrowTree:
         config = sf.TrainConfig.random_forest(num_trees=1, max_depth=6,
                                               sampling_rate=1.0)
         tree = sf.grow_tree(ds, config)
-
-        def walk(node, idx):
-            if isinstance(node, Leaf):
+        # the rows reaching each node, filled in preorder: parents first
+        reach = {0: np.arange(ds.n_examples)}
+        for node in range(count_nodes(tree)):
+            idx = reach.pop(node)
+            if tree.positive[node] < 0:  # a leaf
                 assert len(idx) >= 1
-                return
-            pos = evaluate_column(node.condition, ds, idx)
+                continue
+            pos = evaluate_column(tree.condition(node), ds, idx)
             assert 0 < pos.sum() < len(idx)
-            walk(node.negative, idx[~pos])
-            walk(node.positive, idx[pos])
-
-        walk(tree, np.arange(ds.n_examples))
+            reach[node + 1], reach[int(tree.positive[node])] = idx[~pos], idx[pos]
+        assert not reach
 
 
 class TestInheritedTokens:
@@ -189,7 +189,7 @@ class TestRandomForest:
         config = sf.TrainConfig.random_forest(num_trees=3, max_depth=4, seed=7)
         forest = sf.train_random_forest(ds, config)
         for row in ds.rows()[:10]:
-            v0, v1, v2 = (sf.model.route(tree, row).value
+            v0, v1, v2 = (tree.value[leaf_index(tree, row)]
                           for tree in forest.trees)
             assert sf.predict(forest, row) == ((v0 + v1) + v2) / 3.0
 
@@ -494,8 +494,8 @@ class TestWeights:
         ds = set_dataset([(0,), (0,)], [1, 0], vocab_size=1,
                          weights=[3.0, 1.0])
         tree = sf.grow_tree(ds, sf.TrainConfig.random_forest(num_trees=1))
-        assert isinstance(tree, Leaf)
-        assert tree.value == 0.75
+        assert count_nodes(tree) == 1
+        assert tree.value[0] == 0.75
 
 
 class TestConfigValidation:
