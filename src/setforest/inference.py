@@ -6,12 +6,10 @@ initially. Every node contributes masks that clear the leaves of its
 *negative* subtree, and a mask is applied exactly when the node's condition
 holds:
 
-* a numerical node stores (threshold, mask) under its feature; entries are
-  sorted by threshold and applied while ``threshold <= value``;
-* a categorical-set node stores, for every term of its mask, a per-term
-  entry applied when the example contains that term;
-* a categorical node stores one entry per value of its value set, applied
-  when the example carries that value.
+* a categorical-set node's masks apply when the example contains one of
+  the terms of its mask;
+* a categorical node's when the example carries one of its values;
+* a numerical node's when the value reaches its threshold.
 
 The compiler reads the trees' preorder node arrays (``model.Tree``),
 stacked into one forest, and walks no tree: a node's leaf span starts at
@@ -20,51 +18,53 @@ ends where its positive child's starts.
 
 Each tree's bits fill ``words_per_tree`` uint64 words: as many as the
 widest tree of the forest needs. Word ``w`` of tree ``t`` is the slot
-``t * words_per_tree + w``, and a node stores a mask only for the words in
-which it clears a leaf. Masks of the same (feature, term, slot) coming from
-several nodes are AND-combined into a single entry. Missing values apply
-nothing. Once all masks are in, the lowest set bit of each tree (in its
-first non-zero word) is the leaf the top-down walk would have reached:
-conditions that held cleared everything to the left of the true path,
-conditions that failed (or were missing) cleared nothing of it, and the
-negative-first leaf order makes the fall-through leaf the leftmost one.
+``t * words_per_tree + w``. Missing values apply nothing. Once all masks
+are in, the lowest set bit of each tree (in its first non-zero word) is the
+leaf the top-down walk would have reached: conditions that held cleared
+everything to the left of the true path, conditions that failed (or were
+missing) cleared nothing of it, and the negative-first leaf order makes the
+fall-through leaf the leftmost one.
 
-Compiling also packs each keyed feature's masks per key into one Python
-int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``: the
-AND of the key's entries at their slots, all ones elsewhere. A row is then
-scored with no numpy call per token: ``predict_compiled`` starts from the
-packed default masks, ANDs in one int per known token or category, folds in
-each numerical feature's first ``k`` threshold-sorted entries (one scatter
-per feature), and reads every tree's leaf off the result with a fixed handful
-of numpy calls at any width. The packed ints keep keys x slots words alive
-per keyed feature, and row scoring costs a dict lookup and an int AND per
-token.
+Every split feature compiles to one ``MaskTable``: its sorted keys (terms,
+categories or thresholds) and one row of slot words per key, after a row 0
+of all ones. A term's or a category's row is the AND of the masks of every
+node that holds on it; a numerical feature's row ``k`` is the AND of the
+masks of every node whose threshold is at most ``keys[k - 1]``, so a value
+reads row ``bisect_right(keys, value)``, row 0 below the lowest threshold,
+like a term reads its own. One ``np.bitwise_and.at`` pass builds every
+feature's rows in one (rows, slots) array, and a prefix AND down each
+numerical feature's rows makes them cumulative. Each row is kept as one
+Python int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``.
+
+``predict_compiled`` scores a row with no numpy call per value: it starts
+from the packed default masks, ANDs in one int per known token, per
+category and per non-NaN numerical value, and reads every tree's leaf off
+the result with a fixed handful of numpy calls at any width.
 
 ``predict_dataset``, the one vectorised evaluator (training scores its
 validation and out-of-bag rows with it), scores a dataset's rows, or those a
 ``rows=`` selection names in any order, in blocks of ``_BLOCK_ROWS`` rows,
-one (rows, slots) word array per block. A numerical value's ``searchsorted``
-count ``k`` says it clears the first ``k`` threshold-sorted entries (a NaN
-clears none); per block, the entries are scattered into a table over the
-block's distinct counts and AND-accumulated down it, so every row reads
-the AND of its first ``k`` entries and the table never outgrows the block.
-A keyed feature gets, once per call, a key table: one row of slot masks per
-key, scattered from its entries, then a row of ones. Where the feature has a
-vocabulary, a value finds its row with one array index: an array over ids 0
-to the largest key + 1 holds each key's row and the ones row elsewhere, and
-values are clipped into it, so an id past the model's keys (a dataset's
-vocabulary may be larger than the model's) and ``MISSING_CATEGORY`` read the
-ones row. A feature without a vocabulary ranks its values among the keys
-with ``searchsorted`` instead: max-hash categorical values reach 2**63 - 1.
-A set feature ANDs the key rows of a block row's tokens together with
-``reduceat``, unknown tokens included, since their ones row changes nothing;
-the runs start where the CSR row lengths say, and at most ``_GATHER_BYTES``
-of key rows are gathered at a time. A key table takes (keys + 1) x slots
-words per feature and lives for one call, as does its lookup array.
+one (rows, slots) word array per block. Every value finds its table row
+first, all rows of the call at once: a numerical value by ``searchsorted``
+(a NaN reads row 0); a term or category, where its feature has a
+vocabulary, with one array index over ids 0 to the largest key + 1 that
+holds each key's row and 0 elsewhere, values clipped into it, so an id past
+the model's keys (a dataset's vocabulary may be larger than the model's)
+and ``MISSING_CATEGORY`` read the ones row. A feature without a vocabulary
+ranks its values among the keys with ``searchsorted`` instead: max-hash
+categorical values reach 2**63 - 1. A numerical or categorical feature then
+unpacks, once per call, only the distinct rows the call reads, at most
+min(rows, keys + 1) x slots words, and each block ``take``s its rows'
+words from them. A set feature unpacks its whole table once per call,
+(keys + 1) x slots words, and ANDs the rows of a block row's tokens together
+with ``reduceat``, unknown tokens included, since the ones row changes
+nothing; the runs start where the CSR row lengths say, and at most
+``_GATHER_BYTES`` of rows are gathered at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -79,30 +79,42 @@ _WORD = np.dtype("<u8")  # a leaf word as a packed int holds it, on any host
 
 
 @dataclass
-class NumericalEntries:
-    """Per-feature node masks sorted ascending by threshold."""
+class MaskTable:
+    """One split feature's leaf masks (see the module docstring): ``packed``
+    holds row 0, all ones, then one row per key, each over all slots as one
+    int. ``lookup`` serves the row path: a term's or category's packed row by
+    key, or a numerical feature's thresholds as a list for ``bisect_right``.
+    ``index``, ``tree_ids`` and ``masks`` view the key rows as sparse
+    entries, derived on access: a key's slots whose word is not all ones, in
+    slot order."""
 
-    thresholds: np.ndarray  # float64
-    tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
-    masks: np.ndarray  # uint64
+    keys: np.ndarray  # ascending: int64 ids or category values, float64 thresholds
+    packed: list[int]
+    lookup: dict[int, int] | list[float]
+    slots: int
 
+    def words(self, rows=None) -> np.ndarray:
+        """The (rows, slots) words of the table, or of its rows ``rows``."""
+        packed = self.packed if rows is None else map(self.packed.__getitem__, rows.tolist())
+        data = b"".join(map(int.to_bytes, packed, repeat(_WORD.itemsize * self.slots),
+                            repeat("little")))
+        return np.frombuffer(data, dtype=_WORD).reshape(-1, self.slots)
 
-@dataclass
-class KeyedEntries:
-    """Per-feature term (or category value) masks.
+    @property
+    def index(self) -> dict:
+        """Each key's [begin, end) in ``tree_ids`` and ``masks``."""
+        ends = np.cumsum((self.words()[1:] != _ALL).sum(axis=1))
+        return dict(zip(self.keys.tolist(), zip([0, *ends[:-1].tolist()], ends.tolist())))
 
-    ``index`` maps a term id to its [begin, end) range in the flat arrays;
-    ranges tile the arrays in ascending key order and slots are strictly
-    increasing inside each range. ``packed`` maps the same keys, in the same
-    order, to the key's masks over all slots as one int: slot ``s`` is bits
-    ``64 * s`` to ``64 * s + 63``, the AND of the key's entries at their
-    slots and all ones elsewhere.
-    """
+    @property
+    def tree_ids(self) -> np.ndarray:
+        """int64 word slots; the tree ids at one word per tree."""
+        return np.nonzero(self.words()[1:] != _ALL)[1]
 
-    index: dict[int, tuple[int, int]]
-    tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
-    masks: np.ndarray  # uint64
-    packed: dict[int, int]
+    @property
+    def masks(self) -> np.ndarray:
+        words = self.words()[1:]
+        return words[words != _ALL]
 
 
 @dataclass
@@ -115,10 +127,9 @@ class CompiledForest:
     leaf_values: np.ndarray  # (num_trees, 64 * words_per_tree) float64, padded
     num_leaves: np.ndarray  # int64 per tree
     default_masks: np.ndarray  # uint64 per slot, every leaf of the word set
-    default_packed: int  # default_masks packed as in KeyedEntries.packed
+    default_packed: int  # default_masks packed as a MaskTable row
     first_bits: int  # packed likewise: bit 0 of every tree's first word
-    numerical: dict[int, NumericalEntries]
-    keyed: dict[int, KeyedEntries]
+    keyed: dict[int, MaskTable]  # by feature: every split feature's table
 
 
 def _low_bits(count: np.ndarray) -> np.ndarray:
@@ -131,14 +142,6 @@ def _ranges(starts: np.ndarray, counts) -> np.ndarray:
     """``arange(s, s + c)`` for every paired start and count, concatenated."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
-
-
-def _runs(*columns: np.ndarray):
-    """Begin and end arrays of the runs of equal rows in the sorted ``columns``."""
-    new = np.ones(len(columns[0]), dtype=bool)
-    new[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
-    begins = np.flatnonzero(new)
-    return begins, np.append(begins[1:], len(new))
 
 
 def _negative_spans(nodes: Tree, starts: np.ndarray):
@@ -162,11 +165,10 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = \
         nodes.value[is_leaf]
     default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
+    n_slots = len(default_masks)
 
     # one entry per (internal node, word in which the node clears leaves): the
-    # word's leaves minus the node's negative span [lo, hi). A keyed node's
-    # threshold is NaN, which also drops a NaN-threshold numerical node: it
-    # never holds
+    # word's leaves minus the node's negative span [lo, hi)
     internal, lo, hi = _negative_spans(nodes, starts)
     span = (hi - 1) // 64 - lo // 64 + 1
     node = np.repeat(np.arange(len(lo)), span)
@@ -176,54 +178,57 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     slots = (np.searchsorted(starts, internal, side="right") - 1)[node] * words + word
     masks = default_masks[slots] ^ (_low_bits(count) << begin.astype(np.uint64))
     feature = nodes.feature[internal][node]
+
+    # every entry once per key of its node: a set or categorical node's ids,
+    # a numerical node's threshold (none when it is NaN: the node never
+    # holds) as its rank among the thresholds
+    id_count = np.diff(nodes.id_ends, prepend=0)[internal][node]
+    term = nodes.ids[_ranges((nodes.id_ends[internal][node] - id_count), id_count)]
     threshold = nodes.threshold[internal][node]
-
-    # numerical entries sort by (feature, threshold, slot); lexsort is
-    # stable, so ties keep preorder
-    entry = np.flatnonzero(threshold == threshold)
-    entry = entry[np.lexsort([slots[entry], threshold[entry], feature[entry]])]
-    numerical = {int(feature[part[0]]): NumericalEntries(threshold[part], slots[part], masks[part])
-                 for part in np.split(entry, _runs(feature[entry])[0])[1:]}
-
-    # keyed entries repeat once per term of their node and sort by
-    # (feature, term, slot), each key cast to its narrowest dtype (lexsort
-    # radix-sorts up to 16 bits); the masks of equal triples AND-combine
-    key_count = np.diff(nodes.id_ends, prepend=0)[internal]
-    per_entry = key_count[node]
-    term = nodes.ids[_ranges((nodes.id_ends[internal] - key_count)[node], per_entry)]
-    feature, slots = np.repeat(feature, per_entry), np.repeat(slots, per_entry)
-    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)))
-                        for a in (slots, term, feature)])
-    feature, term, slots = feature[order], term[order], slots[order]
-    starts, _ = _runs(feature, term, slots)
-    key_masks = np.bitwise_and.reduceat(np.repeat(masks, per_entry)[order], starts)
-    feature, term, slots = feature[starts], term[starts], slots[starts]
-    # each (feature, term) key's entries [begin, end), scattered into a row of
-    # ones over all slots, one packed int per row
-    key_begins, key_ends = _runs(feature, term)
-    n_slots = len(default_masks)
-    table = np.full((len(key_begins), n_slots), _ALL, dtype=_WORD)
-    table[np.repeat(np.arange(len(key_begins)), key_ends - key_begins), slots] = key_masks
+    numerical = threshold == threshold
+    thresholds, threshold_rank = np.unique(threshold[numerical], return_inverse=True)
+    key = np.concatenate((term, threshold_rank))
+    feature, slots, masks = (np.concatenate((np.repeat(a, id_count), a[numerical]))
+                             for a in (feature, slots, masks))
+    # the distinct (feature, key) pairs in ascending order are the key rows
+    # of every feature's table, one after another; entries sort by them, each
+    # cast to its narrowest dtype (lexsort radix-sorts up to 16 bits)
+    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0))) for a in (key, feature)])
+    key, feature = key[order], feature[order]
+    pair = np.ones(len(key), dtype=bool)
+    pair[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
+    key, feature, pair = key[pair], feature[pair], np.cumsum(pair) - 1
+    first = np.flatnonzero(np.diff(feature, prepend=-1))
+    used, bounds = feature[first].tolist(), [*first.tolist(), len(key)]
+    prefix = [forest.features[f].ftype == FeatureType.NUMERICAL for f in used]
+    table = np.full((len(key), n_slots), _ALL, dtype=_WORD)
+    np.bitwise_and.at(table, (pair, slots[order]), masks[order])
+    for b, e, cumulative in zip(bounds, bounds[1:], prefix):
+        if cumulative:
+            table[b:e] = np.bitwise_and.accumulate(table[b:e], axis=0)
     # each row as one bytes object (a forest without trees has no slots and
     # no rows); the fixed-width bytes dtype drops a row's trailing zero bytes,
     # the high bytes of its last word, which leaves its int the same
     rows = table.view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel().tolist()
     del table  # the rows are a copy; the ints need not share the peak with it
     packed = list(map(int.from_bytes, rows, repeat("little")))
+    del rows
+    ones = _pack(np.full(n_slots, _ALL))
     keyed = {}
-    for kb, ke in zip(*(a.tolist() for a in _runs(feature[key_begins]))):
-        b, e = int(key_begins[kb]), int(key_ends[ke - 1])
-        terms = term[key_begins[kb:ke]].tolist()
-        spans = zip((key_begins[kb:ke] - b).tolist(), (key_ends[kb:ke] - b).tolist())
-        keyed[int(feature[b])] = KeyedEntries(dict(zip(terms, spans)), slots[b:e],
-                                              key_masks[b:e], dict(zip(terms, packed[kb:ke])))
+    for f, b, e, cumulative in zip(used, bounds, bounds[1:], prefix):
+        if cumulative:
+            table_keys = thresholds[key[b:e]]
+            lookup = table_keys.tolist()
+        else:
+            table_keys = key[b:e]
+            lookup = dict(zip(table_keys.tolist(), packed[b:e]))
+        keyed[f] = MaskTable(table_keys, [ones, *packed[b:e]], lookup, n_slots)
 
     return CompiledForest(
         kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,
         features=list(forest.features), words_per_tree=words, leaf_values=leaf_values,
-        num_leaves=num_leaves, default_masks=default_masks,
-        default_packed=_pack(default_masks), first_bits=_pack(np.arange(n_slots) % words == 0),
-        numerical=numerical, keyed=keyed)
+        num_leaves=num_leaves, default_masks=default_masks, default_packed=_pack(default_masks),
+        first_bits=_pack(np.arange(n_slots) % words == 0), keyed=keyed)
 
 
 def _pack(words: np.ndarray) -> int:
@@ -233,33 +238,25 @@ def _pack(words: np.ndarray) -> int:
 
 def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
     """The packed leaf words of one row: the packed default ANDed with the
-    packed mask of every known token and category, and with the numerical
-    entries that hold. Raises ``ValueError`` when the row's length is not the
-    schema's."""
+    packed row of every known token, category and non-NaN numerical value.
+    Raises ``ValueError`` when the row's length is not the schema's."""
     if len(row) != len(compiled.features):
         raise ValueError(f"row has {len(row)} values, schema has {len(compiled.features)}")
     leafidx = compiled.default_packed
-    for feature, group in compiled.keyed.items():
-        value, get = row[feature], group.packed.get
-        if compiled.features[feature].ftype == FeatureType.CATEGORICAL:
-            if value != MISSING_CATEGORY and (mask := get(int(value))) is not None:
+    for feature, table in compiled.keyed.items():
+        value, lookup = row[feature], table.lookup
+        if type(lookup) is list:  # a numerical feature's thresholds
+            if value == value:  # NaN: missing applies nothing
+                leafidx &= table.packed[bisect_right(lookup, value)]
+        elif compiled.features[feature].ftype == FeatureType.CATEGORICAL:
+            if value != MISSING_CATEGORY and (mask := lookup.get(int(value))) is not None:
                 leafidx &= mask
         elif value:  # missing or empty set: nothing to apply
+            get = lookup.get
             for term in value:
                 if (mask := get(term)) is not None:
                     leafidx &= mask
-    for feature, group in compiled.numerical.items():
-        value = row[feature]
-        if value != value:  # NaN: missing skips the feature entirely
-            continue
-        k = int(group.thresholds.searchsorted(value, "right"))
-        if k:
-            words = np.full(len(compiled.default_masks), _ALL, dtype=_WORD)
-            np.bitwise_and.at(words, group.tree_ids[:k], group.masks[:k])
-            leafidx &= _pack(words)
     return leafidx
-
-
 def _row_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
     """Per-tree position of the lowest leaf left for one row."""
     leafidx = _apply_masks(compiled, row)
@@ -305,44 +302,24 @@ _BLOCK_ROWS = 256  # rows scored together; keeps a block's word arrays small
 _GATHER_BYTES = 2**19  # bound on a block's gathered set-token key rows
 
 
-def _cleared_masks(counts: np.ndarray, group: NumericalEntries, slots: int) -> np.ndarray:
-    """Per block row, the per-slot AND of the first ``counts`` entries, from
-    a table over the block's distinct counts only."""
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    used = int(distinct[-1])
-    table = np.full((len(distinct), slots), _ALL)
-    # entry j is in every count above j; it goes into the first such row
-    first = np.searchsorted(distinct, np.arange(used), side="right")
-    np.bitwise_and.at(table.reshape(-1), first * slots + group.tree_ids[:used],
-                      group.masks[:used])
-    return np.bitwise_and.accumulate(table, axis=0)[inverse]
-
-
-def _keyed_table(group: KeyedEntries, slots: int) -> np.ndarray:
-    """Per key, in ascending key order, a row of its slot masks (ones at the
-    slots it has no entry in), then a row of ones for a value with no key."""
-    ends = np.fromiter((end for _, end in group.index.values()), dtype=np.int64,
-                       count=len(group.index))
-    table = np.full((len(ends) + 1, slots), _ALL, dtype=_WORD)
-    table[np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0)), group.tree_ids] = group.masks
-    return table
-
-
-def _key_finder(group: KeyedEntries, feature: Feature):
-    """A function from an int64 array of ids (or category values) to their
-    rows of ``_keyed_table``: a key's rank among the keys, else the ones row.
-    One array index where the feature has a vocabulary, whose size bounds the
-    keys; ``searchsorted`` where it has none (see the module docstring)."""
-    keys = np.fromiter(group.index, dtype=np.int64, count=len(group.index))
+def _row_finder(table: MaskTable, feature: Feature):
+    """A function from an array of a feature's values to their table rows:
+    ``searchsorted`` counts for a numerical feature (0 for NaN); a key's rank
+    + 1 for a term or category, else 0. One array index where the feature has
+    a vocabulary, whose size bounds the keys; ``searchsorted`` where it has
+    none (see the module docstring)."""
+    keys = table.keys
+    if feature.ftype == FeatureType.NUMERICAL:
+        return lambda values: np.where(np.isnan(values), 0, keys.searchsorted(values, "right"))
     if feature.vocabulary is not None:
-        dense = np.full(int(keys[-1]) + 2, len(keys), dtype=np.intp)
-        dense[keys] = np.arange(len(keys))
+        dense = np.zeros(int(keys[-1]) + 2, dtype=np.intp)
+        dense[keys] = np.arange(1, len(keys) + 1)
         return lambda values: dense[np.clip(values, -1, len(dense) - 1)]
 
     def ranks(values):
         rank = np.searchsorted(keys, values)
         found = keys[np.minimum(rank, len(keys) - 1)] == values
-        return np.where(found, rank, len(keys))
+        return np.where(found, rank + 1, 0)
     return ranks
 
 
@@ -360,22 +337,25 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
     """Probabilities of the dataset rows ``rows`` (every row when None; they
     may be unsorted, repeated or empty), bit-identical to ``predict_compiled``
     row by row; scores blocks of rows at once (see the module docstring).
-    Raises ``ValueError`` when the dataset's schema is not the model's."""
+    Raises ``ValueError`` when the dataset's schema is not the model's, or a
+    row is not in ``[0, n_examples)``."""
     _check_schema(compiled, dataset)
     rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n_examples):
+        raise ValueError(f"rows must be in [0, {dataset.n_examples})")
     n, slots = len(rows), len(compiled.default_masks)
-    numerical, keyed, sets = [], [], []
-    for f, group in compiled.numerical.items():
-        values = np.asarray(dataset.columns[f], dtype=np.float64)[rows]
-        counts = np.searchsorted(group.thresholds, values, side="right")
-        counts[np.isnan(values)] = 0  # missing applies nothing
-        numerical.append((counts, group))
-    for f, group in compiled.keyed.items():
-        table, find = _keyed_table(group, slots), _key_finder(group, compiled.features[f])
-        if compiled.features[f].ftype == FeatureType.CATEGORICAL:
-            keyed.append((find(np.asarray(dataset.columns[f], dtype=np.int64)[rows]), table))
+    singles, sets = [], []
+    for f, table in compiled.keyed.items():
+        feature, column = compiled.features[f], dataset.columns[f]
+        find = _row_finder(table, feature)
+        if feature.ftype == FeatureType.CATEGORICAL_SET:
+            sets.append((column, find, table.words()))
         else:
-            sets.append((dataset.columns[f], find, table))
+            dtype = np.float64 if feature.ftype == FeatureType.NUMERICAL else np.int64
+            table_rows = find(np.asarray(column, dtype=dtype)[rows])
+            read = np.zeros(len(table.packed), dtype=bool)
+            read[table_rows] = True
+            singles.append(((np.cumsum(read) - 1)[table_rows], table.words(np.flatnonzero(read))))
     width = compiled.leaf_values.shape[1]
     tree_starts = np.arange(0, compiled.num_trees * width, width)
     tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
@@ -383,10 +363,8 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         leafidx = np.tile(compiled.default_masks, (hi - lo, 1))
-        for counts, group in numerical:
-            leafidx &= _cleared_masks(counts[lo:hi], group, slots)
-        for key_rows, table in keyed:
-            leafidx &= table.take(key_rows[lo:hi], axis=0)
+        for inverse, words in singles:
+            leafidx &= words.take(inverse[lo:hi], axis=0)
         for index, find, table in sets:
             lengths, terms = index.row_tokens(rows[lo:hi])
             key_rows = find(terms)  # an unknown token reads the ones row: a no-op

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class Tree:
             else SetIntersects(feature, tuple(ids))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(vars(self).values())  # in field order
+        return _ARRAYS(self)
 
     def __eq__(self, other):
         return isinstance(other, Tree) and all(
@@ -90,6 +91,7 @@ class Tree:
             for a, b in zip(self.arrays(), other.arrays()))
 
 
+_ARRAYS = attrgetter(*(f.name for f in fields(Tree)))  # a tree's arrays, in field order
 _DTYPES = (np.int8, np.int64, np.float64, np.int64, np.float64, np.int64, np.int64)
 _NO_NODES = Tree(*(np.empty(0, dtype=dtype) for dtype in _DTYPES))
 
@@ -215,10 +217,19 @@ def sigmoid(x: float) -> float:
 
 def leaf_index(tree: Tree, row: tuple) -> int:
     """The node index of the leaf ``row`` reaches from the root, each
-    node's condition rebuilt and passed to ``conditions.evaluate``."""
-    i, kind, positive = 0, tree.kind, tree.positive
-    while kind.item(i) != LEAF:
-        i = positive.item(i) if evaluate(tree.condition(i), row) else i + 1
+    node's condition passed to ``conditions.evaluate``. A tree's conditions
+    (None at a leaf) and positive children are built on its first walk and
+    kept on it, apart from its arrays, so they stay out of ``arrays()`` and
+    equality; a tree's arrays do not change once it is built."""
+    walk = getattr(tree, "_walk", None)
+    if walk is None:
+        walk = tree._walk = ([None if kind == LEAF else tree.condition(i)
+                              for i, kind in enumerate(tree.kind.tolist())],
+                             tree.positive.tolist())
+    conditions, positive = walk
+    i = 0
+    while (condition := conditions[i]) is not None:
+        i = positive[i] if evaluate(condition, row) else i + 1
     return i
 
 

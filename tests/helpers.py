@@ -114,33 +114,35 @@ def random_rows_for(dataset, seed, n=1000):
     return rows
 
 
-def reference_apply_masks(compiled, row) -> np.ndarray:
-    """The (slots,) uint64 leaf words of one row from a compiled forest's
-    sparse entries: the default masks, then a per-token scatter of every
-    keyed entry the row applies and of the numerical entries that hold."""
-    leafidx = compiled.default_masks.copy()
-    tid_chunks, mask_chunks = [], []
-    for feature, group in compiled.numerical.items():
-        value = row[feature]
-        if value != value:  # NaN: missing skips the feature entirely
-            continue
-        k = int(np.searchsorted(group.thresholds, value, side="right"))
-        tid_chunks.append(group.tree_ids[:k])
-        mask_chunks.append(group.masks[:k])
-    for feature, group in compiled.keyed.items():
-        value = row[feature]
-        if compiled.features[feature].ftype == FeatureType.CATEGORICAL:
-            terms = () if value == MISSING_CATEGORY else (int(value),)
-        else:
-            terms = value or ()  # missing or empty set: nothing to apply
-        for term in terms:
-            span = group.index.get(term)
-            if span is not None:
-                tid_chunks.append(group.tree_ids[span[0]:span[1]])
-                mask_chunks.append(group.masks[span[0]:span[1]])
-    if tid_chunks:
-        np.bitwise_and.at(leafidx, np.concatenate(tid_chunks), np.concatenate(mask_chunks))
-    return leafidx
+def reference_leaf_words(forest, row, words_per_tree: int) -> np.ndarray:
+    """The (slots,) uint64 leaf words of one row, from the trees alone: per
+    tree, every leaf bit set, then for every node whose condition holds on
+    the row (``conditions.evaluate``), the bits of its negative subtree's
+    leaves cleared. A node's negative subtree is nodes ``i + 1`` up to its
+    positive child, in preorder, and a leaf's bit is its rank among the
+    tree's leaves."""
+    size = 8 * words_per_tree
+    data = b""
+    for tree in forest.trees:
+        kind = tree.kind.tolist()
+        before = np.cumsum([0] + [k == sf.model.LEAF for k in kind]).tolist()
+        bits = (1 << before[-1]) - 1
+        for i, k in enumerate(kind):
+            if k != sf.model.LEAF and evaluate(tree.condition(i), row):
+                lo, hi = before[i + 1], before[int(tree.positive[i])]
+                bits &= ~(((1 << (hi - lo)) - 1) << lo)
+        data += bits.to_bytes(size, "little")
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+
+
+def key_row(features, feature: int, key) -> tuple:
+    """A row holding only ``key`` at ``feature``: the value, category or
+    one-term set; every other value is missing."""
+    missing = {FeatureType.NUMERICAL: float("nan"), FeatureType.CATEGORICAL: MISSING_CATEGORY,
+               FeatureType.CATEGORICAL_SET: None}
+    row = [missing[f.ftype] for f in features]
+    row[feature] = (key,) if features[feature].ftype == FeatureType.CATEGORICAL_SET else key
+    return tuple(row)
 
 
 # The walkers over nested Leaf and Internal nodes that the model used before

@@ -17,16 +17,43 @@ from setforest.inference import (
     predict_dataset,
     predict_top_down,
 )
-from setforest.model import CATEGORY_IN, forest_from_json, forest_to_json, leaf_index
+from setforest.model import CATEGORY_IN, LEAF, forest_from_json, forest_to_json, leaf_index
 
 from helpers import (
     golden_two_tree_forest,
+    key_row,
     make_vocab,
     random_mixed_dataset,
     random_rows_for,
-    reference_apply_masks,
+    reference_leaf_words,
     set_dataset,
 )
+
+
+def _assert_tables_match_the_trees(forest, compiled):
+    """Every split feature's table, from the trees alone: its keys are the
+    distinct thresholds, categories or terms the feature's nodes name,
+    ascending; row 0 is all ones; and key row ``k``, on each tree's leaves,
+    is the leaf words of a row that holds only ``keys[k - 1]``."""
+    names = {}
+    for tree in forest.trees:
+        for i in np.flatnonzero(tree.kind != LEAF).tolist():
+            condition = tree.condition(i)
+            names.setdefault(condition.feature, set()).update(
+                getattr(condition, "values", None) or getattr(condition, "mask", None)
+                or {condition.threshold})
+    assert sorted(compiled.keyed) == sorted(names)
+    slots = len(compiled.default_masks)
+    for f, table in compiled.keyed.items():
+        keys = sorted(names[f])
+        assert table.keys.tolist() == keys
+        assert len(table.packed) == len(keys) + 1
+        assert table.packed[0] == (1 << 64 * slots) - 1
+        for key, packed in zip(keys, table.packed[1:]):
+            expected = reference_leaf_words(forest, key_row(forest.features, f, key),
+                                            compiled.words_per_tree)
+            got = np.array(_words(compiled, packed), dtype=np.uint64) & compiled.default_masks
+            assert got.tolist() == expected.tolist()
 
 
 class TestCompileStructure:
@@ -37,7 +64,7 @@ class TestCompileStructure:
         compiled = compile_forest(forest)
         assert compiled.num_leaves.tolist() == [1]
         assert compiled.default_masks.tolist() == [1]
-        assert compiled.numerical == {} and compiled.keyed == {}
+        assert compiled.keyed == {}
         assert predict_compiled(compiled, (np.nan,)) == 0.5
 
     def test_keyed_entries_tile_and_sort(self):
@@ -68,10 +95,11 @@ class TestCompileStructure:
         ds, _ = random_mixed_dataset(22, n=150)
         config = sf.TrainConfig.random_forest(num_trees=5, max_depth=5, seed=3,
                                               sampling_rate=0.8)
-        compiled = compile_forest(sf.train_random_forest(ds, config))
-        assert compiled.numerical, "expected numerical splits in this forest"
-        for group in compiled.numerical.values():
-            assert (np.diff(group.thresholds) >= 0).all()
+        forest = sf.train_random_forest(ds, config)
+        compiled = compile_forest(forest)
+        assert any(forest.features[f].ftype == sf.FeatureType.NUMERICAL for f in compiled.keyed), \
+            "expected numerical splits in this forest"
+        _assert_tables_match_the_trees(forest, compiled)
 
     def test_compile_idempotent_through_serialization(self):
         ds, _ = random_mixed_dataset(23, n=120)
@@ -81,15 +109,11 @@ class TestCompileStructure:
         b = compile_forest(forest_from_json(forest_to_json(forest)))
         np.testing.assert_array_equal(a.default_masks, b.default_masks)
         np.testing.assert_array_equal(a.leaf_values, b.leaf_values)
-        assert a.numerical.keys() == b.numerical.keys()
-        for f in a.numerical:
-            np.testing.assert_array_equal(a.numerical[f].masks, b.numerical[f].masks)
         assert (a.default_packed, a.first_bits) == (b.default_packed, b.first_bits)
         assert a.keyed.keys() == b.keyed.keys()
         for f in a.keyed:
-            assert a.keyed[f].index == b.keyed[f].index
-            np.testing.assert_array_equal(a.keyed[f].masks, b.keyed[f].masks)
-            assert list(a.keyed[f].packed.items()) == list(b.keyed[f].packed.items())
+            assert a.keyed[f].keys.tobytes() == b.keyed[f].keys.tobytes()
+            assert a.keyed[f].packed == b.keyed[f].packed
 
 
 class TestGoldenForest:
@@ -286,6 +310,53 @@ class TestWideTrees:
             assert leaves[2] == (0 if expected[2] == 0.5 else 1)
 
 
+class TestNumericalTable:
+    """A numerical feature's table row ``k`` ANDs the masks of every node
+    whose threshold is at most ``keys[k - 1]``; a value reads row
+    ``bisect_right(keys, value)`` and NaN reads nothing."""
+
+    @staticmethod
+    def _forest():
+        x = lambda t: sf.NumericalGE(0, t)  # noqa: E731
+        # tree 0 splits on 1.0 twice on one path and once more beside it;
+        # tree 1 on 1.0 again and on 2.0; tree 2 on a term and a category
+        tree0 = sf.Internal(x(1.0), sf.Internal(x(-3.0), sf.Leaf(0.1), sf.Leaf(0.2)),
+                            sf.Internal(x(2.0), sf.Internal(x(1.0), sf.Leaf(0.3), sf.Leaf(0.4)),
+                                        sf.Internal(x(1.0), sf.Leaf(0.5), sf.Leaf(0.6))))
+        tree1 = sf.Internal(x(2.0), sf.Internal(x(1.0), sf.Leaf(0.7), sf.Leaf(0.8)), sf.Leaf(0.9))
+        tree2 = sf.Internal(sf.SetIntersects(2, (1, 3)), sf.Leaf(0.15),
+                            sf.Internal(sf.CategoryIn(1, frozenset({2})), sf.Leaf(0.25),
+                                        sf.Leaf(0.35)))
+        features = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                    sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab(["c0", "c1", "c2", "c3"])),
+                    sf.Feature("s", sf.FeatureType.CATEGORICAL_SET,
+                               make_vocab(["t0", "t1", "t2", "t3", "t4"]))]
+        return sf.DecisionForest("mart", [tree0, tree1, tree2], 0.5, features, {})
+
+    def test_equal_thresholds_share_one_row(self):
+        forest = self._forest()
+        compiled = compile_forest(forest)
+        assert compiled.keyed[0].keys.tolist() == [-3.0, 1.0, 2.0]
+        assert compiled.keyed[0].lookup == [-3.0, 1.0, 2.0]
+        _assert_tables_match_the_trees(forest, compiled)
+
+    def test_values_at_below_between_and_above_the_thresholds(self):
+        # a value equal to a threshold holds; below the lowest reads row 0;
+        # NaN applies nothing; category 3 and term 4 are no key of any node
+        forest = self._forest()
+        compiled = compile_forest(forest)
+        values = [np.nan, -np.inf, -4.0, -3.0, 0.0, 1.0, 1.5, 2.0, 2.5, np.inf]
+        rows = [(v, c, s) for v in values for c, s in ((sf.MISSING_CATEGORY, None), (3, (4,)),
+                                                       (2, (0, 4)), (0, (3,)))]
+        for row in rows:
+            expected = reference_leaf_words(forest, row, compiled.words_per_tree)
+            assert _words(compiled, _apply_masks(compiled, row)) == expected.tolist()
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+        ds = sf.Dataset.create(forest.features, [list(column) for column in zip(*rows)],
+                               np.zeros(len(rows), dtype=np.int64))
+        _assert_batch_agrees(forest, ds)
+
+
 class TestHashedCategories:
     """Max-hash categorical features have no vocabulary and carry values up
     to 2**63 - 1; compiling them must not fold value, feature and slot into
@@ -418,18 +489,12 @@ class TestPackedMasks:
         leaf_counts = [widest] + rng.integers(1, widest + 1, size=num_trees).tolist()
         forest = _random_forest(rng, kind, ftypes, leaf_counts[:num_trees])
         compiled = compile_forest(forest)
-        slots = len(compiled.default_masks)
         assert _words(compiled, compiled.default_packed) == compiled.default_masks.tolist()
-        for group in compiled.keyed.values():
-            assert list(group.packed) == list(group.index)
-            for key, (begin, end) in group.index.items():
-                expected = np.full(slots, 2**64 - 1, dtype=np.uint64)
-                np.bitwise_and.at(expected, group.tree_ids[begin:end], group.masks[begin:end])
-                assert _words(compiled, group.packed[key]) == expected.tolist()
+        _assert_tables_match_the_trees(forest, compiled)
         columns = [_random_column(rng, t, 40) for t in ftypes]
         for i in range(40):
             row = tuple(column[i] for column in columns)
-            expected = reference_apply_masks(compiled, row)
+            expected = reference_leaf_words(forest, row, compiled.words_per_tree)
             assert _words(compiled, _apply_masks(compiled, row)) == expected.tolist()
             other = tuple(map(_other_int_types, row))
             assert _words(compiled, _apply_masks(compiled, other)) == expected.tolist()
@@ -483,6 +548,20 @@ class TestPredictDataset:
         assert got.dtype == np.float64 and got.shape == (selected,)
         assert got.tobytes() == predict_dataset(compiled, ds)[rows].tobytes()
         assert got.tolist() == [predict_top_down(forest, ds.row(i)) for i in rows]
+
+    @pytest.mark.parametrize("outside", [[-1], [0, -1], "n", [0, "n"]])
+    def test_rows_outside_the_dataset_rejected(self, outside):
+        # set, numerical and categorical columns alike: a row -1 must not read
+        # the CSR offsets as an empty set and wrap the other columns to the
+        # last row, and a row n is out of range too
+        ds, _ = random_mixed_dataset(5, n=60)
+        forest = sf.train_mart(ds, sf.TrainConfig.mart(num_trees=3, seed=0))
+        compiled = compile_forest(forest)
+        rows = [ds.n_examples if r == "n" else r for r in outside]
+        with pytest.raises(ValueError, match=r"rows must be in \[0, 60\)"):
+            predict_dataset(compiled, ds, rows)
+        assert predict_dataset(compiled, ds, [0, ds.n_examples - 1]).tolist() == \
+            [predict_top_down(forest, ds.row(i)) for i in (0, ds.n_examples - 1)]
 
     def test_many_numerical_entries_stay_within_the_block(self):
         # 200 complete depth-6 trees on one numerical feature: 12600 entries

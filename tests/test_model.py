@@ -165,6 +165,8 @@ class TestTreeWalkers:
         assert list(zip(lo.tolist(), (hi - lo).tolist())) == spans
         for x in rng.normal(scale=2.0, size=20).tolist() + [np.nan]:
             assert tree.value[leaf_index(tree, (x,))] == helpers.route(root, (x,)).value
+        # the walk keeps its conditions out of the arrays and out of equality
+        assert len(tree.arrays()) == 7 and tree == _flat(root)
 
     def test_predict_schema_mismatch(self):
         _, forest = _trained(seed=4)
