@@ -13,9 +13,9 @@ term's masks over all trees into one Python int (tree t's word at bits
 64t..64t+63, all ones where the term clears nothing), so scoring a row costs
 one dict lookup and one int AND per token, then a fixed handful of numpy
 calls that read every tree's lowest surviving bit at once. Numerical splits
-compile the same way: a threshold's row holds the masks of every split at or
-below it, so a value costs one lookup too. Batched scoring (`predict_dataset`)
-does the same for blocks of rows with numpy arrays and gives the same bits.
+keep their masks in threshold order, and a value applies those of every split
+at or below it. Batched scoring (`predict_dataset`) does the same for blocks
+of rows with numpy arrays and gives the same bits.
 """
 
 import time
@@ -54,16 +54,17 @@ for term, name in zip((a, b, c, d), "abcd"):
 # the same masks of c packed into one int over both trees' words
 print("packed c:", hex(group.lookup[c]))
 
-# a numerical feature's table: row k ANDs the masks of every split whose
-# threshold is at most the k-th smallest, so x = 2.5 reads the row of 2.0
+# a numerical feature's table keeps one entry per node, by threshold; row k
+# ANDs the masks of every split whose threshold is at most the k-th smallest,
+# so x = 2.5 reads the row of 2.0
 chain = sf.DecisionForest(
     kind="rf", trees=[sf.Internal(sf.NumericalGE(0, 1.0), sf.Leaf(0.0),
                                   sf.Internal(sf.NumericalGE(0, 2.0), sf.Leaf(0.5),
                                               sf.Leaf(1.0)))],
     initial_score=0.0, features=[sf.Feature("x", sf.FeatureType.NUMERICAL)], metadata={})
 table = sf.compile_forest(chain).keyed[0]
-for k, threshold in enumerate(table.lookup, start=1):
-    bits = format(table.packed[k] & 0b111, "03b")[::-1]
+for k, (threshold, row) in enumerate(zip(table.keys, table.words()[1:]), start=1):
+    bits = format(int(row[0]) & 0b111, "03b")[::-1]
     print(f"x >= {threshold}: row {k} keeps leaves {bits}")
 
 # an example containing c: tree 0 can only reach l2, tree 1 only l1

@@ -26,20 +26,24 @@ missing) cleared nothing of it, and the negative-first leaf order makes the
 fall-through leaf the leftmost one.
 
 Every split feature compiles to one ``MaskTable``: its sorted keys (terms,
-categories or thresholds) and one row of slot words per key, after a row 0
-of all ones. A term's or a category's row is the AND of the masks of every
-node that holds on it; a numerical feature's row ``k`` is the AND of the
-masks of every node whose threshold is at most ``keys[k - 1]``, so a value
-reads row ``bisect_right(keys, value)``, row 0 below the lowest threshold,
-like a term reads its own. One ``np.bitwise_and.at`` pass builds every
-feature's rows in one (rows, slots) array, and a prefix AND down each
-numerical feature's rows makes them cumulative. Each row is kept as one
+categories or thresholds) and its entries, key by key, each a slot and its
+mask. Key row ``k`` (row 0 has no entries) owns the entries of
+``keys[k - 1]``. A term's or category's entries are the AND of the masks of
+every node that holds on it, one per slot: one ``np.bitwise_and.at`` pass
+ANDs every such key's node masks into one (keys, slots) array, whose words
+that are not all ones are the entries; each of its rows is also kept as one
 Python int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``.
+A numerical key's entries are one per node and word, and its row ``k``
+stands for the AND of the entries of every key row up to ``k``: a value
+reaches row ``searchsorted(keys, value, "right")``, row 0 below the lowest
+threshold. Its table keeps one entry per node, not one row of all slots per
+threshold, which would grow as thresholds x slots.
 
-``predict_compiled`` scores a row with no numpy call per value: it starts
-from the packed default masks, ANDs in one int per known token, per
-category and per non-NaN numerical value, and reads every tree's leaf off
-the result with a fixed handful of numpy calls at any width.
+``predict_compiled`` scores a row with no numpy call per token or
+category: it starts from the packed default masks, ANDs in one int per
+known token and per category, scatters the entries a non-NaN numerical
+value reaches into one word array and ANDs that in packed, and reads every
+tree's leaf off the result with a fixed handful of numpy calls at any width.
 
 ``predict_dataset``, the one vectorised evaluator (training scores its
 validation and out-of-bag rows with it), scores a dataset's rows, or those a
@@ -52,13 +56,15 @@ holds each key's row and 0 elsewhere, values clipped into it, so an id past
 the model's keys (a dataset's vocabulary may be larger than the model's)
 and ``MISSING_CATEGORY`` read the ones row. A feature without a vocabulary
 ranks its values among the keys with ``searchsorted`` instead: max-hash
-categorical values reach 2**63 - 1. A numerical or categorical feature then
-unpacks, once per call, only the distinct rows the call reads, at most
-min(rows, keys + 1) x slots words, and each block ``take``s its rows'
-words from them. A set feature unpacks its whole table once per call,
-(keys + 1) x slots words, and ANDs the rows of a block row's tokens together
-with ``reduceat``, unknown tokens included, since the ones row changes
-nothing; the runs start where the CSR row lengths say, and at most
+categorical values reach 2**63 - 1. ``MaskTable.words`` turns a table's rows
+into words: a term's or category's table once per call, (keys + 1) x slots
+words, the size of its packed ints; a numerical feature's per block, only
+the distinct rows the block reads, each ANDing its own entries and those of
+the rows read below it, then a prefix AND down them, so it never outgrows
+the block. A numerical or categorical feature's block ``take``s its rows'
+words; a set feature ANDs the rows of a block row's tokens together with
+``reduceat``, unknown tokens included, since the ones row changes nothing;
+the runs start where the CSR row lengths say, and at most
 ``_GATHER_BYTES`` of rows are gathered at a time.
 """
 
@@ -76,45 +82,43 @@ from .model import LEAF, DecisionForest, Tree, aggregate, predict, stack_trees
 _ONE = np.uint64(1)
 _ALL = np.uint64(2**64 - 1)
 _WORD = np.dtype("<u8")  # a leaf word as a packed int holds it, on any host
+_CATEGORICAL, _NUMERICAL = FeatureType.CATEGORICAL, FeatureType.NUMERICAL
 
 
 @dataclass
 class MaskTable:
-    """One split feature's leaf masks (see the module docstring): ``packed``
-    holds row 0, all ones, then one row per key, each over all slots as one
-    int. ``lookup`` serves the row path: a term's or category's packed row by
-    key, or a numerical feature's thresholds as a list for ``bisect_right``.
-    ``index``, ``tree_ids`` and ``masks`` view the key rows as sparse
-    entries, derived on access: a key's slots whose word is not all ones, in
-    slot order."""
+    """One split feature's leaf masks (see the module docstring): its sorted
+    keys and their entries, key by key. Key row ``k`` (1 to ``len(keys)``;
+    row 0 has none) owns entries ``ends[k - 1]`` to ``ends[k]``: the mask
+    ``masks[i]`` of slot ``tree_ids[i]``. A term's or category's entries are
+    one combined mask per slot, in slot order; a numerical key's are one per
+    node and word. ``lookup`` serves the row path: a term's or category's
+    row over all slots as one int, by key, or a numerical feature's keys as
+    a list for ``bisect_right``."""
 
     keys: np.ndarray  # ascending: int64 ids or category values, float64 thresholds
-    packed: list[int]
-    lookup: dict[int, int] | list[float]
+    ends: np.ndarray  # int64, len(keys) + 1, from 0
+    tree_ids: np.ndarray  # int64 word slots; the tree ids at one word per tree
+    masks: np.ndarray  # uint64
     slots: int
+    cumulative: bool  # numerical: a row also ANDs the entries of every row below
+    lookup: dict[int, int] | list[float]
 
-    def words(self, rows=None) -> np.ndarray:
-        """The (rows, slots) words of the table, or of its rows ``rows``."""
-        packed = self.packed if rows is None else map(self.packed.__getitem__, rows.tolist())
-        data = b"".join(map(int.to_bytes, packed, repeat(_WORD.itemsize * self.slots),
-                            repeat("little")))
-        return np.frombuffer(data, dtype=_WORD).reshape(-1, self.slots)
+    def words(self, reads=None) -> np.ndarray:
+        """The (rows, slots) words of every table row, or of the ascending
+        distinct rows ``reads`` of a cumulative table: all ones ANDed with
+        each row's entries and, in a cumulative table, every lower row's."""
+        ends = self.ends if reads is None else self.ends[reads]
+        # every entry up to the last row goes into the first row at or above its own
+        words = np.full((len(ends), self.slots), _ALL, dtype=_WORD)
+        np.bitwise_and.at(words.reshape(-1), ends.searchsorted(np.arange(ends[-1]), "right")
+                          * self.slots + self.tree_ids[:ends[-1]], self.masks[:ends[-1]])
+        return np.bitwise_and.accumulate(words, axis=0, out=words) if self.cumulative else words
 
     @property
     def index(self) -> dict:
         """Each key's [begin, end) in ``tree_ids`` and ``masks``."""
-        ends = np.cumsum((self.words()[1:] != _ALL).sum(axis=1))
-        return dict(zip(self.keys.tolist(), zip([0, *ends[:-1].tolist()], ends.tolist())))
-
-    @property
-    def tree_ids(self) -> np.ndarray:
-        """int64 word slots; the tree ids at one word per tree."""
-        return np.nonzero(self.words()[1:] != _ALL)[1]
-
-    @property
-    def masks(self) -> np.ndarray:
-        words = self.words()[1:]
-        return words[words != _ALL]
+        return dict(zip(self.keys.tolist(), zip(self.ends[:-1].tolist(), self.ends[1:].tolist())))
 
 
 @dataclass
@@ -155,18 +159,12 @@ def _negative_spans(nodes: Tree, starts: np.ndarray):
     return internal, lo[internal], lo[nodes.positive[internal]]
 
 
-def compile_forest(forest: DecisionForest) -> CompiledForest:
-    nodes, starts = stack_trees(forest.trees)
-    num_trees = len(forest.trees)
-    is_leaf = nodes.kind == LEAF
-    num_leaves = np.diff(np.searchsorted(np.flatnonzero(is_leaf), starts))
-    words = max(1, -(-int(num_leaves.max(initial=1)) // 64))
-    leaf_values = np.zeros((num_trees, 64 * words))
-    leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = \
-        nodes.value[is_leaf]
-    default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
-    n_slots = len(default_masks)
-
+def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndarray):
+    """Every node's entries of a ``stack_trees`` forest, in key rows: each
+    (feature, key) pair's key and feature, ascending, terms' and categories'
+    first; the offsets of the pairs' entries, pairs + 1 of them; the
+    entries' slots and masks; how many entries are terms' and categories';
+    and the thresholds that a numerical pair's key ranks."""
     # one entry per (internal node, word in which the node clears leaves): the
     # word's leaves minus the node's negative span [lo, hi)
     internal, lo, hi = _negative_spans(nodes, starts)
@@ -190,22 +188,43 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     key = np.concatenate((term, threshold_rank))
     feature, slots, masks = (np.concatenate((np.repeat(a, id_count), a[numerical]))
                              for a in (feature, slots, masks))
-    # the distinct (feature, key) pairs in ascending order are the key rows
-    # of every feature's table, one after another; entries sort by them, each
-    # cast to its narrowest dtype (lexsort radix-sorts up to 16 bits)
-    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0))) for a in (key, feature)])
+    cumulative = np.repeat([False, True], [len(term), len(key) - len(term)])
+    # entries sort by their pair, each key cast to its narrowest dtype
+    # (lexsort radix-sorts up to 16 bits), and keep their node order in it
+    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)))
+                        for a in (key, feature, cumulative)])
     key, feature = key[order], feature[order]
-    pair = np.ones(len(key), dtype=bool)
-    pair[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
-    key, feature, pair = key[pair], feature[pair], np.cumsum(pair) - 1
-    first = np.flatnonzero(np.diff(feature, prepend=-1))
-    used, bounds = feature[first].tolist(), [*first.tolist(), len(key)]
-    prefix = [forest.features[f].ftype == FeatureType.NUMERICAL for f in used]
-    table = np.full((len(key), n_slots), _ALL, dtype=_WORD)
-    np.bitwise_and.at(table, (pair, slots[order]), masks[order])
-    for b, e, cumulative in zip(bounds, bounds[1:], prefix):
-        if cumulative:
-            table[b:e] = np.bitwise_and.accumulate(table[b:e], axis=0)
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
+    return (key[new], feature[new], np.append(np.flatnonzero(new), len(key)), slots[order],
+            masks[order], len(term), thresholds)
+
+
+def compile_forest(forest: DecisionForest) -> CompiledForest:
+    nodes, starts = stack_trees(forest.trees)
+    num_trees = len(forest.trees)
+    is_leaf = nodes.kind == LEAF
+    num_leaves = np.diff(np.searchsorted(np.flatnonzero(is_leaf), starts))
+    words = max(1, -(-int(num_leaves.max(initial=1)) // 64))
+    leaf_values = np.zeros((num_trees, 64 * words))
+    leaf_values.reshape(-1)[_ranges(np.arange(num_trees) * 64 * words, num_leaves)] = \
+        nodes.value[is_leaf]
+    default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
+    n_slots = len(default_masks)
+
+    pair_key, pair_feature, bounds, slots, masks, n_keyed, thresholds = _entries(
+        nodes, starts, words, default_masks)
+    # every term's and category's row over all slots, in one pass: the AND of
+    # its entries; the words that are not all ones are its combined entries
+    n_rows = int(bounds.searchsorted(n_keyed))
+    table = np.full((n_rows, n_slots), _ALL, dtype=_WORD)
+    np.bitwise_and.at(table.reshape(-1), np.repeat(np.arange(n_rows) * n_slots,
+                                                   np.diff(bounds[:n_rows + 1])) + slots[:n_keyed],
+                      masks[:n_keyed])
+    slots, masks = slots[n_keyed:].copy(), masks[n_keyed:].copy()  # the numerical entries
+    combined = np.flatnonzero(table != _ALL)  # by row, then slot
+    combined_ends = np.searchsorted(combined, np.arange(n_rows + 1) * n_slots)
+    combined_slots, combined_masks = combined % max(n_slots, 1), table.reshape(-1)[combined]
     # each row as one bytes object (a forest without trees has no slots and
     # no rows); the fixed-width bytes dtype drops a row's trailing zero bytes,
     # the high bytes of its last word, which leaves its int the same
@@ -213,22 +232,27 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     del table  # the rows are a copy; the ints need not share the peak with it
     packed = list(map(int.from_bytes, rows, repeat("little")))
     del rows
-    ones = _pack(np.full(n_slots, _ALL))
-    keyed = {}
-    for f, b, e, cumulative in zip(used, bounds, bounds[1:], prefix):
-        if cumulative:
-            table_keys = thresholds[key[b:e]]
-            lookup = table_keys.tolist()
-        else:
-            table_keys = key[b:e]
-            lookup = dict(zip(table_keys.tolist(), packed[b:e]))
-        keyed[f] = MaskTable(table_keys, [ones, *packed[b:e]], lookup, n_slots)
+    tables = {}
+    first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
+    for p, q in zip(first, [*first[1:], len(pair_key)]):  # one feature's pairs
+        if p >= n_rows:  # a numerical feature keeps its entries in threshold order
+            table_keys = thresholds[pair_key[p:q]]
+            b, e = bounds[p] - n_keyed, bounds[q] - n_keyed
+            tables[int(pair_feature[p])] = MaskTable(
+                table_keys, bounds[p:q + 1] - bounds[p], slots[b:e], masks[b:e], n_slots, True,
+                table_keys.tolist())
+            continue
+        ends = combined_ends[p:q + 1]
+        tables[int(pair_feature[p])] = MaskTable(
+            pair_key[p:q], ends - ends[0], combined_slots[ends[0]:ends[-1]],
+            combined_masks[ends[0]:ends[-1]], n_slots, False,
+            dict(zip(pair_key[p:q].tolist(), packed[p:q])))
 
     return CompiledForest(
         kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,
         features=list(forest.features), words_per_tree=words, leaf_values=leaf_values,
         num_leaves=num_leaves, default_masks=default_masks, default_packed=_pack(default_masks),
-        first_bits=_pack(np.arange(n_slots) % words == 0), keyed=keyed)
+        first_bits=_pack(np.arange(n_slots) % words == 0), keyed=tables)
 
 
 def _pack(words: np.ndarray) -> int:
@@ -238,25 +262,32 @@ def _pack(words: np.ndarray) -> int:
 
 def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
     """The packed leaf words of one row: the packed default ANDed with the
-    packed row of every known token, category and non-NaN numerical value.
-    Raises ``ValueError`` when the row's length is not the schema's."""
+    packed row of every known token and category, and with the entries of
+    every threshold a numerical value reaches. Raises ``ValueError`` when the
+    row's length is not the schema's."""
     if len(row) != len(compiled.features):
         raise ValueError(f"row has {len(row)} values, schema has {len(compiled.features)}")
     leafidx = compiled.default_packed
     for feature, table in compiled.keyed.items():
-        value, lookup = row[feature], table.lookup
-        if type(lookup) is list:  # a numerical feature's thresholds
-            if value == value:  # NaN: missing applies nothing
-                leafidx &= table.packed[bisect_right(lookup, value)]
-        elif compiled.features[feature].ftype == FeatureType.CATEGORICAL:
+        value, ftype, lookup = row[feature], compiled.features[feature].ftype, table.lookup
+        if ftype is _CATEGORICAL:
             if value != MISSING_CATEGORY and (mask := lookup.get(int(value))) is not None:
                 leafidx &= mask
+        elif ftype is _NUMERICAL:
+            # NaN: missing applies nothing; so does a value below every threshold
+            if value == value and (k := bisect_right(lookup, value)):
+                end = table.ends[k]
+                words = np.full(table.slots, _ALL, dtype=_WORD)
+                np.bitwise_and.at(words, table.tree_ids[:end], table.masks[:end])
+                leafidx &= _pack(words)
         elif value:  # missing or empty set: nothing to apply
             get = lookup.get
             for term in value:
                 if (mask := get(term)) is not None:
                     leafidx &= mask
     return leafidx
+
+
 def _row_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
     """Per-tree position of the lowest leaf left for one row."""
     leafidx = _apply_masks(compiled, row)
@@ -344,18 +375,16 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n_examples):
         raise ValueError(f"rows must be in [0, {dataset.n_examples})")
     n, slots = len(rows), len(compiled.default_masks)
-    singles, sets = [], []
+    numerical, categorical, sets = [], [], []
     for f, table in compiled.keyed.items():
         feature, column = compiled.features[f], dataset.columns[f]
         find = _row_finder(table, feature)
-        if feature.ftype == FeatureType.CATEGORICAL_SET:
-            sets.append((column, find, table.words()))
+        if feature.ftype == FeatureType.NUMERICAL:
+            numerical.append((find(np.asarray(column, dtype=np.float64)[rows]), table))
+        elif feature.ftype == FeatureType.CATEGORICAL:
+            categorical.append((find(np.asarray(column, dtype=np.int64)[rows]), table.words()))
         else:
-            dtype = np.float64 if feature.ftype == FeatureType.NUMERICAL else np.int64
-            table_rows = find(np.asarray(column, dtype=dtype)[rows])
-            read = np.zeros(len(table.packed), dtype=bool)
-            read[table_rows] = True
-            singles.append(((np.cumsum(read) - 1)[table_rows], table.words(np.flatnonzero(read))))
+            sets.append((column, find, table.words()))
     width = compiled.leaf_values.shape[1]
     tree_starts = np.arange(0, compiled.num_trees * width, width)
     tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
@@ -363,8 +392,11 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         leafidx = np.tile(compiled.default_masks, (hi - lo, 1))
-        for inverse, words in singles:
-            leafidx &= words.take(inverse[lo:hi], axis=0)
+        for table_rows, table in numerical:
+            reads, inverse = np.unique(table_rows[lo:hi], return_inverse=True)
+            leafidx &= table.words(reads).take(inverse, axis=0)
+        for table_rows, words in categorical:
+            leafidx &= words.take(table_rows[lo:hi], axis=0)
         for index, find, table in sets:
             lengths, terms = index.row_tokens(rows[lo:hi])
             key_rows = find(terms)  # an unknown token reads the ones row: a no-op

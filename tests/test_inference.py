@@ -43,17 +43,25 @@ def _assert_tables_match_the_trees(forest, compiled):
                 getattr(condition, "values", None) or getattr(condition, "mask", None)
                 or {condition.threshold})
     assert sorted(compiled.keyed) == sorted(names)
-    slots = len(compiled.default_masks)
     for f, table in compiled.keyed.items():
         keys = sorted(names[f])
         assert table.keys.tolist() == keys
-        assert len(table.packed) == len(keys) + 1
-        assert table.packed[0] == (1 << 64 * slots) - 1
-        for key, packed in zip(keys, table.packed[1:]):
+        words = table.words()
+        assert words.shape == (len(keys) + 1, len(compiled.default_masks))
+        assert (words[0] == np.uint64(2**64 - 1)).all()
+        for key, got in zip(keys, words[1:]):
             expected = reference_leaf_words(forest, key_row(forest.features, f, key),
                                             compiled.words_per_tree)
-            got = np.array(_words(compiled, packed), dtype=np.uint64) & compiled.default_masks
-            assert got.tolist() == expected.tolist()
+            assert (got & compiled.default_masks).tolist() == expected.tolist()
+        # the batch path reads some rows of a numerical table; the row path
+        # packs a term's or category's rows
+        if forest.features[f].ftype == sf.FeatureType.NUMERICAL:
+            assert table.cumulative and table.lookup == keys
+            for reads in (np.arange(0, len(keys) + 1, 2), np.arange(1, len(keys) + 1, 3)):
+                if len(reads):
+                    assert table.words(reads).tolist() == words[reads].tolist()
+        else:
+            assert [_words(compiled, table.lookup[key]) for key in keys] == words[1:].tolist()
 
 
 class TestCompileStructure:
@@ -83,7 +91,8 @@ class TestCompileStructure:
             assert [group.index[k] for k in keys] == spans
             for begin, end in spans:
                 ids = group.tree_ids[begin:end]
-                assert (np.diff(ids) > 0).all()  # one combined mask per tree
+                # a term's or category's entries: one combined mask per slot
+                assert group.cumulative or (np.diff(ids) > 0).all()
             for begin, end in spans:
                 for tree_id, mask in zip(group.tree_ids[begin:end],
                                          group.masks[begin:end]):
@@ -112,8 +121,9 @@ class TestCompileStructure:
         assert (a.default_packed, a.first_bits) == (b.default_packed, b.first_bits)
         assert a.keyed.keys() == b.keyed.keys()
         for f in a.keyed:
-            assert a.keyed[f].keys.tobytes() == b.keyed[f].keys.tobytes()
-            assert a.keyed[f].packed == b.keyed[f].packed
+            for field in ("keys", "ends", "tree_ids", "masks"):
+                assert getattr(a.keyed[f], field).tobytes() == getattr(b.keyed[f], field).tobytes()
+            assert a.keyed[f].lookup == b.keyed[f].lookup
 
 
 class TestGoldenForest:
@@ -328,7 +338,8 @@ class TestNumericalTable:
                             sf.Internal(sf.CategoryIn(1, frozenset({2})), sf.Leaf(0.25),
                                         sf.Leaf(0.35)))
         features = [sf.Feature("x", sf.FeatureType.NUMERICAL),
-                    sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab(["c0", "c1", "c2", "c3"])),
+                    sf.Feature("c", sf.FeatureType.CATEGORICAL,
+                               make_vocab(["c0", "c1", "c2", "c3"])),
                     sf.Feature("s", sf.FeatureType.CATEGORICAL_SET,
                                make_vocab(["t0", "t1", "t2", "t3", "t4"]))]
         return sf.DecisionForest("mart", [tree0, tree1, tree2], 0.5, features, {})
@@ -336,8 +347,11 @@ class TestNumericalTable:
     def test_equal_thresholds_share_one_row(self):
         forest = self._forest()
         compiled = compile_forest(forest)
-        assert compiled.keyed[0].keys.tolist() == [-3.0, 1.0, 2.0]
-        assert compiled.keyed[0].lookup == [-3.0, 1.0, 2.0]
+        table = compiled.keyed[0]
+        assert table.keys.tolist() == [-3.0, 1.0, 2.0]
+        # one entry per node and word, the nodes of a threshold in tree order
+        assert table.ends.tolist() == [0, 1, 5, 7]
+        assert table.tree_ids.tolist() == [0, 0, 0, 0, 1, 0, 1]
         _assert_tables_match_the_trees(forest, compiled)
 
     def test_values_at_below_between_and_above_the_thresholds(self):
@@ -564,8 +578,10 @@ class TestPredictDataset:
             [predict_top_down(forest, ds.row(i)) for i in (0, ds.n_examples - 1)]
 
     def test_many_numerical_entries_stay_within_the_block(self):
-        # 200 complete depth-6 trees on one numerical feature: 12600 entries
-        # over 200 slots, about 20 MB as one prefix table over all entries
+        # 200 complete depth-6 trees on one numerical feature: 12600 distinct
+        # thresholds over 200 slots; one row of all slots per threshold would
+        # take about 20 MB, and a table over the distinct thresholds of all
+        # 2000 rows 3.2 MB, where one block's (256, 200) words take 0.4 MB
         rng = np.random.default_rng(3)
 
         def tree(depth):
@@ -576,17 +592,23 @@ class TestPredictDataset:
 
         forest = sf.DecisionForest("mart", [tree(0) for _ in range(200)], 0.1,
                                    [sf.Feature("x", sf.FeatureType.NUMERICAL)], {})
-        compiled = compile_forest(forest)
-        values = np.append(rng.normal(size=9), np.nan)
-        ds = sf.Dataset.create(forest.features, [values], np.zeros(10, dtype=np.int64))
+        values = np.append(rng.normal(size=1999), np.nan)
+        ds = sf.Dataset.create(forest.features, [values], np.zeros(2000, dtype=np.int64))
+        peaks = []
         tracemalloc.start()
         try:
+            compiled = compile_forest(forest)
+            kept, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
             scores = predict_dataset(compiled, ds)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1] - kept)
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-        assert scores.tolist() == [predict_top_down(forest, row) for row in ds.rows()]
+        assert len(compiled.keyed[0].keys) == 12600
+        assert peaks[0] < 2**22 and peaks[1] < 2**21
+        assert scores.tolist() == [predict_compiled(compiled, row) for row in ds.rows()]
+        assert scores[::40].tolist() == [predict_top_down(forest, row) for row in ds.rows()[::40]]
 
     def test_wide_set_forest_gathers_within_a_budget(self):
         # 100 chains of 70 leaves (two words per tree) over 100 terms, and 20
