@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,8 @@ from .dataset import (
     load_csv,
     load_csv_with_schema,
     load_labeled_text,
-    tokenize,
+    read_text,
+    text_examples,
 )
 from .evaluation import (
     MethodSpec,
@@ -177,9 +177,9 @@ def parse_config(path: str | None, overrides: list[str]) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            _, text = read_text(path)
+        except DataError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -397,69 +397,49 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Pipeline:
-    """How raw input becomes the rows a model scores, from its metadata."""
-
-    vocabulary: Vocabulary | None  # a text model's
-    features: list[Feature] | None  # a csv model's input schema
-    chain: TransformChain | None
-
-
-def _model_pipeline(forest: DecisionForest) -> _Pipeline:
-    """The model's ``metadata.pipeline`` and ``metadata.transform_chain``,
-    parsed and checked; raises ``ValueError``. A model without transforms
-    scores its input as read, so the pipeline's schema must be the model's:
-    a text pipeline's vocabulary the set feature's, a csv pipeline's features
-    the model's features. A transformed model keeps no such second copy."""
+def _model_reader(forest: DecisionForest):
+    """The model's input reader, a function from a path or binary stream to
+    the rows it scores: a CSV read against the schema of its
+    ``metadata.pipeline``, or text lines by ``text_examples``, labels
+    ignored; then its ``metadata.transform_chain``. Both are parsed and
+    checked here (``ValueError``). A model without transforms scores its
+    input as read, so the pipeline's schema must be the model's features; a
+    transformed model keeps no such second copy."""
     pipeline = forest.metadata.get("pipeline")
     if not isinstance(pipeline, dict) or pipeline.get("kind") not in ("text", "csv"):
         raise ValueError("metadata.pipeline must be an object of kind 'text' or 'csv'")
-    chain = forest.metadata.get("transform_chain")
+    kind, chain = pipeline["kind"], forest.metadata.get("transform_chain")
     chain = None if chain is None else TransformChain.from_dict(chain)
     try:
-        if pipeline["kind"] == "text":
-            vocabulary, features = Vocabulary.from_dict(pipeline["vocabulary"]), None
-            read = [Feature(f.name, FeatureType.CATEGORICAL_SET, vocabulary)
-                    for f in forest.features[:1]]
+        if kind == "text":
+            vocabulary = Vocabulary.from_dict(pipeline["vocabulary"])
+            schema = [Feature(f.name, FeatureType.CATEGORICAL_SET, vocabulary)
+                      for f in forest.features[:1]]
         else:
-            vocabulary = None
-            features = read = [Feature.from_dict(f) for f in pipeline["features"]]
+            schema = [Feature.from_dict(f) for f in pipeline["features"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed metadata.pipeline: {exc!r}") from None
-    if (chain is None or not chain.steps) and read != forest.features:
+    if (chain is None or not chain.steps) and schema != forest.features:
         raise ValueError(f"metadata.pipeline does not read the model's "
                          f"{len(forest.features)} features as they were trained")
-    return _Pipeline(vocabulary, features, chain)
 
-
-def _dataset_for_model(pipeline: _Pipeline, data_path: str,
-                       lines: list[str] | None = None) -> Dataset:
-    if pipeline.features is not None:
-        dataset = load_csv_with_schema(data_path, pipeline.features)
-    else:
-        if lines is None:
-            token_sets, _ = load_labeled_text(data_path)
+    def read(source) -> Dataset:
+        if kind == "csv":
+            dataset = load_csv_with_schema(source, schema)
         else:
-            token_sets = [_tokens_from_line(line) for line in lines]
-        dataset = dataset_from_token_sets(
-            token_sets, pipeline.vocabulary, np.zeros(len(token_sets), dtype=np.int64))
-    return dataset if pipeline.chain is None else pipeline.chain.transform(dataset)
+            token_sets = [tokens for _, _, tokens in text_examples(source)]
+            dataset = dataset_from_token_sets(
+                token_sets, vocabulary, np.zeros(len(token_sets), dtype=np.int64))
+        return dataset if chain is None else chain.transform(dataset)
+    return read
 
 
-def _tokens_from_line(line: str):
-    head, tab, rest = line.partition("\t")
-    if tab and head in ("0", "1"):
-        return tokenize(rest)
-    return tokenize(line)
-
-
-def _load_model(path: str) -> tuple[DecisionForest, _Pipeline]:
-    """The model at ``path`` and its ingest pipeline, both checked once, on
-    load: a malformed document raises ``DataError``."""
+def _load_model(path: str):
+    """The model at ``path`` and its input reader (``_model_reader``), both
+    checked once, on load: a malformed document raises ``DataError``."""
     try:
         forest = load_forest(path)
-        return forest, _model_pipeline(forest)
+        return forest, _model_reader(forest)
     except (ValueError, KeyError) as exc:
         raise DataError(f"cannot load model {path}: {exc}") from exc
     except RecursionError:  # json.loads on a document nested too deeply
@@ -469,8 +449,8 @@ def _load_model(path: str) -> tuple[DecisionForest, _Pipeline]:
 def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
     started = time.time()
     out = _require_output(cfg)
-    forest, pipeline = _load_model(model_path)
-    dataset = _dataset_for_model(pipeline, data_path)
+    forest, read = _load_model(model_path)
+    dataset = read(data_path)
     _require_examples(dataset, data_path)
     rows = dataset.rows()
     compiled = compile_forest(forest)
@@ -489,21 +469,10 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
 
 
 def cmd_predict(cfg: RunConfig, model_path: str, input_path: str | None) -> int:
-    forest, pipeline = _load_model(model_path)
-    evaluator = cfg["evaluator"]
-    if input_path is None:
-        if pipeline.features is not None:
-            raise ConfigError("csv-schema models need an input file to predict")
-        lines = [line.rstrip("\n") for line in sys.stdin if line.strip()]
-        dataset = _dataset_for_model(pipeline, "", lines=lines)
-    elif cfg["format"] == "csv" or pipeline.features is not None:
-        dataset = _dataset_for_model(pipeline, input_path)
-    else:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        dataset = _dataset_for_model(pipeline, input_path, lines=lines)
+    forest, read = _load_model(model_path)
+    dataset = read(sys.stdin.buffer if input_path is None else input_path)
     try:
-        if evaluator == "qs":
+        if cfg["evaluator"] == "qs":
             scores = predict_dataset(compile_forest(forest), dataset).tolist()
         else:
             scores = [predict_top_down(forest, row) for row in dataset.rows()]

@@ -14,18 +14,26 @@ Column storage is columnar:
 
 ``Dataset`` converts a list of id tuples (``None`` for missing) to that one
 layout when it is built; indexing the column by row still gives the tuple.
+
+Each input format has one reader, which every command uses. ``read_text``
+reads and decodes every file or stream. ``text_examples`` splits each text
+line into an optional label and its token set. A CSV column's cells are
+parsed once by type; ``load_csv`` infers a value table for each categorical
+and set column from them, and both CSV loaders encode through one function.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,7 +120,7 @@ def tokenize(text: str) -> frozenset[str]:
     No lowercasing, no stemming; surface forms are kept as-is. An empty
     string yields an empty set.
     """
-    return frozenset(t for t in _ASCII_WS.split(text) if t)
+    return frozenset(filter(None, _ASCII_WS.split(text)))
 
 
 def build_vocabulary(
@@ -323,85 +331,122 @@ def dataset_from_token_sets(
     return Dataset.create([feature], [column], labels, weights)
 
 
+def read_text(source) -> tuple[str, str]:
+    """The name and the text of ``source``, a path or a binary stream such as
+    ``sys.stdin.buffer``: every input is read here, and decoded from UTF-8
+    at once. Raises ``DataError`` when it cannot be read, naming
+    ``path:line`` of the first byte that is not UTF-8."""
+    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
+    try:
+        data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot open {name}: {exc}") from exc
+    try:
+        return name, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def text_examples(source) -> Iterator[tuple[int, int | None, frozenset[str]]]:
+    """``(line number, label, tokens)`` of each example line of ``source``
+    (see ``read_text``): a line that starts with ``0`` or ``1`` and a TAB has
+    that label and the rest is its text; any other line has no label
+    (``None``) and is all text. A line of ASCII whitespace alone is blank,
+    and skipped. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    text = read_text(source)[1].replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        head, tab, rest = line.partition("\t")
+        label = int(head) if tab and head in ("0", "1") else None
+        tokens = tokenize(line if label is None else rest)
+        if tokens or label is not None:
+            yield lineno, label, tokens
+
+
 def load_labeled_text(path) -> tuple[list[frozenset[str]], np.ndarray]:
-    """Read ``<label><TAB><text>`` lines; label must be 0 or 1."""
+    """Read ``<label><TAB><text>`` lines with ``text_examples``; every
+    example line needs its ``0`` or ``1`` label."""
     token_sets: list[frozenset[str]] = []
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            head, _, text = line.partition("\t")
-            if head not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {head!r}")
-            labels.append(int(head))
-            token_sets.append(tokenize(text))
+    for lineno, label, tokens in text_examples(path):
+        if label is None:
+            raise DataError(f"{path}:{lineno}: a line must start with a 0 or 1 label "
+                            "and a TAB")
+        labels.append(label)
+        token_sets.append(tokens)
     return token_sets, np.asarray(labels, dtype=np.int64)
 
 
-def _parse_set_cell(cell: str) -> list[str] | None:
+def _parse_set_cell(cell: str) -> frozenset[str] | None:
     # "{a b c}" -> tokens, "{}" -> empty set, "" -> missing
     if cell == "":
         return None
     if not (cell.startswith("{") and cell.endswith("}")):
         raise DataError("set cell must look like '{tok tok}' or '{}'")
-    inner = cell[1:-1]
-    return [t for t in _ASCII_WS.split(inner) if t]
-
-
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        return header, list(reader)
+    return tokenize(cell[1:-1])
 
 
 def _read_table(path, columns, label_column: str | None, weight_column: str | None):
-    """Header, cells of ``columns`` by name, labels and weights of a CSV file.
+    """Header, cells of ``columns`` (name -> type) by name, each parsed once
+    by its type (``_parse_cells``), labels and weights of a CSV file or stream.
 
     The header must hold every named column and each row one cell per
     header column. Without a label column the labels are 0, without a
     weight column the weights are None.
     """
-    header, rows = _read_csv(path)
+    name, text = read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{name}: empty file")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{name}:{reader.line_num}: {exc}") from None
     weight_column = weight_column or None  # an empty name means no weights
-    for name in [*columns, label_column, weight_column]:
-        if name is not None and name not in header:
-            raise DataError(f"{path}: column {name!r} not in header")
-    col_of = {name: header.index(name) for name in header}
+    for column in [*columns, label_column, weight_column]:
+        if column is not None and column not in header:
+            raise DataError(f"{name}: column {column!r} not in header")
+    col_of = {column: header.index(column) for column in header}
     labels = [] if label_column is not None else [0] * len(rows)
     weights = [] if weight_column is not None else None
     for rowno, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise DataError(f"{path}:{rowno}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"{name}:{rowno}: expected {len(header)} cells, got {len(row)}")
         if label_column is not None:
             cell = row[col_of[label_column]]
             if cell not in ("0", "1"):
-                raise DataError(f"{path}:{rowno}: label must be 0 or 1, got {cell!r}")
+                raise DataError(f"{name}:{rowno}: label must be 0 or 1, got {cell!r}")
             labels.append(int(cell))
         if weight_column is not None:
             cell = row[col_of[weight_column]]
             try:
                 weight = float(cell)
             except ValueError:
-                raise DataError(f"{path}:{rowno}: bad weight {cell!r}") from None
+                raise DataError(f"{name}:{rowno}: bad weight {cell!r}") from None
             if not 0.0 < weight < math.inf:
-                raise DataError(f"{path}:{rowno}: weight must be positive and finite, "
+                raise DataError(f"{name}:{rowno}: weight must be positive and finite, "
                                 f"got {cell!r}")
             weights.append(weight)
-    cells = {name: [row[col_of[name]] for row in rows] for name in columns}
-    return header, cells, labels, weights
+    values = {column: _parse_cells(name, column, ftype, [row[col_of[column]] for row in rows])
+              for column, ftype in columns.items()}
+    return header, values, labels, weights
 
 
-def _numerical_cells(path, name: str, cells: list[str]) -> np.ndarray:
+def _parse_cells(name: str, column: str, ftype: FeatureType, cells: list[str]):
+    """A column's cells parsed by type: floats (NaN when missing) for
+    numerical, the cells themselves (``""`` when missing) for categorical,
+    token sets (None when missing) for set."""
+    if ftype == FeatureType.CATEGORICAL:
+        return cells
+    if ftype == FeatureType.CATEGORICAL_SET:
+        parsed = []
+        for i, cell in enumerate(cells):
+            try:
+                parsed.append(_parse_set_cell(cell))
+            except DataError as exc:
+                raise DataError(f"{name}:{i + 2}: column {column!r}: {exc}") from None
+        return parsed
     out = np.empty(len(cells), dtype=np.float64)
     for i, cell in enumerate(cells):
         if cell == "":
@@ -410,22 +455,26 @@ def _numerical_cells(path, name: str, cells: list[str]) -> np.ndarray:
             try:
                 out[i] = float(cell)
             except ValueError:
-                raise DataError(f"{path}:{i + 2}: column {name!r}: bad number {cell!r}") from None
+                raise DataError(f"{name}:{i + 2}: column {column!r}: bad number {cell!r}") from None
     infinite = np.flatnonzero(np.isinf(out))
     if infinite.size:
         i = int(infinite[0])
-        raise DataError(f"{path}:{i + 2}: column {name!r}: number {cells[i]!r} is not finite")
+        raise DataError(f"{name}:{i + 2}: column {column!r}: number {cells[i]!r} is not finite")
     return out
 
 
-def _set_cells(path, name: str, cells: list[str]) -> list[list[str] | None]:
-    parsed = []
-    for i, cell in enumerate(cells):
-        try:
-            parsed.append(_parse_set_cell(cell))
-        except DataError as exc:
-            raise DataError(f"{path}:{i + 2}: column {name!r}: {exc}") from None
-    return parsed
+def _encode_column(feature: Feature, values):
+    """The column of ``feature`` from its parsed cells, encoded with its
+    vocabulary: unseen categories become missing, unseen set tokens are
+    dropped."""
+    if feature.ftype == FeatureType.NUMERICAL:
+        return values
+    vocab = feature.vocabulary or Vocabulary((), ())  # an empty table is stored as none
+    if feature.ftype == FeatureType.CATEGORICAL:
+        index = vocab.index
+        return np.array([index.get(c, MISSING_CATEGORY) if c != "" else MISSING_CATEGORY
+                         for c in values], dtype=np.int64)
+    return [None if p is None else encode_tokens(p, vocab) for p in values]
 
 
 def load_csv(
@@ -437,41 +486,30 @@ def load_csv(
     """Load a UTF-8 comma-separated file with a header row.
 
     ``column_types`` maps feature column names to ``numerical`` /
-    ``categorical`` / ``set``. Set cells hold space-separated tokens inside
+    ``categorical`` / ``set``. Set cells hold ``tokenize``d tokens inside
     braces (``{blue red}``); ``{}`` is the empty set; a fully empty cell is
     missing. Empty numerical/categorical cells are missing.
 
     Categorical string values and set tokens get ids from per-column value
     tables built over the whole file (descending frequency, lexicographic
-    tie-break); labels play no part in the id assignment.
+    tie-break); labels play no part in the id assignment. The columns are
+    then encoded as ``load_csv_with_schema`` encodes them.
     """
     for name, ftype in column_types.items():
         if ftype not in ("numerical", "categorical", "set"):
             raise DataError(f"{path}: unknown column type {ftype!r} for {name!r}")
-    header, cells_of, labels, weights = _read_table(path, column_types, label_column,
-                                                    weight_column)
+    types = {name: FeatureType(ftype) for name, ftype in column_types.items()}
+    header, values, labels, weights = _read_table(path, types, label_column, weight_column)
     features: list[Feature] = []
-    columns: list = []
-    for name in [n for n in header if n in column_types]:
-        ftype, cells = column_types[name], cells_of[name]
-        if ftype == "numerical":
-            features.append(Feature(name, FeatureType.NUMERICAL))
-            columns.append(_numerical_cells(path, name, cells))
-        elif ftype == "categorical":
-            vocab = build_vocabulary(([c] for c in cells if c != ""), max_size=len(cells) or 1,
-                                     min_frequency=1)
-            features.append(Feature(name, FeatureType.CATEGORICAL, vocab))
-            columns.append(np.array([vocab.index[c] if c != "" else MISSING_CATEGORY
-                                     for c in cells], dtype=np.int64))
-        else:
-            parsed = _set_cells(path, name, cells)
-            vocab = build_vocabulary((p for p in parsed if p is not None),
-                                     max_size=max(len(cells), 1) * 64, min_frequency=1)
-            col = [None if p is None else encode_tokens(p, vocab) for p in parsed]
-            features.append(Feature(name, FeatureType.CATEGORICAL_SET, vocab))
-            columns.append(col)
-
-    return Dataset.create(features, columns, labels, weights)
+    for name in [n for n in header if n in types]:
+        cells, vocab = values[name], None
+        if types[name] != FeatureType.NUMERICAL:  # a categorical cell is a set of one
+            present = ([c] for c in cells if c != "") if types[name] == FeatureType.CATEGORICAL \
+                else (p for p in cells if p is not None)
+            vocab = build_vocabulary(present, max_size=max(len(cells), 1) * 64, min_frequency=1)
+        features.append(Feature(name, types[name], vocab))
+    return Dataset.create(features, [_encode_column(f, values[f.name]) for f in features],
+                          labels, weights)
 
 
 def load_csv_with_schema(
@@ -480,25 +518,14 @@ def load_csv_with_schema(
     label_column: str | None = None,
     weight_column: str | None = None,
 ) -> Dataset:
-    """Load a CSV against an existing schema (e.g. a trained model's).
+    """Load a CSV file or stream against an existing schema (e.g. a trained
+    model's).
 
     Categorical values and set tokens are encoded with the schema's value
     tables; unseen categorical values become missing, unseen set tokens are
     dropped. Without a label column, labels default to 0.
     """
-    _, cells_of, labels, weights = _read_table(path, [f.name for f in features],
-                                               label_column, weight_column)
-    columns: list = []
-    for feat in features:
-        cells = cells_of[feat.name]
-        if feat.ftype == FeatureType.NUMERICAL:
-            columns.append(_numerical_cells(path, feat.name, cells))
-        elif feat.ftype == FeatureType.CATEGORICAL:
-            index = feat.vocabulary.index if feat.vocabulary else {}
-            columns.append(np.array([index.get(c, MISSING_CATEGORY) if c != "" else
-                                     MISSING_CATEGORY for c in cells], dtype=np.int64))
-        else:
-            columns.append([None if p is None else encode_tokens(p, feat.vocabulary)
-                            for p in _set_cells(path, feat.name, cells)])
-
-    return Dataset.create(list(features), columns, labels, weights)
+    _, values, labels, weights = _read_table(path, {f.name: f.ftype for f in features},
+                                             label_column, weight_column)
+    return Dataset.create(list(features), [_encode_column(f, values[f.name]) for f in features],
+                          labels, weights)

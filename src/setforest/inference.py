@@ -362,14 +362,21 @@ def _check_schema(compiled: CompiledForest, dataset: Dataset) -> None:
         if have.ftype != want.ftype:
             raise ValueError(f"feature {i} ({have.name}) is {have.ftype.value} in the "
                              f"dataset and {want.ftype.value} in the model")
+        # ids name the same terms when the dataset's vocabulary extends the model's
+        terms = want.vocabulary.terms if want.vocabulary else ()
+        if have.vocabulary is not want.vocabulary and terms and (
+                not have.vocabulary or have.vocabulary.terms[:len(terms)] != terms):
+            raise ValueError(f"feature {i} ({have.name}) is encoded with a vocabulary "
+                             f"that does not begin with the model's {len(terms)} terms")
 
 
 def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np.ndarray:
     """Probabilities of the dataset rows ``rows`` (every row when None; they
     may be unsorted, repeated or empty), bit-identical to ``predict_compiled``
     row by row; scores blocks of rows at once (see the module docstring).
-    Raises ``ValueError`` when the dataset's schema is not the model's, or a
-    row is not in ``[0, n_examples)``."""
+    Raises ``ValueError`` when the dataset's feature types are not the
+    model's, a vocabulary of the dataset does not begin with the model's
+    terms, or a row is not in ``[0, n_examples)``."""
     _check_schema(compiled, dataset)
     rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n_examples):

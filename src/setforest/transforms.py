@@ -346,7 +346,6 @@ class TargetMean:
 
 
 _STEP_TYPES = {cls.name: cls for cls in (BagOfWords, OneHot, MaxHash, TargetMean)}
-_ALIASES = {"bagofwords": "bow"}
 
 
 class TransformChain:
@@ -356,9 +355,7 @@ class TransformChain:
         self.steps = list(steps)
 
     def fit(self, dataset: Dataset) -> "TransformChain":
-        for step in self.steps:
-            step.fit(dataset)
-            dataset = step.transform(dataset)
+        self.fit_transform(dataset)
         return self
 
     def transform(self, dataset: Dataset) -> Dataset:
@@ -367,8 +364,10 @@ class TransformChain:
         return dataset
 
     def fit_transform(self, dataset: Dataset) -> Dataset:
-        self.fit(dataset)
-        return self.transform(dataset)
+        """One ``fit`` and one ``transform`` per step, each on the last's output."""
+        for step in self.steps:
+            dataset = step.fit(dataset).transform(dataset)
+        return dataset
 
     def to_dict(self) -> dict:
         return {"steps": [s.to_dict() for s in self.steps]}
@@ -391,17 +390,12 @@ def make_chain(
     smoothing: float = 10.0,
 ) -> TransformChain:
     """Build an unfitted chain from step names like ("maxhash", "targetmean")."""
+    options = {"maxhash": {"k": maxhash_k, "seed": seed, "treat": maxhash_treat},
+               "targetmean": {"smoothing": smoothing}}
     steps = []
     for raw in names:
-        name = _ALIASES.get(raw.strip().lower(), raw.strip().lower())
-        if name == "bow":
-            steps.append(BagOfWords())
-        elif name == "onehot":
-            steps.append(OneHot())
-        elif name == "maxhash":
-            steps.append(MaxHash(k=maxhash_k, seed=seed, treat=maxhash_treat))
-        elif name == "targetmean":
-            steps.append(TargetMean(smoothing=smoothing))
-        else:
+        name = raw.strip().lower()
+        if name not in _STEP_TYPES:
             raise ValueError(f"unknown transform step {raw!r}")
+        steps.append(_STEP_TYPES[name](**options.get(name, {})))
     return TransformChain(steps)

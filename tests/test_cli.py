@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -520,3 +522,120 @@ class TestTooSmallInput:
         path.write_text("1\ta b\n0\ta c\n0\tb c\n0\ta\n0\tb\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(_config(tmp_path, path, folds=2))]) == 2
         assert "single-class" in capsys.readouterr().err
+
+
+def _stdin(monkeypatch, data: bytes):
+    """Make ``data`` the process's stdin, named as the real one is."""
+    buffer = io.BytesIO(data)
+    buffer.name = "<stdin>"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(buffer))
+
+
+class TestInputReaders:
+    """Every command reads a format through one reader: text lines through
+    ``text_examples``, CSV cells through one parser and one encoder. The
+    model's pipeline alone chooses the reader of ``predict`` and ``bench``."""
+
+    @pytest.fixture()
+    def text_model(self, tmp_path, corpus_path):
+        assert main(["train", "--config", str(_config(tmp_path, corpus_path))]) == 0
+        return str(tmp_path / "out" / "model.json")
+
+    @staticmethod
+    def _predict(capsys, *argv):
+        capsys.readouterr()
+        code = main(["predict", *map(str, argv)])
+        return code, capsys.readouterr().out
+
+    # labeled, blank, whitespace-only, CRLF, unlabeled, a lone "1" (text, not
+    # a label), a labeled empty text and a last line without a line end
+    MIXED = (b"1\tspam eggs w1\n\n \t  \n0\tham toast\r\nspam toast\n\r\n1\n1\t\n"
+             b"0\teggs w2")
+    EXAMPLES = b"1\tspam eggs w1\n0\tham toast\nspam toast\n1\n1\t\n0\teggs w2\n"
+
+    def test_commands_agree_on_example_lines(self, tmp_path, corpus_path, text_model,
+                                             capsys, monkeypatch):
+        mixed, plain = tmp_path / "mixed.tsv", tmp_path / "plain.tsv"
+        mixed.write_bytes(self.MIXED)
+        plain.write_bytes(self.EXAMPLES)
+        code, scores = self._predict(capsys, text_model, mixed)
+        assert code == 0 and len(scores.split()) == 6
+        assert self._predict(capsys, text_model, plain) == (0, scores)
+        _stdin(monkeypatch, self.MIXED)
+        assert self._predict(capsys, text_model) == (0, scores)
+        bench_cfg = _config(tmp_path, corpus_path, output=str(tmp_path / "bench"))
+        assert main(["bench", text_model, str(mixed), "--config", str(bench_cfg),
+                     "--set", "runs=1", "--set", "warmup=0"]) == 0
+        rows = (tmp_path / "bench" / "bench.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[3] for row in rows} == {"6"}
+        # train reads the same lines and needs every one labeled: line 5 has no label
+        capsys.readouterr()
+        assert main(["train", "--config", str(_config(tmp_path, mixed))]) == 2
+        assert "mixed.tsv:5:" in capsys.readouterr().err
+        from setforest import cli as cli_module
+        seen, train = [], cli_module.train
+        monkeypatch.setattr(cli_module, "train",
+                            lambda ds, config: seen.append(ds.n_examples) or train(ds, config))
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_bytes(self.MIXED.replace(b"spam toast\n", b"").replace(b"\r\n1\n", b"\r\n"))
+        assert main(["train", "--config", str(_config(tmp_path, labeled))]) == 0
+        assert seen == [4]
+        assert len(self._predict(capsys, text_model, labeled)[1].split()) == 4
+
+    def test_format_key_does_not_choose_the_reader(self, tmp_path, text_model, capsys):
+        unlabeled = tmp_path / "unlabeled.txt"
+        unlabeled.write_text("spam eggs\nham\n", encoding="utf-8")
+        code, scores = self._predict(capsys, text_model, unlabeled)
+        assert code == 0 and len(scores.split()) == 2
+        assert self._predict(capsys, text_model, unlabeled, "--set", "format=csv") == (0, scores)
+
+    def test_predict_reads_csv_from_stdin(self, tmp_path, capsys, monkeypatch):
+        model, test = TestTrainPredict._mixed_csv_model(tmp_path)
+        code, scores = self._predict(capsys, model, test)
+        assert code == 0 and len(scores.split()) == 40
+        _stdin(monkeypatch, test.read_bytes())
+        assert self._predict(capsys, model) == (0, scores)
+
+    def test_set_column_with_empty_vocabulary_predicts(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("label,words,age\n1,{},1.0\n0,,2.0\n1,{},1.5\n0,{},3.0\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {train}\nformat = csv\ncolumns = words:set,age:numerical\n"
+                       f"num_trees = 2\nmin_frequency = 1\noutput = {tmp_path / 'out'}\n",
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        code, scores = self._predict(capsys, tmp_path / "out" / "model.json", train)
+        assert code == 0 and len(scores.split()) == 4
+
+    BAD_TSV = b"1\tspam eggs\n0\tham \xff toast\n"
+
+    def test_non_utf8_text_to_train_is_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.tsv"
+        data.write_bytes(self.BAD_TSV)
+        assert main(["train", "--config", str(_config(tmp_path, data))]) == 2
+        assert "bad.tsv:2: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_text_to_predict_is_two(self, tmp_path, text_model, capsys):
+        data = tmp_path / "bad.tsv"
+        data.write_bytes(self.BAD_TSV)
+        assert main(["predict", text_model, str(data)]) == 2
+        assert "bad.tsv:2: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_stdin_to_predict_is_two(self, text_model, capsys, monkeypatch):
+        _stdin(monkeypatch, self.BAD_TSV)
+        assert main(["predict", text_model]) == 2
+        assert "<stdin>:2: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_csv_set_cell_to_train_is_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"label,words\n1,{spam eggs}\n0,{ham}\n1,{spam \xff}\n")
+        cfg = _config(tmp_path, data, format="csv", columns="words:set")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "bad.csv:4: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_one(self, tmp_path, corpus_path, capsys):
+        cfg = _config(tmp_path, corpus_path)
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "run.cfg:" in capsys.readouterr().err

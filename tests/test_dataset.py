@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.dataset import DataError, Feature, FeatureType, _parse_set_cell
+from setforest.dataset import DataError, Feature, FeatureType, _parse_set_cell, text_examples
 
 from helpers import make_vocab
 
@@ -114,10 +116,52 @@ class TestLabeledText:
             sf.load_labeled_text(path)
 
 
+class TestTextExamples:
+    """``text_examples`` is the one reader of text lines: an optional 0/1
+    label ended by a TAB, and one blank-line rule."""
+
+    def test_labels_blank_lines_and_line_ends(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_bytes(b"1\tspam eggs\n\n \t \n0\tham\r\nspam ham\r\r\n1\t\n1\n"
+                         b"2\tx\n0\tlast")
+        assert list(text_examples(path)) == [
+            (1, 1, {"spam", "eggs"}), (4, 0, {"ham"}), (5, None, {"spam", "ham"}),
+            (7, 1, frozenset()), (8, None, {"1"}), (9, None, {"2", "x"}), (10, 0, {"last"})]
+
+    def test_reads_a_binary_stream(self):
+        assert list(text_examples(io.BytesIO(b"0\ta b\nc\n"))) == [
+            (1, 0, {"a", "b"}), (2, None, {"c"})]
+
+    @pytest.mark.parametrize("text,line", [("1\ta\n1\n", 2), ("1\ta\nb c\n", 2),
+                                           (" 1\ta\n", 1)])
+    def test_labeled_reader_needs_every_label(self, tmp_path, text, line):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"corpus.tsv:{line}: .*label"):
+            sf.load_labeled_text(path)
+
+    def test_labeled_reader_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"\r\n1\ta\r\n   \n\t\n0\tb\n")
+        token_sets, labels = sf.load_labeled_text(path)
+        assert token_sets == [{"a"}, {"b"}] and labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("loader", ["text", "csv"])
+    def test_non_utf8_names_the_line(self, tmp_path, loader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"label,words\n1,{a}\n0,{caf\xe9}\n")
+        with pytest.raises(DataError, match="bad.txt:3: not UTF-8"):
+            if loader == "text":
+                sf.load_labeled_text(path)
+            else:
+                sf.load_csv(path, {"words": "set"})
+
+
 class TestSetCell:
     def test_variants(self):
-        assert _parse_set_cell("{blue red green}") == ["blue", "red", "green"]
-        assert _parse_set_cell("{}") == []
+        assert _parse_set_cell("{blue red green}") == {"blue", "red", "green"}
+        assert _parse_set_cell("{red\tred  blue}") == sf.tokenize("red\tred  blue")
+        assert _parse_set_cell("{}") == frozenset()
         assert _parse_set_cell("") is None
 
     def test_malformed(self):
@@ -231,6 +275,73 @@ class TestLoadCsv:
         bad.write_text("label,w,x\n0,heavy,2.5\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad weight"):
             sf.load_csv_with_schema(bad, ds.features, weight_column="w")
+
+
+    def test_reads_a_binary_stream(self):
+        ds = sf.load_csv(io.BytesIO(b"label,x\n1,2.5\n0,\n"), {"x": "numerical"})
+        assert ds.labels.tolist() == [1, 0] and ds.columns[0][0] == 2.5
+
+    def test_csv_parser_error_is_a_data_error(self, tmp_path):
+        path = self._write(tmp_path, "label,x\n0,1\n1," + "9" * (csv.field_size_limit() + 1)
+                           + "\n")
+        with pytest.raises(DataError, match="data.csv:3: field larger than field limit"):
+            sf.load_csv(path, {"x": "numerical"})
+
+    def test_schema_without_vocabulary_reads_every_token_as_unknown(self, tmp_path):
+        # an empty vocabulary is stored as none: a column of {} and missing cells
+        train = self._write(tmp_path, "label,words,cat\n1,{},\n0,,\n")
+        ds = sf.load_csv(train, {"words": "set", "cat": "categorical"})
+        schema = [Feature.from_dict(f.to_dict()) for f in ds.features]
+        assert [f.vocabulary for f in schema] == [None, None]
+        other = tmp_path / "other.csv"
+        other.write_text("label,words,cat\n0,{a b},red\n0,,\n", encoding="utf-8")
+        ds2 = sf.load_csv_with_schema(other, schema)
+        assert list(ds2.columns[0]) == [(), None]
+        assert ds2.columns[1].tolist() == [sf.MISSING_CATEGORY] * 2
+
+
+_CELL_TEXT = st.text(alphabet="ab,\" \t\n{}", max_size=4)
+_TOKENS = st.lists(st.sampled_from(["x", "y", "zz", "x"]), max_size=5)
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def _csv_file(draw):
+    """A CSV of a label, a numerical, a categorical and a set column; cells
+    hold quoted commas and quotes, empty cells, ``{}``, repeated tokens, and
+    runs of spaces and tabs inside the braces."""
+    rows = [["label", "num", "cat", "words"]]
+    for _ in range(draw(st.integers(0, 12))):
+        num = draw(st.one_of(st.just(""), st.floats(-1e6, 1e6).map(repr)))
+        cat = draw(_CELL_TEXT)
+        if draw(st.booleans()):
+            words = ""
+        else:
+            sep = draw(_SEPARATORS)
+            words = "{" + draw(st.sampled_from(["", sep])) + sep.join(draw(_TOKENS)) + "}"
+        rows.append([draw(st.sampled_from(["0", "1"])), num, cat, words])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+class TestCsvReadersAgree:
+    @settings(deadline=None, max_examples=150)
+    @given(_csv_file())
+    def test_schema_reload_of_the_training_file_is_the_training_load(self, data):
+        types = {"num": "numerical", "cat": "categorical", "words": "set"}
+        inferred = sf.load_csv(io.BytesIO(data), types)
+        reread = sf.load_csv_with_schema(io.BytesIO(data), inferred.features, "label")
+        assert reread.features == inferred.features
+        assert np.array_equal(reread.labels, inferred.labels)
+        assert np.array_equal(reread.weights, inferred.weights)
+        for feature, have, want in zip(inferred.features, reread.columns, inferred.columns):
+            if feature.ftype == FeatureType.CATEGORICAL_SET:
+                for name in ("indptr", "term_ids", "missing"):
+                    assert np.array_equal(getattr(have, name), getattr(want, name))
+            else:
+                assert np.array_equal(have, want, equal_nan=True)
+                assert have.dtype == want.dtype
 
 
 class TestDatasetInvariants:

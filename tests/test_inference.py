@@ -717,6 +717,25 @@ class TestBatchKeyLookup:
         assert max(max(s) for s in sets if s) == 11 and categories.max() == 11
         _assert_batch_agrees(forest, ds)
 
+    def test_dataset_vocabulary_in_another_order_is_rejected(self):
+        # the same rows encoded with the terms reversed: ids name other terms
+        tokens, labels = sf.planted_keyword_corpus(n=400, vocab_terms=40, signal_terms=4,
+                                                   seed=6)
+        vocab = sf.build_vocabulary(tokens, min_frequency=1)
+        train = sf.dataset_from_token_sets(tokens, vocab, labels)
+        compiled = compile_forest(sf.train(train, sf.TrainConfig.mart(num_trees=20, seed=1)))
+        reversed_vocab = sf.Vocabulary(vocab.terms[::-1], vocab.frequencies[::-1])
+        with pytest.raises(ValueError, match="does not begin with the model's 40 terms"):
+            predict_dataset(compiled, sf.dataset_from_token_sets(tokens, reversed_vocab, labels))
+        without = [sf.Feature("text", sf.FeatureType.CATEGORICAL_SET, None)]
+        with pytest.raises(ValueError, match="vocabulary"):
+            predict_dataset(compiled, sf.Dataset.create(without, train.columns, labels))
+        # an equal vocabulary in another object, or one that extends it, scores alike
+        wider = sf.Vocabulary(vocab.terms + ("new",), vocab.frequencies + (1,))
+        for other in (sf.Vocabulary(vocab.terms, vocab.frequencies), wider):
+            ds = sf.dataset_from_token_sets(tokens, other, labels)
+            assert np.array_equal(predict_dataset(compiled, ds), predict_dataset(compiled, train))
+
     def test_set_feature_without_a_vocabulary(self):
         # hashed-style ids up to 2**62: one array indexed by id would not fit
         big = [3, 2**40 + 1, 2**61, 2**62 - 5, 2**62]

@@ -199,6 +199,25 @@ class TestSteps:
         with pytest.raises(ValueError, match="unknown transform"):
             sf.make_chain(("embeddings",))
 
+    def test_step_names_have_no_aliases(self):
+        with pytest.raises(ValueError, match="unknown transform"):
+            sf.make_chain(("bagofwords",))
+
+    def test_fit_transform_runs_each_step_once(self, monkeypatch):
+        calls = []
+        for cls in (sf.MaxHash, sf.TargetMean):
+            for method in ("fit", "transform"):
+                original = getattr(cls, method)
+                monkeypatch.setattr(cls, method, lambda self, ds, _o=original, _n=method: (
+                    calls.append((self.name, _n)), _o(self, ds))[1])
+        chain = sf.make_chain(("maxhash", "targetmean"), seed=3, maxhash_k=2)
+        out = chain.fit_transform(_text_dataset())
+        assert calls == [("maxhash", "fit"), ("maxhash", "transform"),
+                         ("targetmean", "fit"), ("targetmean", "transform")]
+        again = chain.transform(_text_dataset())
+        for a, b in zip(out.columns, again.columns):
+            np.testing.assert_array_equal(a, b)
+
     def test_chain_serialization_round_trip(self):
         chain = sf.make_chain(("maxhash", "targetmean"), seed=9, maxhash_k=2)
         train = _text_dataset()
