@@ -39,15 +39,16 @@ from .evaluation import (
     MethodSpec,
     benchmark_inference,
     cross_validate,
+    fit_method,
     fold_csv,
     sampling_rate_sweep,
     summary_csv,
     summary_table,
     text_pipeline,
 )
-from .inference import compile_forest, predict_dataset, predict_top_down
+from .inference import compile_forest, predict_dataset
 from .model import MAX_TREE_DEPTH, DecisionForest, load_forest, save_forest
-from .training import TrainConfig, train
+from .training import TrainConfig
 from .transforms import TransformChain, make_chain
 
 DEFAULT_SWEEP_GRID = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
@@ -102,13 +103,10 @@ _RATE = _check(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 # means any value parses (method and step names are checked as they are built)
 _KEYS: dict[str, tuple] = {
     "data": (str, None, None),
-    "format": (str, "tsv", _one_of("tsv", "csv")),
     "columns": (str, None, None),
     "label": (str, "label", None),
     "weight": (str, None, None),
-    "methods": (str, None, None),
-    "algorithm": (str, "rf", _one_of("rf", "mart")),
-    "transform": (str, "", None),
+    "methods": (str, "rf", None),
     "num_trees": (int, None, _AT_LEAST_1),
     "max_depth": (int, None, _check(lambda v: 1 <= v <= MAX_TREE_DEPTH,
                                     f"in [1, {MAX_TREE_DEPTH}]")),
@@ -133,7 +131,6 @@ _KEYS: dict[str, tuple] = {
     "grid": (_parse_grid, DEFAULT_SWEEP_GRID, _check(
         lambda g: len(g) > 0 and all(0.0 < p <= 1.0 for p in g),
         "a non-empty list of rates in (0, 1]")),
-    "evaluator": (str, "qs", _one_of("qs", "topdown")),
     "runs": (int, 100, _AT_LEAST_1),
     "warmup": (int, 10, _check(lambda v: v >= 0, ">= 0")),
 }
@@ -233,23 +230,17 @@ def _method_from_token(cfg: RunConfig, token: str) -> MethodSpec:
 
 
 def _methods(cfg: RunConfig) -> list[MethodSpec]:
-    if cfg["methods"]:
-        tokens = [t for t in cfg["methods"].split(";") if t.strip()]
-        if not tokens:
-            raise ConfigError("methods list is empty")
-        methods = [_method_from_token(cfg, t) for t in tokens]
-        labels = [m.label for m in methods]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("duplicate method labels")
-        return methods
-    steps = "+".join(s.strip() for s in cfg["transform"].split(",") if s.strip())
-    token = cfg["algorithm"] + (f":{steps}" if steps else "")
-    return [_method_from_token(cfg, token)]
+    tokens = [t for t in cfg["methods"].split(";") if t.strip()]
+    if not tokens:
+        raise ConfigError("methods list is empty")
+    methods = [_method_from_token(cfg, t) for t in tokens]
+    labels = [m.label for m in methods]
+    if len(set(labels)) != len(labels):
+        raise ConfigError("duplicate method labels")
+    return methods
 
 
 def _parse_columns(cfg: RunConfig) -> dict[str, str]:
-    if not cfg["columns"]:
-        raise ConfigError("csv format requires a 'columns = name:type,...' key")
     out = {}
     for item in cfg["columns"].split(","):
         name, _, ftype = item.strip().partition(":")
@@ -262,8 +253,9 @@ def _parse_columns(cfg: RunConfig) -> dict[str, str]:
 def _load_corpus(cfg: RunConfig):
     if cfg["data"] is None:
         raise ConfigError("this command needs a 'data' key")
-    if cfg["format"] != "tsv":
-        raise ConfigError("cross-validation commands support format = tsv only")
+    if cfg["columns"] is not None:
+        raise ConfigError("cross-validation commands read text lines only, "
+                          "and 'columns' marks a CSV")
     token_sets, labels = load_labeled_text(cfg["data"])
     if len(labels) < cfg["folds"]:
         raise DataError(f"{cfg['data']}: {len(labels)} examples, "
@@ -310,7 +302,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg["data"] is None:
         raise ConfigError("train needs a 'data' key")
 
-    if cfg["format"] == "tsv":
+    if cfg["columns"] is None:
         token_sets, labels = load_labeled_text(cfg["data"])
         vocab = build_vocabulary(token_sets, cfg["vocab_size"], cfg["min_frequency"])
         dataset = dataset_from_token_sets(token_sets, vocab, labels)
@@ -322,14 +314,8 @@ def cmd_train(cfg: RunConfig) -> int:
                     "features": [f.to_dict() for f in dataset.features],
                     "label": cfg["label"]}
     _require_examples(dataset, cfg["data"])
-
-    chain = method.build_chain(cfg["seed"])
-    if chain is not None:
-        dataset = chain.fit_transform(dataset)
-    forest = train(dataset, method.config)
-    forest.metadata["method"] = method.label
-    forest.metadata["pipeline"] = pipeline
-    forest.metadata["transform_chain"] = chain.to_dict() if chain else None
+    _, forest = fit_method(dataset, method, pipeline, seed=cfg["seed"],
+                           chain_seed=cfg["seed"], name_method=True)
 
     save_forest(forest, out / "model.json")
     if pipeline["kind"] == "text":
@@ -381,11 +367,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     methods = _methods(cfg)
     if len(methods) != 1:
         raise ConfigError("sweep expects exactly one method")
-    vocab_size = min(cfg["vocab_size"], 2000) if "vocab_size" not in cfg.provided \
-        else cfg["vocab_size"]
+    # sampling_rate_sweep caps the vocabulary unless the config sets it
+    sizes = {"vocab_size": cfg["vocab_size"]} if "vocab_size" in cfg.provided else {}
     rows = sampling_rate_sweep(
         token_sets, labels, methods[0], grid=cfg["grid"], folds=cfg["folds"],
-        seed=cfg["seed"], vocab_size=vocab_size, min_frequency=cfg["min_frequency"])
+        seed=cfg["seed"], min_frequency=cfg["min_frequency"], **sizes)
     lines = ["sampling_rate,mean_auc,std_auc"]
     for p, mean, std in rows:
         lines.append(f"{p!r},{mean!r},{std!r}")
@@ -468,14 +454,11 @@ def cmd_bench(cfg: RunConfig, model_path: str, data_path: str) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, model_path: str, input_path: str | None) -> int:
+def cmd_predict(model_path: str, input_path: str | None) -> int:
     forest, read = _load_model(model_path)
     dataset = read(sys.stdin.buffer if input_path is None else input_path)
     try:
-        if cfg["evaluator"] == "qs":
-            scores = predict_dataset(compile_forest(forest), dataset).tolist()
-        else:
-            scores = [predict_top_down(forest, row) for row in dataset.rows()]
+        scores = predict_dataset(compile_forest(forest), dataset).tolist()
     except ValueError as exc:  # the input's schema is not the model's
         raise DataError(f"cannot score with model {model_path}: {exc}") from exc
     for score in scores:
@@ -525,7 +508,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if args.command == "bench":
             return cmd_bench(cfg, args.model, args.data)
-        return cmd_predict(cfg, args.model, args.input)
+        return cmd_predict(args.model, args.input)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

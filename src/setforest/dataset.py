@@ -125,7 +125,7 @@ def tokenize(text: str) -> frozenset[str]:
 
 def build_vocabulary(
     corpus: Iterable[Iterable[str]],
-    max_size: int = 5000,
+    max_size: int | None = 5000,
     min_frequency: int = 5,
 ) -> Vocabulary:
     """Build a pruned vocabulary from a collection of token sets.
@@ -133,9 +133,9 @@ def build_vocabulary(
     Frequency means document frequency: the number of examples containing the
     term. Terms seen in fewer than ``min_frequency`` examples are dropped,
     the survivors are ranked by (descending frequency, term) and the top
-    ``max_size`` keep dense ids in rank order.
+    ``max_size`` (all of them when None) keep dense ids in rank order.
     """
-    if max_size < 1 or min_frequency < 1:
+    if (max_size is not None and max_size < 1) or min_frequency < 1:
         raise ValueError("max_size and min_frequency must be >= 1")
     counts: Counter[str] = Counter()
     for tokens in corpus:
@@ -390,7 +390,7 @@ def _read_table(path, columns, label_column: str | None, weight_column: str | No
     """Header, cells of ``columns`` (name -> type) by name, each parsed once
     by its type (``_parse_cells``), labels and weights of a CSV file or stream.
 
-    The header must hold every named column and each row one cell per
+    The header must hold every named column once and each row one cell per
     header column. Without a label column the labels are 0, without a
     weight column the weights are None.
     """
@@ -405,8 +405,9 @@ def _read_table(path, columns, label_column: str | None, weight_column: str | No
         raise DataError(f"{name}:{reader.line_num}: {exc}") from None
     weight_column = weight_column or None  # an empty name means no weights
     for column in [*columns, label_column, weight_column]:
-        if column is not None and column not in header:
-            raise DataError(f"{name}: column {column!r} not in header")
+        if column is not None and header.count(column) != 1:
+            raise DataError(f"{name}: column {column!r} "
+                            f"{'not in' if column not in header else 'repeated in'} header")
     col_of = {column: header.index(column) for column in header}
     labels = [] if label_column is not None else [0] * len(rows)
     weights = [] if weight_column is not None else None
@@ -506,7 +507,7 @@ def load_csv(
         if types[name] != FeatureType.NUMERICAL:  # a categorical cell is a set of one
             present = ([c] for c in cells if c != "") if types[name] == FeatureType.CATEGORICAL \
                 else (p for p in cells if p is not None)
-            vocab = build_vocabulary(present, max_size=max(len(cells), 1) * 64, min_frequency=1)
+            vocab = build_vocabulary(present, max_size=None, min_frequency=1)
         features.append(Feature(name, types[name], vocab))
     return Dataset.create(features, [_encode_column(f, values[f.name]) for f in features],
                           labels, weights)

@@ -150,21 +150,22 @@ def text_pipeline(vocabulary: Vocabulary) -> dict:
     return {"kind": "text", "vocabulary": vocabulary.to_dict()}
 
 
-def _fit_fold(token_sets, labels, weights, train_idx, method: MethodSpec,
-              vocab_size, min_frequency, fold_seed, chain_seed):
-    vocab = build_vocabulary((token_sets[i] for i in train_idx),
-                             max_size=vocab_size, min_frequency=min_frequency)
-    train_ds = dataset_from_token_sets(
-        [token_sets[i] for i in train_idx], vocab, labels[train_idx],
-        None if weights is None else weights[train_idx])
+def fit_method(dataset, method: MethodSpec, pipeline: dict, seed: int, chain_seed: int,
+               name_method: bool = False):
+    """Fit ``method``'s transform chain, seeded by ``chain_seed``, on
+    ``dataset``, then train its forest with ``seed``. The forest's metadata
+    records, in this order, the method's label (only when ``name_method``),
+    the ingest ``pipeline`` that ``cli`` reads its input with, and the fitted
+    chain. Returns the chain (None without transforms) and the forest."""
     chain = method.build_chain(chain_seed)
     if chain is not None:
-        train_ds = chain.fit_transform(train_ds)
-    config = replace(method.config, seed=fold_seed)
-    forest = train(train_ds, config)
-    forest.metadata["pipeline"] = text_pipeline(vocab)
+        dataset = chain.fit_transform(dataset)
+    forest = train(dataset, replace(method.config, seed=seed))
+    if name_method:
+        forest.metadata["method"] = method.label
+    forest.metadata["pipeline"] = pipeline
     forest.metadata["transform_chain"] = chain.to_dict() if chain else None
-    return vocab, chain, forest
+    return chain, forest
 
 
 def _score_examples(compiled, vocab, chain, token_sets, indices):
@@ -202,10 +203,14 @@ def cross_validate(
             raise DataError(f"fold {k} has single-class test labels")
         if len(set(labels[train_idx].tolist())) < 2:
             raise DataError(f"fold {k} has single-class training labels")
-        vocab, chain, forest = _fit_fold(
-            token_sets, labels, weights, train_idx, method,
-            vocab_size, min_frequency,
-            fold_seed=derive_seed(seed, _TAG_FOLD_TRAIN, k),
+        vocab = build_vocabulary((token_sets[i] for i in train_idx),
+                                 max_size=vocab_size, min_frequency=min_frequency)
+        train_ds = dataset_from_token_sets(
+            [token_sets[i] for i in train_idx], vocab, labels[train_idx],
+            None if weights is None else weights[train_idx])
+        chain, forest = fit_method(
+            train_ds, method, text_pipeline(vocab),
+            seed=derive_seed(seed, _TAG_FOLD_TRAIN, k),
             chain_seed=derive_seed(seed, _TAG_FOLD_CHAIN, k))
         compiled = compile_forest(forest)
         scores = _score_examples(compiled, vocab, chain, token_sets, test_idx)

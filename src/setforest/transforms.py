@@ -227,8 +227,7 @@ class MaxHash:
 
     name = "maxhash"
 
-    def __init__(self, k: int = 32, seed: int = 0, treat: str = "categorical",
-                 seeds: list[int] | None = None):
+    def __init__(self, k: int = 32, seed: int = 0, treat: str = "categorical"):
         if k < 1:
             raise ValueError("k must be >= 1")
         if treat not in ("categorical", "numerical"):
@@ -236,9 +235,7 @@ class MaxHash:
         self.k = k
         self.seed = seed
         self.treat = treat
-        self.seeds = seeds or [derive_seed(seed, 0x5EED, i) for i in range(k)]
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("hash seeds must be distinct")
+        self.seeds = [derive_seed(seed, 0x5EED, i) for i in range(k)]
 
     def fit(self, dataset: Dataset) -> "MaxHash":
         return self
@@ -280,8 +277,16 @@ class MaxHash:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MaxHash":
-        return cls(k=int(data["k"]), seed=int(data["seed"]), treat=data["treat"],
-                   seeds=[int(s) for s in data["seeds"]])
+        """Raises ``ValueError`` when the stored ``seeds`` are not the ones
+        that (seed, k) derive."""
+        # the length first, so that a document's k alone cannot set how many
+        # seeds are derived
+        if len(data["seeds"]) != int(data["k"]):
+            raise ValueError("max-hash needs one stored seed per hash column")
+        step = cls(k=int(data["k"]), seed=int(data["seed"]), treat=data["treat"])
+        if data["seeds"] != step.seeds:
+            raise ValueError("max-hash seeds differ from those its seed and k derive")
+        return step
 
 
 class TargetMean:

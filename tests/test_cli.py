@@ -24,7 +24,6 @@ def corpus_path(tmp_path):
 def _config(tmp_path, corpus_path, **extra):
     lines = {
         "data": str(corpus_path),
-        "format": "tsv",
         "num_trees": 3,
         "max_depth": 4,
         "folds": 3,
@@ -69,8 +68,6 @@ class TestConfigParsing:
 
 # one out-of-range value per checked key, with the command it was seen under
 OUT_OF_RANGE = [
-    ("train", "format", "parquet"),
-    ("train", "algorithm", "xgb"),
     ("train", "num_trees", "0"),
     ("train", "max_depth", "-1"),
     ("train", "max_depth", "513"),
@@ -95,15 +92,17 @@ OUT_OF_RANGE = [
     ("sweep", "grid", "0"),
     ("sweep", "grid", "2"),
     ("sweep", "grid", ","),
-    ("predict", "evaluator", "warp"),
     ("bench", "runs", "0"),
     ("bench", "runs", "-5"),
     ("bench", "warmup", "-1"),
 ]
 # keys whose values have no range: free text, names checked where they are
-# used (methods, transform steps), any integer seed, a boolean
-UNCHECKED = {"data", "columns", "label", "weight", "methods", "transform",
+# used (methods and their transform steps), any integer seed, a boolean
+UNCHECKED = {"data", "columns", "label", "weight", "methods",
              "compute_oob", "seed", "output", "baseline"}
+# keys that were second spellings of methods and columns, with a value each
+# once took (predict's are tested with predict)
+DELETED = [("format", "csv"), ("algorithm", "mart"), ("transform", "maxhash")]
 
 
 class TestConfigRanges:
@@ -113,12 +112,28 @@ class TestConfigRanges:
 
     @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
     def test_out_of_range_is_one(self, tmp_path, corpus_path, capsys, command, key, value):
-        cfg = _config(tmp_path, corpus_path, transform="maxhash")
+        cfg = _config(tmp_path, corpus_path, methods="rf:maxhash")
         positional = {"bench": ["model.json", str(corpus_path)],
                       "predict": ["model.json"]}.get(command, [])
         argv = [command, *positional, "--config", str(cfg), "--set", f"{key}={value}"]
         assert main(argv) == 1
         assert f"bad value for {key}" in capsys.readouterr().err
+
+    def test_key_count(self):
+        assert len(_KEYS) == 26
+
+    @pytest.mark.parametrize("key,value", DELETED)
+    def test_deleted_key_is_unknown(self, tmp_path, corpus_path, capsys, key, value):
+        cfg = _config(tmp_path, corpus_path, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_columns_refused_by_cross_validation(self, tmp_path, corpus_path, capsys,
+                                                 command):
+        cfg = _config(tmp_path, corpus_path, columns="age:numerical", grid="1.0")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "'columns' marks a CSV" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("validation_fraction", "0"), ("targetmean_smoothing", "0"), ("folds", "2"),
@@ -181,11 +196,17 @@ class TestExitCodes:
         train.write_text("label,age,w\n1,1.0,1.0\n0,9.0,1.0\n" + row + "\n",
                          encoding="utf-8")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {train}\nformat = csv\ncolumns = age:numerical\n"
+        cfg.write_text(f"data = {train}\ncolumns = age:numerical\n"
                        f"weight = w\nnum_trees = 2\noutput = {tmp_path / 'out'}\n",
                        encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 2
         assert ":4:" in capsys.readouterr().err
+
+
+def _top_down_lines(forest, rows):
+    """What ``predict`` prints for ``rows``, scored by the library's
+    top-down reference evaluator."""
+    return "".join(f"{sf.predict_top_down(forest, row)!r}\n" for row in rows)
 
 
 def _chain_tree(depth, leaf=0.5):
@@ -310,10 +331,11 @@ class TestTrainPredict:
         model = str(tmp_path / "out" / "model.json")
         assert main(["predict", model, str(corpus_path)]) == 0
         qs_out = capsys.readouterr().out
-        assert main(["predict", model, str(corpus_path),
-                     "--set", "evaluator=topdown"]) == 0
-        td_out = capsys.readouterr().out
-        assert qs_out == td_out
+        forest = sf.load_forest(model)
+        token_sets, labels = sf.load_labeled_text(corpus_path)
+        rows = sf.dataset_from_token_sets(
+            token_sets, forest.features[0].vocabulary, labels).rows()
+        assert qs_out == _top_down_lines(forest, rows)
         scores = [float(s) for s in qs_out.split()]
         assert len(scores) == 150
         assert all(0.0 <= s <= 1.0 for s in scores)
@@ -340,9 +362,9 @@ class TestTrainPredict:
         test.write_text("\n".join(lines[:1] + lines[81:]) + "\n", encoding="utf-8")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"data = {train}\nformat = csv\n"
+            f"data = {train}\n"
             "columns = words:set,age:numerical,colour:categorical\n"
-            f"algorithm = mart\nnum_trees = 5\nmin_frequency = 1\n"
+            f"methods = mart\nnum_trees = 5\nmin_frequency = 1\n"
             f"output = {tmp_path / 'out'}\n",
             encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 0
@@ -355,26 +377,28 @@ class TestTrainPredict:
         capsys.readouterr()
         assert main(["predict", str(model), str(test)]) == 0
         qs_out = capsys.readouterr().out
-        assert main(["predict", str(model), str(test), "--set", "evaluator=topdown"]) == 0
-        assert qs_out == capsys.readouterr().out
+        forest = sf.load_forest(model)
+        rows = sf.load_csv_with_schema(test, forest.features, "label").rows()
+        assert qs_out == _top_down_lines(forest, rows)
         assert len(qs_out.split()) == 40
 
-    @pytest.mark.parametrize("evaluator", ["qs", "topdown"])
-    def test_predict_input_schema_mismatch_is_two(self, tmp_path, capsys, evaluator):
+    def test_predict_rejects_bad_evaluator(self, tmp_path, corpus_path, capsys):
+        # predict has one evaluator: the key that chose the other is gone
+        cfg = _config(tmp_path, corpus_path)
+        main(["train", "--config", str(cfg)])
+        model = str(tmp_path / "out" / "model.json")
+        capsys.readouterr()
+        assert main(["predict", model, str(corpus_path),
+                     "--set", "evaluator=topdown"]) == 1
+        assert "unknown config key 'evaluator'" in capsys.readouterr().err
+
+    def test_predict_input_schema_mismatch_is_two(self, tmp_path, capsys):
         model, test = self._mixed_csv_model(tmp_path)
         document = json.loads(model.read_text())
         del document["metadata"]["pipeline"]["features"][2]  # the input loses a column
         model.write_text(json.dumps(document))
-        assert main(["predict", str(model), str(test),
-                     "--set", f"evaluator={evaluator}"]) == 2
+        assert main(["predict", str(model), str(test)]) == 2
         assert "3" in capsys.readouterr().err
-
-    def test_predict_rejects_bad_evaluator(self, tmp_path, corpus_path):
-        cfg = _config(tmp_path, corpus_path)
-        main(["train", "--config", str(cfg)])
-        model = str(tmp_path / "out" / "model.json")
-        assert main(["predict", model, str(corpus_path),
-                     "--set", "evaluator=warp"]) == 1
 
     def test_train_outputs_byte_deterministic(self, tmp_path, corpus_path):
         cfg = _config(tmp_path, corpus_path)
@@ -389,13 +413,24 @@ class TestTrainPredict:
 
     def test_transformed_model_predicts_from_raw_text(self, tmp_path, corpus_path,
                                                       capsys):
-        cfg = _config(tmp_path, corpus_path, transform="maxhash,targetmean",
+        cfg = _config(tmp_path, corpus_path, methods="rf:maxhash+targetmean",
                       maxhash_k=4)
         assert main(["train", "--config", str(cfg)]) == 0
         capsys.readouterr()
         model = str(tmp_path / "out" / "model.json")
         assert main(["predict", model, str(corpus_path)]) == 0
         assert len(capsys.readouterr().out.split()) == 150
+
+    def test_edited_maxhash_seeds_are_two(self, tmp_path, corpus_path, capsys):
+        cfg = _config(tmp_path, corpus_path, methods="rf:maxhash", maxhash_k=4)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "model.json"
+        document = json.loads(model.read_text())
+        document["metadata"]["transform_chain"]["steps"][0]["seeds"][1] += 1
+        model.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", str(model), str(corpus_path)]) == 2
+        assert "max-hash seeds differ" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -420,16 +455,26 @@ class TestEvaluate:
             encoding="utf-8")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"data = {train}\nformat = csv\ncolumns = age:numerical,words:set\n"
+            f"data = {train}\ncolumns = age:numerical,words:set\n"
             f"num_trees = 2\nmax_depth = 3\nmin_frequency = 1\n"
             f"output = {tmp_path / 'out'}\n",
             encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "model.json"
+        pipeline = json.loads(model.read_text())["metadata"]["pipeline"]
+        assert pipeline["kind"] == "csv"
+        assert [f["name"] for f in pipeline["features"]] == ["age", "words"]
         test = tmp_path / "test.csv"
         test.write_text("label,age,words\n1,1.2,{spam new}\n0,8.8,{toast}\n",
                         encoding="utf-8")
-        model = str(tmp_path / "out" / "model.json")
-        assert main(["predict", model, str(test), "--set", "format=csv"]) == 0
+        assert main(["predict", str(model), str(test)]) == 0
+
+    def test_repeated_header_column_is_two(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("label,x,x\n1,1.0,5.0\n0,2.0,6.0\n", encoding="utf-8")
+        cfg = _config(tmp_path, train, columns="x:numerical")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "column 'x' repeated in header" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -443,20 +488,21 @@ class TestSweep:
 
     def test_sweep_caps_vocabulary_by_default(self, tmp_path, corpus_path,
                                               monkeypatch):
-        seen = {}
-        from setforest import cli as cli_module
+        seen = []
+        from setforest import evaluation
 
-        def spy(tokens, labels, method, grid, folds, seed, vocab_size,
-                min_frequency):
-            seen["vocab_size"] = vocab_size
-            return [(p, 0.5, 0.0) for p in grid]
+        def spy(*args, vocab_size, **kwargs):
+            seen.append(vocab_size)
+            return cross_validate(*args, vocab_size=vocab_size, **kwargs)
 
-        monkeypatch.setattr(cli_module, "sampling_rate_sweep", spy)
-        cfg = _config(tmp_path, corpus_path, grid="1.0")
+        cross_validate = evaluation.cross_validate
+        monkeypatch.setattr(evaluation, "cross_validate", spy)
+        cfg = _config(tmp_path, corpus_path, grid="1.0", folds=2)
         cfg_text = cfg.read_text().replace("vocab_size = 40\n", "")
         cfg.write_text(cfg_text, encoding="utf-8")
         assert main(["sweep", "--config", str(cfg)]) == 0
-        assert seen["vocab_size"] == 2000
+        assert main(["sweep", "--config", str(cfg), "--set", "vocab_size=30"]) == 0
+        assert seen == [2000, 30]
 
     def test_rejects_other_parameters(self, tmp_path, corpus_path):
         cfg = _config(tmp_path, corpus_path, parameter="depth")
@@ -483,7 +529,7 @@ class TestTooSmallInput:
 
     @pytest.mark.parametrize("name,text,extra", [
         ("empty.tsv", "", {}),
-        ("header.csv", "label,age\n", {"format": "csv", "columns": "age:numerical"}),
+        ("header.csv", "label,age\n", {"columns": "age:numerical"}),
     ], ids=["empty_tsv", "header_only_csv"])
     def test_train_without_examples(self, tmp_path, capsys, name, text, extra):
         data = tmp_path / name
@@ -513,7 +559,7 @@ class TestTooSmallInput:
     def test_mart_holdout_takes_every_example(self, tmp_path, capsys):
         path = tmp_path / "two.tsv"
         path.write_text("1\ta b\n0\ta c\n", encoding="utf-8")
-        cfg = _config(tmp_path, path, algorithm="mart", validation_fraction=0.9)
+        cfg = _config(tmp_path, path, methods="mart", validation_fraction=0.9)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "validation holdout leaves no training examples" in capsys.readouterr().err
 
@@ -572,9 +618,9 @@ class TestInputReaders:
         capsys.readouterr()
         assert main(["train", "--config", str(_config(tmp_path, mixed))]) == 2
         assert "mixed.tsv:5:" in capsys.readouterr().err
-        from setforest import cli as cli_module
-        seen, train = [], cli_module.train
-        monkeypatch.setattr(cli_module, "train",
+        from setforest import evaluation
+        seen, train = [], evaluation.train
+        monkeypatch.setattr(evaluation, "train",
                             lambda ds, config: seen.append(ds.n_examples) or train(ds, config))
         labeled = tmp_path / "labeled.tsv"
         labeled.write_bytes(self.MIXED.replace(b"spam toast\n", b"").replace(b"\r\n1\n", b"\r\n"))
@@ -587,7 +633,8 @@ class TestInputReaders:
         unlabeled.write_text("spam eggs\nham\n", encoding="utf-8")
         code, scores = self._predict(capsys, text_model, unlabeled)
         assert code == 0 and len(scores.split()) == 2
-        assert self._predict(capsys, text_model, unlabeled, "--set", "format=csv") == (0, scores)
+        assert main(["predict", text_model, str(unlabeled), "--set", "format=csv"]) == 1
+        assert "unknown config key 'format'" in capsys.readouterr().err
 
     def test_predict_reads_csv_from_stdin(self, tmp_path, capsys, monkeypatch):
         model, test = TestTrainPredict._mixed_csv_model(tmp_path)
@@ -601,7 +648,7 @@ class TestInputReaders:
         train.write_text("label,words,age\n1,{},1.0\n0,,2.0\n1,{},1.5\n0,{},3.0\n",
                          encoding="utf-8")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {train}\nformat = csv\ncolumns = words:set,age:numerical\n"
+        cfg.write_text(f"data = {train}\ncolumns = words:set,age:numerical\n"
                        f"num_trees = 2\nmin_frequency = 1\noutput = {tmp_path / 'out'}\n",
                        encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 0
@@ -630,7 +677,7 @@ class TestInputReaders:
     def test_non_utf8_csv_set_cell_to_train_is_two(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_bytes(b"label,words\n1,{spam eggs}\n0,{ham}\n1,{spam \xff}\n")
-        cfg = _config(tmp_path, data, format="csv", columns="words:set")
+        cfg = _config(tmp_path, data, columns="words:set")
         assert main(["train", "--config", str(cfg)]) == 2
         assert "bad.csv:4: not UTF-8" in capsys.readouterr().err
 

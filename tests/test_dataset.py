@@ -287,6 +287,25 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="data.csv:3: field larger than field limit"):
             sf.load_csv(path, {"x": "numerical"})
 
+    def test_one_row_keeps_every_distinct_token(self, tmp_path):
+        tokens = [f"t{i:03d}" for i in range(100)]
+        path = self._write(tmp_path, "label,words\n1,{" + " ".join(tokens) + "}\n")
+        ds = sf.load_csv(path, {"words": "set"})
+        assert ds.features[0].vocabulary.terms == tuple(tokens)
+        assert ds.columns[0][0] == tuple(range(100))
+
+    @pytest.mark.parametrize("header,column", [
+        ("label,x,x", "x"), ("label,x,label", "label"), ("label,x,w,w", "w")])
+    def test_repeated_header_column_rejected(self, tmp_path, header, column):
+        weight = "w" if "w" in header else None
+        schema = sf.load_csv(self._write(tmp_path, "label,x\n1,1.0\n"),
+                             {"x": "numerical"}).features
+        path = self._write(tmp_path, f"{header}\n1" + ",1.0" * header.count(",") + "\n")
+        with pytest.raises(DataError, match=f"data.csv: column '{column}' repeated in header"):
+            sf.load_csv(path, {"x": "numerical"}, weight_column=weight)
+        with pytest.raises(DataError, match=f"data.csv: column '{column}' repeated in header"):
+            sf.load_csv_with_schema(path, schema, "label", weight)
+
     def test_schema_without_vocabulary_reads_every_token_as_unknown(self, tmp_path):
         # an empty vocabulary is stored as none: a column of {} and missing cells
         train = self._write(tmp_path, "label,words,cat\n1,{},\n0,,\n")

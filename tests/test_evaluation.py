@@ -184,15 +184,17 @@ class TestCrossValidate:
                                    vocab_size=40, min_frequency=1,
                                    keep_models=True)
         blocks = fold_indices(60, 2, seed=7)
-        from setforest.evaluation import _fit_fold, _score_examples
+        from setforest.evaluation import _score_examples, fit_method, text_pipeline
         from setforest.rng import derive_seed
 
         for k, test_idx in enumerate(blocks):
             train_idx = blocks[1 - k]
-            vocab, chain, forest = _fit_fold(
-                tokens, labels, None, train_idx, _method(), 40, 1,
-                fold_seed=derive_seed(7, 0x7A11, k),
-                chain_seed=derive_seed(7, 0xC4A1, k))
+            vocab = sf.build_vocabulary([tokens[i] for i in train_idx], 40, 1)
+            train_ds = sf.dataset_from_token_sets([tokens[i] for i in train_idx], vocab,
+                                                  labels[train_idx])
+            chain, forest = fit_method(train_ds, _method(), text_pipeline(vocab),
+                                       seed=derive_seed(7, 0x7A11, k),
+                                       chain_seed=derive_seed(7, 0xC4A1, k))
             compiled = sf.compile_forest(forest)
             scores = _score_examples(compiled, vocab, chain, tokens, test_idx)
             assert sf.auc(scores, labels[test_idx]) == report.fold_aucs[k]

@@ -227,6 +227,13 @@ class TestSteps:
         for a, b in zip(expected.columns, got.columns):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
+    def test_maxhash_seeds_come_from_seed_and_k_only(self):
+        spec = sf.MaxHash(k=3, seed=9).to_dict()
+        assert sf.MaxHash.from_dict(spec).seeds == spec["seeds"]
+        for seeds in ([spec["seeds"][0] + 1] + spec["seeds"][1:], spec["seeds"][:2]):
+            with pytest.raises(ValueError, match="max-hash"):
+                sf.MaxHash.from_dict(dict(spec, seeds=seeds))
+
     def test_maxhash_numerical_treatment(self):
         chain = sf.make_chain(("maxhash",), seed=1, maxhash_k=2,
                               maxhash_treat="numerical")
