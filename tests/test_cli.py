@@ -100,9 +100,11 @@ OUT_OF_RANGE = [
 # used (methods and their transform steps), any integer seed, a boolean
 UNCHECKED = {"data", "columns", "label", "weight", "methods",
              "compute_oob", "seed", "output", "baseline"}
-# keys that were second spellings of methods and columns, with a value each
-# once took (predict's are tested with predict)
-DELETED = [("format", "csv"), ("algorithm", "mart"), ("transform", "maxhash")]
+# keys that were second spellings of methods and columns, or chose predict's
+# second evaluator, with a value each once took or refused; an unknown key is
+# refused before any command runs
+DELETED = [("format", "csv"), ("algorithm", "mart"), ("transform", "maxhash"),
+           ("evaluator", "warp")]
 
 
 class TestConfigRanges:
@@ -392,13 +394,22 @@ class TestTrainPredict:
                      "--set", "evaluator=topdown"]) == 1
         assert "unknown config key 'evaluator'" in capsys.readouterr().err
 
-    def test_predict_input_schema_mismatch_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("evaluator", ["qs", "topdown"])
+    def test_predict_input_schema_mismatch_is_two(self, tmp_path, capsys, evaluator):
         model, test = self._mixed_csv_model(tmp_path)
         document = json.loads(model.read_text())
         del document["metadata"]["pipeline"]["features"][2]  # the input loses a column
         model.write_text(json.dumps(document))
-        assert main(["predict", str(model), str(test)]) == 2
-        assert "3" in capsys.readouterr().err
+        if evaluator == "qs":  # what predict scores with
+            assert main(["predict", str(model), str(test)]) == 2
+            assert "3" in capsys.readouterr().err
+        else:  # the library reference refuses the same rows (predict's exit 2)
+            forest = sf.load_forest(model)
+            features = [sf.Feature.from_dict(f)
+                        for f in document["metadata"]["pipeline"]["features"]]
+            rows = sf.load_csv_with_schema(test, features, "label").rows()
+            with pytest.raises(ValueError, match="schema has 3"):
+                sf.predict_top_down(forest, rows[0])
 
     def test_train_outputs_byte_deterministic(self, tmp_path, corpus_path):
         cfg = _config(tmp_path, corpus_path)
