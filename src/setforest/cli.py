@@ -250,12 +250,23 @@ def _parse_columns(cfg: RunConfig) -> dict[str, str]:
     return out
 
 
+def _refuse_column_keys(cfg: RunConfig) -> None:
+    """A run that reads text lines has no columns to name: each line's label
+    comes first and it has no weight, so ``label`` and ``weight`` are
+    refused rather than ignored."""
+    for key in ("label", "weight"):
+        if key in cfg.provided:
+            raise ConfigError(f"'{key}' names a CSV column, and this run reads "
+                              "text lines ('columns' is not given)")
+
+
 def _load_corpus(cfg: RunConfig):
     if cfg["data"] is None:
         raise ConfigError("this command needs a 'data' key")
     if cfg["columns"] is not None:
         raise ConfigError("cross-validation commands read text lines only, "
                           "and 'columns' marks a CSV")
+    _refuse_column_keys(cfg)
     token_sets, labels = load_labeled_text(cfg["data"])
     if len(labels) < cfg["folds"]:
         raise DataError(f"{cfg['data']}: {len(labels)} examples, "
@@ -303,6 +314,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("train needs a 'data' key")
 
     if cfg["columns"] is None:
+        _refuse_column_keys(cfg)
         token_sets, labels = load_labeled_text(cfg["data"])
         vocab = build_vocabulary(token_sets, cfg["vocab_size"], cfg["min_frequency"])
         dataset = dataset_from_token_sets(token_sets, vocab, labels)

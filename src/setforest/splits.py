@@ -12,23 +12,28 @@ values always sit on the negative side of every candidate.
 
 The categorical-set splitter grows a term mask greedily: starting from the
 empty mask it repeatedly adds the candidate term whose inclusion maximises
-the split gain, and stops as soon as no remaining term improves on the
-current gain. Candidate terms are the terms present in the node's examples,
-each kept independently with probability ``sampling_rate``. Statistics are
-updated incrementally: extending the mask by one term only moves the
-examples containing that term (and not already routed positive) across the
-partition. The search keeps only the tokens of the examples still on the
-negative side and drops those of the examples each accepted term moves, so
-each pass over the candidates is two ``bincount`` calls over a token set
-that shrinks as the mask grows. An accepted term leaves no token behind,
-so its extended gain equals the current gain and it cannot be chosen again.
-The node's tokens come from the dataset's set column (a CSR
+the split gain, and stops as soon as no term improves on the current gain.
+Candidate terms are the terms present in the node's examples, each kept
+independently with probability ``sampling_rate``. Statistics are updated
+incrementally: extending the mask by one term only moves the examples
+containing that term (and not already routed positive) across the
+partition. The search keeps one token set for the whole node, the tokens of
+the sampled terms, and each pass over the candidates is two ``bincount``
+calls over it. The tokens of the rows an accepted term moves stay in place
+with their weights zeroed: each ``bincount`` sum starts at +0.0 and so is
+never -0.0, and adding +0.0 leaves it as it was, so every sum equals the sum
+over the rows still negative. An accepted term keeps no weight, so its
+extended gain equals the current gain and it cannot be chosen again; once
+every token is zeroed, every gain equals the current one and the search
+stops. The node's tokens come from the dataset's set column (a CSR
 ``SetColumnIndex``), or from the caller through ``tokens=`` (the tree
 grower passes each child the share of its parent's tokens).
 
-All three splitters score with one kernel, ``gain_from_stats``: the node's
-own term is one scalar per call, and classification takes ``x log2 x`` of
-the six branch statistics in one stacked pass. Each candidate carries its
+All three splitters score with one kernel, which ``gain_scorer`` builds
+once per search: it computes the node's own term once, keeps its buffers
+across the greedy steps, and takes ``x log2 x`` of the six branch
+statistics of a classification split in one stacked pass.
+``gain_from_stats`` is that kernel clipped at 0. Each candidate carries its
 node-local partition (``SplitCandidate.positive``).
 """
 
@@ -63,46 +68,68 @@ class SplitCandidate:
     positive: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _xlog2x(z):
-    """z log2 z, and 0 where z <= 0."""
-    out = np.zeros(z.shape)
-    np.log2(z, out=out, where=z > 0)
-    out *= z
-    return out
+def gain_scorer(w, wt, shape=(), objective=CLASSIFICATION):
+    """The gain kernel of one node: ``score(pos_w, pos_wt)`` gives the
+    unclipped gains of candidate positive branches of ``shape``.
 
-
-def gain_from_stats(w, wt, pos_w, pos_wt, objective=CLASSIFICATION):
-    """Split gain from node totals and positive-branch totals.
-
-    ``w``/``wt`` are the node's weight sum and weighted-target sum (scalars),
-    the ``pos_*`` arguments the same sums over the positive branch (targets
-    are labels for classification, arbitrary reals for regression): scalars
-    or aligned arrays of candidate branches. Classification gain is
-    ``(w H(node) - pw H(pos) - nw H(neg)) / w`` in bits, each ``w H`` term
-    being ``x(w) - x(wt) - x(w - wt)`` with ``x(z) = z log2 z``.
+    ``w``/``wt`` are the node's weight sum and weighted-target sum, the
+    ``pos_*`` the same sums over each positive branch (targets are labels
+    for classification, arbitrary reals for regression). Classification
+    gain is ``(w H(node) - pw H(pos) - nw H(neg)) / w`` in bits, each
+    ``w H`` term being ``x(w) - x(wt) - x(w - wt)`` with ``x(z) = z log2 z``
+    (0 where z <= 0). The node's own term is computed once, here; every call
+    reuses the same buffers, so a result lasts until the next call.
     """
     w = np.float64(w)
     wt = np.float64(wt)
-    pos_w = np.asarray(pos_w, dtype=np.float64)
-    pos_wt = np.asarray(pos_wt, dtype=np.float64)
-    neg_w = w - pos_w
-    neg_wt = wt - pos_wt
     if objective == CLASSIFICATION:
-        xw, xwt, xrest = _xlog2x(np.array([w, wt, w - wt]))
+        node = np.array([w, wt, w - wt])
+        xw, xwt, xrest = np.log2(node, out=np.zeros(3), where=node > 0) * node
         parent = xw - xwt - xrest
-        z = np.empty((6,) + pos_w.shape)
-        z[0], z[1], z[2] = pos_w, pos_wt, pos_w - pos_wt
-        z[3], z[4], z[5] = neg_w, neg_wt, neg_w - neg_wt
-        x0, x1, x2, x3, x4, x5 = _xlog2x(z)
-        gain = (parent - (x0 - x1 - x2) - (x3 - x4 - x5)) / w
+        node = node[:2].reshape((2,) + (1,) * len(shape))
+        z, x = np.empty((2, 6) + shape)  # pos_w, pos_wt, pos_w - pos_wt, then neg_*
+        live = np.empty(z.shape, dtype=bool)
+        pair = np.empty((2,) + shape)  # x0 - x1 - x2 and x3 - x4 - x5
     elif objective == REGRESSION:
-        # an empty branch contributes 0
-        gain = np.divide(pos_wt * pos_wt, pos_w, out=np.zeros(pos_w.shape), where=pos_w > 0)
-        gain += np.divide(neg_wt * neg_wt, neg_w, out=np.zeros(neg_w.shape), where=neg_w > 0)
-        gain -= wt * wt / w
-        gain /= w
+        parent = wt * wt / w
+        bw, bwt, squares = np.empty((3, 2) + shape)  # positive branch, then negative
+        live = np.empty(bw.shape, dtype=bool)
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    gain = np.empty(shape)
+
+    def score(pos_w, pos_wt):
+        if objective == REGRESSION:
+            bw[0], bwt[0] = pos_w, pos_wt
+            np.subtract(w, pos_w, out=bw[1, ...])
+            np.subtract(wt, pos_wt, out=bwt[1, ...])
+            squares.fill(0.0)  # an empty branch contributes 0
+            np.divide(np.multiply(bwt, bwt, out=bwt), bw, out=squares,
+                      where=np.greater(bw, 0, out=live))
+            np.add(squares[0, ...], squares[1, ...], out=gain)
+            np.subtract(gain, parent, out=gain)
+            return np.divide(gain, w, out=gain)
+        z[0], z[1] = pos_w, pos_wt
+        np.subtract(node, z[:2], out=z[3:5])
+        np.subtract(z[0::3], z[1::3], out=z[2::3])
+        x.fill(0.0)
+        np.log2(z, out=x, where=np.greater(z, 0, out=live))
+        np.multiply(x, z, out=x)
+        np.subtract(x[0::3], x[1::3], out=pair)
+        np.subtract(pair, x[2::3], out=pair)
+        np.subtract(parent, pair[0], out=gain)
+        np.subtract(gain, pair[1], out=gain)
+        return np.divide(gain, w, out=gain)
+
+    return score
+
+
+def gain_from_stats(w, wt, pos_w, pos_wt, objective=CLASSIFICATION):
+    """``gain_scorer``'s gains of one node, clipped at 0; ``pos_w`` and
+    ``pos_wt`` are scalars or aligned arrays of candidate branches."""
+    pos_w = np.asarray(pos_w, dtype=np.float64)
+    pos_wt = np.asarray(pos_wt, dtype=np.float64)
+    gain = gain_scorer(w, wt, pos_w.shape, objective)(pos_w, pos_wt)
     # children never exceed the parent's impurity; negatives are float noise
     return np.maximum(gain, 0.0)
 
@@ -261,64 +288,62 @@ def find_set_mask_split(
         return None
     counts = np.bincount(terms)
     present = np.flatnonzero(counts)
-    compact = (np.cumsum(counts > 0) - 1)[terms]  # each token's position in present
     if sampling_rate < 1.0:
         if rng is None:
             raise ValueError("sampling_rate < 1 requires an rng")
-        keep = rng.random(present.size) < sampling_rate
-        if not keep.any():
+        present = present[rng.random(present.size) < sampling_rate]
+        if not present.size:
             return None
-        token_keep = keep[compact]
-        rows = rows[token_keep]
-        compact = (np.cumsum(keep) - 1)[compact[token_keep]]
-        present = present[keep]
+        sampled = np.zeros(counts.size, dtype=bool)
+        sampled[present] = True
+        kept = np.flatnonzero(sampled[terms])  # the sampled terms' tokens, in order
+        rows, terms = rows.take(kept), terms.take(kept)
+    slot = np.empty(counts.size, dtype=np.int64)
+    slot[present] = np.arange(present.size)
+    compact = slot.take(terms)  # each token's position in present
 
     n_node = len(indices)
     weights = np.asarray(weights, dtype=np.float64)
     wt = weights * np.asarray(targets, dtype=np.float64)
     token_w = weights[rows]
     token_wt = wt[rows]
-    w_total, wt_total = weights.sum(), wt.sum()
+    score = gain_scorer(weights.sum(), wt.sum(), present.shape, objective)
 
-    # rows, compact, token_w and token_wt hold the tokens of the rows still
-    # on the negative side, in their original order, so every bincount sums
-    # the same values in the same order as a pass over all the node's tokens
+    # the tokens of rows on the positive side keep their places with weights
+    # of +0.0, which change no sum (module docstring)
     in_pos = np.zeros(n_node, dtype=bool)
     pos_w = pos_wt = 0.0
     current_gain = 0.0
-    accepted: list[int] = []
     steps: list[tuple[int, float]] = []
-    # every remaining token belongs to a term not yet accepted; once none is
-    # left, no extension can move a row and the gain cannot rise
-    while compact.size:
+    while True:
         # the branch totals of every extended mask, summed in place
         ext_w = np.bincount(compact, weights=token_w, minlength=present.size)
         ext_wt = np.bincount(compact, weights=token_wt, minlength=present.size)
         ext_w += pos_w
         ext_wt += pos_wt
-        gains = gain_from_stats(w_total, wt_total, ext_w, ext_wt, objective)
-        best = int(np.argmax(gains))
+        gains = score(ext_w, ext_wt)
+        # unclipped: a best gain at or below 0 stops the search all the same
+        best = int(gains.argmax())
         gain = float(gains[best])
         if gain <= current_gain:
             break
         in_pos[rows[compact == best]] = True
-        stay = ~in_pos[rows]
-        rows, compact = rows[stay], compact[stay]
-        token_w, token_wt = token_w[stay], token_wt[stay]
+        moved = in_pos[rows]
+        token_w[moved] = 0.0
+        token_wt[moved] = 0.0
         pos_w = float(ext_w[best])
         pos_wt = float(ext_wt[best])
         current_gain = gain
-        accepted.append(int(present[best]))
         steps.append((int(present[best]), gain))
 
-    if not accepted:
+    if not steps:
         return None
     n_pos = int(in_pos.sum())
     n_neg = n_node - n_pos
     if n_pos < min_examples_per_leaf or n_neg < min_examples_per_leaf:
         return None
     return SplitCandidate(
-        SetIntersects(feature, tuple(sorted(accepted))),
+        SetIntersects(feature, tuple(sorted(term for term, _ in steps))),
         current_gain,
         n_pos,
         n_neg,

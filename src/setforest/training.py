@@ -32,11 +32,14 @@ The grower appends its nodes to a ``model.TreeBuilder`` in preorder. A node
 routes its rows with the partition its winning splitter returns
 (``SplitCandidate.positive``). A set feature's tokens are gathered from the
 CSR index only where a node first samples it; each child then inherits its
-share of its parent's tokens, in the order the index would give them. A node
-hands all its tokens to its children before growing them, so the tokens held
-along the recursion path never exceed the root's. MART's validation rows and
-RF's out-of-bag rows are scored by the compiled evaluator,
-``inference.predict_dataset``, through a one-tree forest.
+share of its parent's tokens, in the order the index would give them. A
+child that will be a leaf, at the depth limit or with fewer than
+``2 * min_examples_per_leaf`` rows, gets none. A node splits its tokens
+between the children that can split further and drops its own before
+growing them, so the tokens held along the recursion path never exceed the
+root's. MART's validation rows and RF's out-of-bag rows are scored by the
+compiled evaluator, ``inference.predict_dataset``, through a one-tree
+forest.
 """
 
 from __future__ import annotations
@@ -175,7 +178,8 @@ class _TreeGrower:
         column = self.ds.columns[feature]
         if feature not in tokens:
             tokens[feature] = column.node_tokens(indices)
-        rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
+        rng = (make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
+               if cfg.sampling_rate < 1.0 else None)
         return find_set_mask_split(
             column, indices, node_targets, node_weights, feature,
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
@@ -188,11 +192,7 @@ class _TreeGrower:
         node_id = len(self.nodes)
         cfg = self.config
         node_targets = self.targets[indices]
-        if (
-            depth >= cfg.max_depth
-            or len(indices) < 2 * cfg.min_examples_per_leaf
-            or np.all(node_targets == node_targets[0])
-        ):
+        if not self._may_split(depth, len(indices)) or np.all(node_targets == node_targets[0]):
             return self._leaf(indices)
         if self.features_per_node < self.ds.n_features:
             node_rng = make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 1, node_id)
@@ -209,15 +209,25 @@ class _TreeGrower:
                 best = cand
         if best is None:
             return self._leaf(indices)
-        pos = best.positive
-        # the children take every token; popping them leaves no reference to a
-        # child's tokens here once that child is grown
-        children = [_child_tokens(tokens, ~pos), _child_tokens(tokens, pos)]
+        # the children take every token they can use; popping them leaves no
+        # reference to a child's tokens here once that child is grown
+        children = []
+        for side in (~best.positive, best.positive):
+            chosen = np.flatnonzero(side)
+            children.append((indices.take(chosen), _child_tokens(tokens, side, chosen)
+                             if self._may_split(depth + 1, chosen.size) else {}))
         tokens.clear()
         split = self.nodes.split(best.condition)
-        self._grow(indices[~pos], depth + 1, children.pop(0))
+        child_indices, child_tokens = children.pop(0)
+        self._grow(child_indices, depth + 1, child_tokens)
         self.nodes.positive_next(split)
-        self._grow(indices[pos], depth + 1, children.pop())
+        child_indices, child_tokens = children.pop()
+        self._grow(child_indices, depth + 1, child_tokens)
+
+    def _may_split(self, depth: int, n_rows: int) -> bool:
+        """Whether a node at ``depth`` of ``n_rows`` rows is above the depth
+        limit and large enough for two leaves; if not, it is a leaf."""
+        return depth < self.config.max_depth and n_rows >= 2 * self.config.min_examples_per_leaf
 
     def _leaf(self, indices) -> None:
         value = self.leaf_value(indices)
@@ -226,14 +236,16 @@ class _TreeGrower:
         self.nodes.leaf(value)
 
 
-def _child_tokens(tokens: dict, side: np.ndarray) -> dict:
-    """The tokens of the rows where ``side`` holds, each renumbered to its
-    row's position among them; the order of the tokens is kept."""
-    position = np.cumsum(side) - 1
+def _child_tokens(tokens: dict, side: np.ndarray, chosen: np.ndarray) -> dict:
+    """The tokens of the rows where ``side`` holds (``chosen``, their
+    positions), each renumbered to its row's position among them; the order
+    of the tokens is kept."""
+    position = np.empty(side.size, dtype=np.int64)
+    position[chosen] = np.arange(chosen.size)
     child = {}
     for feature, (rows, terms) in tokens.items():
-        keep = side[rows]
-        child[feature] = position[rows[keep]], terms[keep]
+        kept = np.flatnonzero(side[rows])
+        child[feature] = position.take(rows.take(kept)), terms.take(kept)
     return child
 
 

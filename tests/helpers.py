@@ -416,3 +416,63 @@ def reference_max_hash(feat, column, seeds, treat):
             new.append(
                 (Feature(f"{feat.name}#h{j}", FeatureType.NUMERICAL), col))
     return new
+
+
+def filtering_set_mask_split(set_index, indices, targets, weights, sampling_rate=1.0,
+                             rng=None, min_examples_per_leaf=1,
+                             objective="classification"):
+    """The greedy mask search as it ran before it zeroed the tokens of moved
+    rows: after each accepted term it drops those tokens, so every pass sums
+    over a shrinking token set, and it scores with ``reference_gain``.
+    Returns None or (mask, gain, steps, n_positive, n_negative, positive),
+    each as ``find_set_mask_split`` reports it; the new search must match
+    it bit for bit."""
+    rows, terms = set_index.node_tokens(indices)
+    if terms.size == 0:
+        return None
+    counts = np.bincount(terms)
+    present = np.flatnonzero(counts)
+    compact = (np.cumsum(counts > 0) - 1)[terms]
+    if sampling_rate < 1.0:
+        keep = rng.random(present.size) < sampling_rate
+        if not keep.any():
+            return None
+        token_keep = keep[compact]
+        rows = rows[token_keep]
+        compact = (np.cumsum(keep) - 1)[compact[token_keep]]
+        present = present[keep]
+    n_node = len(indices)
+    weights = np.asarray(weights, dtype=np.float64)
+    wt = weights * np.asarray(targets, dtype=np.float64)
+    token_w, token_wt = weights[rows], wt[rows]
+    w_total, wt_total = weights.sum(), wt.sum()
+    in_pos = np.zeros(n_node, dtype=bool)
+    pos_w = pos_wt = 0.0
+    current_gain = 0.0
+    steps = []
+    while compact.size:
+        ext_w = np.bincount(compact, weights=token_w, minlength=present.size)
+        ext_wt = np.bincount(compact, weights=token_wt, minlength=present.size)
+        ext_w += pos_w
+        ext_wt += pos_wt
+        gains = reference_gain(w_total, wt_total, ext_w, ext_wt, objective)
+        best = int(np.argmax(gains))
+        gain = float(gains[best])
+        if gain <= current_gain:
+            break
+        in_pos[rows[compact == best]] = True
+        stay = ~in_pos[rows]
+        rows, compact = rows[stay], compact[stay]
+        token_w, token_wt = token_w[stay], token_wt[stay]
+        pos_w = float(ext_w[best])
+        pos_wt = float(ext_wt[best])
+        current_gain = gain
+        steps.append((int(present[best]), gain))
+    if not steps:
+        return None
+    n_pos = int(in_pos.sum())
+    n_neg = n_node - n_pos
+    if n_pos < min_examples_per_leaf or n_neg < min_examples_per_leaf:
+        return None
+    return (tuple(sorted(term for term, _ in steps)), current_gain, tuple(steps),
+            n_pos, n_neg, in_pos)

@@ -137,6 +137,19 @@ class TestConfigRanges:
         assert main([command, "--config", str(cfg)]) == 1
         assert "'columns' marks a CSV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize("key,value", [("weight", "nonexistent"), ("label", "other"),
+                                           ("label", "label")])
+    def test_column_keys_refused_on_text_lines(self, tmp_path, corpus_path, capsys,
+                                               command, key, value):
+        # a text line carries its label first and no weight, so the keys that
+        # name CSV columns are refused, not ignored, even at their default
+        cfg = _config(tmp_path, corpus_path, grid="1.0")
+        assert main([command, "--config", str(cfg), "--set", f"{key}={value}"]) == 1
+        assert f"'{key}' names a CSV column" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert main([command, "--config", str(cfg)]) == 0
+
     @pytest.mark.parametrize("key,value", [
         ("validation_fraction", "0"), ("targetmean_smoothing", "0"), ("folds", "2"),
         ("grid", "1.0"), ("warmup", "0"), ("runs", "1"), ("patience", "none"),

@@ -2,10 +2,12 @@
 
 The first three constants were recorded before the set-feature trainer was
 vectorised (the CSR set index, the table-and-bincount partition and the
-shrinking greedy mask search), the last two before the grower began handing
+shrinking greedy mask search), the next two before the grower began handing
 each child its parent's tokens and routing it with the splitter's own
-partition; any later change that moves a split, a leaf value or a metadata
-float changes a hash here.
+partition, and the last two while the mask search still dropped the tokens
+of moved rows and every child still received tokens, leaf or not; any later
+change that moves a split, a leaf value or a metadata float changes a hash
+here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ GOLDEN = {
     "mart_mixed_csv": "5eae674ad934a894ffe72461958ac354af1ed0c12880a766124a0711c9464c93",
     "rf_two_set_csv": "ab041b831a6b9a0a0a7b5e88d6a4065e141066cea5acf7227df2da5e8f0ba60f",
     "mart_planted_thick_leaves": "a7a4df6c6265ff0a4b82352ca28b7d46f71bebd9ffe159a1ffb0b7837740503c",
+    "mart_planted_shallow": "2520bda76e0be38f82ac385e48bb0ed1809bb6341782927a06be20b2049807f0",
+    "rf_planted_all_terms": "c627f02e6f0b6aff7e1209b7ed6cc12c6be6eb5025b2ae4703c84c549df7a8aa",
 }
 
 
@@ -122,3 +126,16 @@ def test_mart_planted_thick_leaves(planted):
     # turns down some masks the greedy search grew
     config = sf.TrainConfig.mart(num_trees=8, seed=2, min_examples_per_leaf=60)
     assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted_thick_leaves"]
+
+
+def test_mart_planted_shallow(planted):
+    # depth 4 and leaves of at least 20 examples: the grower gives no tokens
+    # to children at the depth limit, nor to children of fewer than 40 rows
+    config = sf.TrainConfig.mart(num_trees=10, seed=7, max_depth=4, min_examples_per_leaf=20)
+    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted_shallow"]
+
+
+def test_rf_planted_all_terms(planted):
+    # every present term is a candidate: no sampling filter and no rng
+    config = sf.TrainConfig.random_forest(num_trees=6, seed=19, sampling_rate=1.0)
+    assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted_all_terms"]

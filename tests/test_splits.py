@@ -21,6 +21,7 @@ from helpers import (
     best_singleton,
     enumerate_mask_gains,
     evaluate_column,
+    filtering_set_mask_split,
     random_mixed_dataset,
     reference_gain,
     set_dataset,
@@ -465,6 +466,59 @@ class TestIncrementalBookkeeping:
             assert fast.condition.mask == slow[0]
             assert fast.gain == pytest.approx(slow[1], abs=1e-12)
             assert tuple(fast.steps) == slow[2]
+
+
+def _bytes(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _set_nodes(draw):
+    """A set column over a small vocabulary (missing and empty rows
+    included), a node of its rows with repeats, fractional weights, and
+    targets: labels, or residuals of both signs."""
+    vocab = draw(st.integers(1, 12))
+    row = st.frozensets(st.integers(0, vocab - 1), max_size=vocab).map(
+        lambda terms: tuple(sorted(terms)))
+    column = draw(st.lists(st.one_of(st.none(), row), min_size=1, max_size=40))
+    n_node = draw(st.integers(1, 60))
+    indices = np.array(draw(st.lists(st.integers(0, len(column) - 1),
+                                     min_size=n_node, max_size=n_node)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n_node,
+                                     max_size=n_node)))
+    objective = draw(st.sampled_from(["classification", "regression"]))
+    if objective == "classification":
+        targets = st.integers(0, 1).map(float)
+    else:  # the residual of a label and a probability
+        targets = st.tuples(st.integers(0, 1), st.floats(0.0, 1.0)).map(
+            lambda pair: pair[0] - pair[1])
+    targets = np.array(draw(st.lists(targets, min_size=n_node, max_size=n_node)))
+    return column, indices, targets, weights, objective
+
+
+class TestAgainstFilteringSearch:
+    @settings(deadline=None, max_examples=300)
+    @given(_set_nodes(), st.sampled_from([1.0, 0.3]), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_bit_for_bit(self, node, rate, min_leaf, seed):
+        # fractional weights and residuals round every partial sum, so a
+        # search that summed a token set in another order would show here
+        column, indices, targets, weights, objective = node
+        index = SetColumnIndex(column)
+        fast = find_set_mask_split(index, indices, targets, weights, 0, rate, make_rng(seed),
+                                   min_leaf, objective)
+        slow = filtering_set_mask_split(index, indices, targets, weights, rate,
+                                        make_rng(seed), min_leaf, objective)
+        if slow is None:
+            assert fast is None
+            return
+        mask, gain, steps, n_pos, n_neg, positive = slow
+        assert fast.condition.mask == mask
+        assert _bytes(fast.gain) == _bytes(gain)
+        assert [term for term, _ in fast.steps] == [term for term, _ in steps]
+        assert [_bytes(g) for _, g in fast.steps] == [_bytes(g) for _, g in steps]
+        assert (fast.n_positive, fast.n_negative) == (n_pos, n_neg)
+        assert np.array_equal(fast.positive, positive)
 
 
 class TestSetColumnIndex:

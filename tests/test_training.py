@@ -129,8 +129,55 @@ class TestInheritedTokens:
             side = found[int(rng.integers(len(found)))].positive
             if rng.random() < 0.5:
                 side = ~side
-            tokens = _child_tokens(tokens, side)
+            tokens = _child_tokens(tokens, side, np.flatnonzero(side))
             indices = indices[side]
+
+
+class TestLeafChildren:
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """The row count of every child ``_child_tokens`` is asked for."""
+        sizes = []
+        real = training._child_tokens
+
+        def counting(tokens, side, chosen):
+            sizes.append(chosen.size)
+            return real(tokens, side, chosen)
+
+        monkeypatch.setattr(training, "_child_tokens", counting)
+        return sizes
+
+    def test_depth_one_gathers_no_child_tokens(self, monkeypatch):
+        sizes = self._counted(monkeypatch)
+        config = sf.TrainConfig.random_forest(num_trees=1, max_depth=1, sampling_rate=1.0)
+        tree = sf.grow_tree(_separable_dataset(n=60), config)
+        assert count_nodes(tree) == 3
+        assert sizes == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_children_that_can_split_get_tokens(self, monkeypatch, seed):
+        # a child gets tokens exactly where it is above the depth limit and
+        # holds at least 2 * min_examples_per_leaf rows
+        sizes = self._counted(monkeypatch)
+        ds, _ = random_mixed_dataset(seed, n=200)
+        config = sf.TrainConfig.random_forest(num_trees=1, max_depth=4, sampling_rate=1.0,
+                                              min_examples_per_leaf=12)
+        tree = sf.grow_tree(ds, config)
+        reach = {0: (np.arange(ds.n_examples), 0)}
+        want, small = [], 0
+        for node in range(count_nodes(tree)):
+            idx, depth = reach.pop(node)
+            if node and depth < 4:
+                if idx.size >= 24:
+                    want.append(idx.size)
+                else:
+                    small += 1
+            if tree.positive[node] >= 0:
+                pos = evaluate_column(tree.condition(node), ds, idx)
+                reach[node + 1] = idx[~pos], depth + 1
+                reach[int(tree.positive[node])] = idx[pos], depth + 1
+        assert small  # the size rule made some child a leaf above the depth limit
+        assert sorted(sizes) == sorted(want)
 
 
 def _chain_dataset(blocks=60, size=20):
