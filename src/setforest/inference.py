@@ -40,10 +40,14 @@ threshold. Its table keeps one entry per node, not one row of all slots per
 threshold, which would grow as thresholds x slots.
 
 ``predict_compiled`` scores a row with no numpy call per token or
-category: it starts from the packed default masks, ANDs in one int per
-known token and per category, scatters the entries a non-NaN numerical
-value reaches into one word array and ANDs that in packed, and reads every
-tree's leaf off the result with a fixed handful of numpy calls at any width.
+category. ``compile_forest`` computes ahead each keyed feature's type, the
+flat leaf values, each tree's offset into them, a packed row's byte length
+and an all-ones word row. A row ANDs into the packed default masks one int
+per known token and per category (looked up as given, by ``==``, as
+``CategoryIn`` tests it) and, per non-NaN numerical value, the entries it
+reaches scattered into a copy of the ones row; ``to_bytes``, ``frombuffer``,
+``bitwise_count``, an ``np.add.reduce`` over the words of a wider tree and
+one ``take`` then read every tree's leaf value.
 
 ``predict_dataset``, the one vectorised evaluator (training scores its
 validation and out-of-bag rows with it), scores a dataset's rows, or those a
@@ -134,6 +138,11 @@ class CompiledForest:
     default_packed: int  # default_masks packed as a MaskTable row
     first_bits: int  # packed likewise: bit 0 of every tree's first word
     keyed: dict[int, MaskTable]  # by feature: every split feature's table
+    row_tables: list[tuple[int, FeatureType, MaskTable]]  # keyed, with each feature's type
+    flat_values: np.ndarray  # leaf_values, flat
+    tree_starts: np.ndarray  # each tree's offset into flat_values
+    packed_bytes: int  # a packed row's byte length
+    ones: np.ndarray  # uint64 per slot, all ones
 
 
 def _low_bits(count: np.ndarray) -> np.ndarray:
@@ -252,7 +261,10 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
         kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,
         features=list(forest.features), words_per_tree=words, leaf_values=leaf_values,
         num_leaves=num_leaves, default_masks=default_masks, default_packed=_pack(default_masks),
-        first_bits=_pack(np.arange(n_slots) % words == 0), keyed=tables)
+        first_bits=_pack(np.arange(n_slots) % words == 0), keyed=tables,
+        row_tables=[(f, forest.features[f].ftype, table) for f, table in tables.items()],
+        flat_values=leaf_values.reshape(-1), tree_starts=np.arange(num_trees) * 64 * words,
+        packed_bytes=_WORD.itemsize * n_slots, ones=np.full(n_slots, _ALL, dtype=_WORD))
 
 
 def _pack(words: np.ndarray) -> int:
@@ -262,24 +274,24 @@ def _pack(words: np.ndarray) -> int:
 
 def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
     """The packed leaf words of one row: the packed default ANDed with the
-    packed row of every known token and category, and with the entries of
-    every threshold a numerical value reaches. Raises ``ValueError`` when the
-    row's length is not the schema's."""
+    packed row of every known token and category (as given: by ``==``), and
+    with the entries of every threshold a numerical value reaches. Raises
+    ``ValueError`` when the row's length is not the schema's."""
     if len(row) != len(compiled.features):
         raise ValueError(f"row has {len(row)} values, schema has {len(compiled.features)}")
     leafidx = compiled.default_packed
-    for feature, table in compiled.keyed.items():
-        value, ftype, lookup = row[feature], compiled.features[feature].ftype, table.lookup
+    for feature, ftype, table in compiled.row_tables:
+        value, lookup = row[feature], table.lookup
         if ftype is _CATEGORICAL:
-            if value != MISSING_CATEGORY and (mask := lookup.get(int(value))) is not None:
+            if value != MISSING_CATEGORY and (mask := lookup.get(value)) is not None:
                 leafidx &= mask
         elif ftype is _NUMERICAL:
             # NaN: missing applies nothing; so does a value below every threshold
             if value == value and (k := bisect_right(lookup, value)):
                 end = table.ends[k]
-                words = np.full(table.slots, _ALL, dtype=_WORD)
+                words = compiled.ones.copy()
                 np.bitwise_and.at(words, table.tree_ids[:end], table.masks[:end])
-                leafidx &= _pack(words)
+                leafidx &= int.from_bytes(words, "little")
         elif value:  # missing or empty set: nothing to apply
             get = lookup.get
             for term in value:
@@ -294,11 +306,10 @@ def _row_positions(compiled: CompiledForest, row: tuple) -> np.ndarray:
     # every tree keeps a leaf, so taking 1 from each tree's first word
     # borrows within the tree only, and sets just the bits below that leaf
     below = (leafidx - compiled.first_bits) & ~leafidx
-    counts = np.bitwise_count(np.frombuffer(
-        below.to_bytes(_WORD.itemsize * len(compiled.default_masks), "little"), dtype=_WORD))
+    counts = np.bitwise_count(np.frombuffer(below.to_bytes(compiled.packed_bytes, "little"), _WORD))
     if compiled.words_per_tree == 1:
         return counts  # uint8, only ever used as an index
-    return counts.reshape(compiled.num_trees, -1).sum(axis=1, dtype=np.int64)
+    return np.add.reduce(counts.reshape(compiled.num_trees, -1), axis=1, dtype=np.intp)
 
 
 def _leaf_positions(compiled: CompiledForest, leafidx: np.ndarray) -> np.ndarray:
@@ -320,9 +331,7 @@ def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
 
 def predict_compiled(compiled: CompiledForest, row: tuple) -> float:
     """Probability from the compiled evaluator; bit-identical to ``predict``."""
-    width = compiled.leaf_values.shape[1]
-    values = compiled.leaf_values.take(_row_positions(compiled, row)
-                                       + np.arange(0, compiled.num_trees * width, width))
+    values = compiled.flat_values.take(_row_positions(compiled, row) + compiled.tree_starts)
     return aggregate(compiled.kind, compiled.initial_score, values)
 
 
@@ -392,8 +401,6 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
             categorical.append((find(np.asarray(column, dtype=np.int64)[rows]), table.words()))
         else:
             sets.append((column, find, table.words()))
-    width = compiled.leaf_values.shape[1]
-    tree_starts = np.arange(0, compiled.num_trees * width, width)
     tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
@@ -418,6 +425,7 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
                 first, last = ends.searchsorted(c, "right"), begins.searchsorted(e)
                 leafidx[filled[first:last]] &= np.bitwise_and.reduceat(
                     table.take(key_rows[c:e], axis=0), np.maximum(begins[first:last] - c, 0))
-        values = compiled.leaf_values.take(_leaf_positions(compiled, leafidx) + tree_starts)
+        values = compiled.flat_values.take(_leaf_positions(compiled, leafidx)
+                                           + compiled.tree_starts)
         scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
     return scores

@@ -239,10 +239,11 @@ def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray):
     values gives a float; a C-contiguous (rows, trees) array gives a float64
     array with each row's float, bit for bit: a boosted forest's rows apply
     ``sigmoid``'s formula inline, in one pass over the row sums."""
-    if leaf_values.ndim == 1:
-        if kind == RF:
-            return float(leaf_values.mean())
-        return sigmoid(initial_score + float(leaf_values.sum()))
+    if leaf_values.ndim == 1:  # mean's and sum's own reduction, without their wrappers
+        total = np.add.reduce(leaf_values)
+        if kind == RF:  # a float64 over the count, as mean divides: NaN with no trees
+            return float(total / len(leaf_values))
+        return sigmoid(initial_score + float(total))
     if kind == RF:
         return leaf_values.mean(axis=-1)
     # sigmoid's own formula inline, with math.exp, not np.exp: libm's bits

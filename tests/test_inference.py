@@ -427,6 +427,41 @@ class TestZeroTreeForest:
         assert predict_dataset(compiled, ds).tolist() == [predict_top_down(forest, row)] * 3
 
 
+class TestSmallForests:
+    @pytest.mark.parametrize("kind,trees,initial_score", [
+        ("mart", [], 0.7),
+        ("mart", [sf.Internal(sf.NumericalGE(0, 1.0), sf.Leaf(-0.5), sf.Leaf(2.0))], 0.1),
+        ("rf", [sf.Internal(sf.NumericalGE(0, 1.0), sf.Leaf(0.25), sf.Leaf(0.75))], 0.0),
+        ("rf", [sf.Leaf(0.4)], 0.0),
+    ])
+    def test_zero_and_one_tree(self, kind, trees, initial_score):
+        forest = sf.DecisionForest(kind, trees, initial_score,
+                                   [sf.Feature("x", sf.FeatureType.NUMERICAL)], {})
+        compiled = compile_forest(forest)
+        for row in [(np.nan,), (0.0,), (1.0,), (5.0,)]:
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+            assert compiled_leaf_indices(compiled, row).shape == (len(trees),)
+
+
+class TestCategoryLookup:
+    """A category is looked up as given, by Python equality, as
+    ``CategoryIn`` tests it: 2.0 and True (equal to 1) are categories of the
+    split, 2.5 is none (truncating it to 2 once routed it positive)."""
+
+    @pytest.mark.parametrize("value,holds", [
+        (2, True), (2.0, True), (np.int64(2), True), (np.float64(2.0), True), (True, True),
+        (1, True), (2.5, False), (np.float64(2.7), False), (1.5, False), (0, False),
+        (sf.MISSING_CATEGORY, False), (float(sf.MISSING_CATEGORY), False),
+    ])
+    def test_row_evaluators_agree(self, value, holds):
+        forest = sf.DecisionForest(
+            "rf", [sf.Internal(sf.CategoryIn(0, frozenset({1, 2})), sf.Leaf(0.0), sf.Leaf(1.0))],
+            0.0, [sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab(["a", "b", "c"]))], {})
+        compiled = compile_forest(forest)
+        assert predict_top_down(forest, (value,)) == float(holds)
+        assert predict_compiled(compiled, (value,)) == float(holds)
+
+
 VOCAB = 8  # categorical values and set terms 0..7; splits use some of them
 THRESHOLDS = (-1.0, 0.0, 0.5, 2.0)
 HASHED = (0, 5, 2**62 + 1, 2**63 - 2, 2**63 - 1)  # max-hash values have no vocabulary
@@ -514,6 +549,29 @@ class TestPackedMasks:
             assert _words(compiled, _apply_masks(compiled, other)) == expected.tolist()
             assert compiled_leaf_indices(compiled, row).tolist() == \
                 _leaf_positions(compiled, expected[None]).ravel().tolist()
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]),
+                           min_size=1, max_size=3),
+           words=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_leaf_positions_are_top_down_ranks(self, kind, ftypes, words, seed):
+        # one-word trees mixed with trees of 2 to 5 words: a tree of w words
+        # holds 64 * (w - 1) + 1 to 64 * w leaves
+        rng = np.random.default_rng(seed)
+        leaf_counts = [int(rng.integers(64 * (w - 1) + 1, 64 * w + 1)) for w in words]
+        forest = _random_forest(rng, kind, ftypes, leaf_counts)
+        compiled = compile_forest(forest)
+        assert compiled.words_per_tree == max(words)
+        columns = [_random_column(rng, t, 30) for t in ftypes]
+        for i in range(30):
+            row = tuple(column[i] for column in columns)
+            leaves = compiled_leaf_indices(compiled, row)
+            assert leaves.dtype == np.int64
+            assert leaves.tolist() == [int(np.count_nonzero(tree.kind[:leaf_index(tree, row)]
+                                                            == LEAF)) for tree in forest.trees]
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
 
 
 class TestPredictDataset:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +192,28 @@ class TestAggregate:
         assert aggregate(MART, 0.5, np.empty((3, 0))).tolist() == [sigmoid(0.5)] * 3
         assert aggregate(MART, 0.5, np.empty((0, 4))).shape == (0,)
         assert aggregate(RF, 0.0, np.empty((0, 4))).shape == (0,)
+
+    def test_one_row_is_mean_and_sum_bit_for_bit(self):
+        # one row reduces with np.add.reduce; mean and sum reduce the same way
+        # and mean then divides by the count. 1..600 trees crosses the
+        # pairwise summation's blocks of 8 and 128
+        rng = np.random.default_rng(12)
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e16, 1.0, -1e16])
+        bits = lambda x: np.float64(x).tobytes()  # noqa: E731
+        for trees in range(1, 601):
+            rows = (rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=trees),
+                    rng.choice(special, size=trees), np.full(trees, -0.0),
+                    np.where(rng.random(trees) < 0.5, 1e16, 1.0), rng.choice(special[:6], trees))
+            for values in rows:
+                assert bits(aggregate(RF, 0.0, values)) == bits(float(values.mean())), trees
+                assert bits(aggregate(MART, -0.3, values)) == \
+                    bits(sigmoid(-0.3 + float(values.sum()))), trees
+
+    def test_one_row_of_a_forest_without_trees(self):
+        assert aggregate(MART, 0.5, np.empty(0)) == sigmoid(0.5)
+        # only a hand-built random forest has no trees: its mean stays NaN
+        with pytest.warns(RuntimeWarning):
+            assert math.isnan(aggregate(RF, 0.0, np.empty(0)))
 
 
 class TestValidation:
