@@ -106,6 +106,9 @@ class Feature:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Feature":
+        """Raises ``ValueError`` unless ``name`` is a string."""
+        if type(data["name"]) is not str:
+            raise ValueError(f"a feature name must be a string, not {data['name']!r}")
         vocab = data.get("vocabulary")
         return cls(
             name=data["name"],

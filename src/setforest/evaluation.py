@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import DataError, Vocabulary, build_vocabulary, dataset_from_token_sets
 from .inference import (CompiledForest, compile_forest, predict_compiled, predict_dataset,
                         predict_top_down)
-from .model import DecisionForest, count_leaves, count_nodes, leaf_depths
+from .model import LEAF, DecisionForest, forest_nodes, node_depths
 from .rng import derive_seed, make_rng
 from .training import TrainConfig, train
 from .transforms import make_chain
@@ -80,12 +80,19 @@ def structure_stats(forest: DecisionForest) -> StructureStats:
     """
     if not forest.trees:
         raise ValueError("structure stats need at least one tree")
-    trees = forest.trees
-    avg_depth = float(np.mean([np.mean(leaf_depths(tree)) for tree in trees]))
-    leaves_per_tree = float(np.mean([count_leaves(tree) for tree in trees]))
+    nodes = forest_nodes(forest)
+    is_leaf = nodes.kind == LEAF
+    # each tree's first leaf among all of them, then the leaf count
+    leaf_starts = np.searchsorted(np.flatnonzero(is_leaf), forest.starts)
+    leaves = np.diff(leaf_starts)
+    # a tree's depth sum is an exact integer, so over its leaf count it is
+    # the float its depths' np.mean gives
+    depth_sums = np.add.reduceat(node_depths(nodes)[is_leaf], leaf_starts[:-1])
+    avg_depth = float(np.mean(depth_sums / leaves))
+    leaves_per_tree = float(np.mean(leaves))
     balance = 1.0 if avg_depth == 0 else math.log2(leaves_per_tree) / avg_depth
-    return StructureStats(avg_depth, float(np.mean([count_nodes(tree) for tree in trees])),
-                          leaves_per_tree, balance)
+    return StructureStats(avg_depth, float(np.mean(np.diff(forest.starts))), leaves_per_tree,
+                          balance)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ holds:
 * a categorical node's when the example carries one of its values;
 * a numerical node's when the value reaches its threshold.
 
-The compiler reads the trees' preorder node arrays (``model.Tree``),
-stacked into one forest, and walks no tree: a node's leaf span starts at
-the count of its tree's leaves before it, and its negative subtree's span
-ends where its positive child's starts.
+The compiler reads the forest's one set of preorder node arrays
+(``model.forest_nodes``: no tree's arrays are copied) and walks no tree: a
+node's leaf span starts at the count of its tree's leaves before it, and its
+negative subtree's span ends where its positive child's starts.
 
 Each tree's bits fill ``words_per_tree`` uint64 words: as many as the
 widest tree of the forest needs. Word ``w`` of tree ``t`` is the slot
@@ -81,7 +81,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import Dataset, Feature, FeatureType, MISSING_CATEGORY
-from .model import LEAF, DecisionForest, Tree, aggregate, predict, stack_trees
+from .model import LEAF, DecisionForest, Tree, aggregate, forest_nodes, predict
 
 _ONE = np.uint64(1)
 _ALL = np.uint64(2**64 - 1)
@@ -158,7 +158,7 @@ def _ranges(starts: np.ndarray, counts) -> np.ndarray:
 
 
 def _negative_spans(nodes: Tree, starts: np.ndarray):
-    """The internal nodes of a ``stack_trees`` forest, by index, and the leaf
+    """The internal nodes of a ``forest_nodes`` forest, by index, and the leaf
     positions [lo, hi) of each one's negative subtree in its tree (see the
     module docstring)."""
     is_leaf = nodes.kind == LEAF
@@ -169,7 +169,7 @@ def _negative_spans(nodes: Tree, starts: np.ndarray):
 
 
 def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndarray):
-    """Every node's entries of a ``stack_trees`` forest, in key rows: each
+    """Every node's entries of a ``forest_nodes`` forest, in key rows: each
     (feature, key) pair's key and feature, ascending, terms' and categories'
     first; the offsets of the pairs' entries, pairs + 1 of them; the
     entries' slots and masks; how many entries are terms' and categories';
@@ -210,7 +210,7 @@ def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndar
 
 
 def compile_forest(forest: DecisionForest) -> CompiledForest:
-    nodes, starts = stack_trees(forest.trees)
+    nodes, starts = forest_nodes(forest), forest.starts
     num_trees = len(forest.trees)
     is_leaf = nodes.kind == LEAF
     num_leaves = np.diff(np.searchsorted(np.flatnonzero(is_leaf), starts))

@@ -1,15 +1,20 @@
 """Trained forests: tree structure, reference evaluation, JSON round-trip.
 
-A ``Tree`` is parallel per-node arrays in preorder, the layout of
-scikit-learn's ``tree_``: node ``i``'s negative child is node ``i + 1`` and
-``positive[i]`` names the other, so the leaves in node order put the
-all-conditions-false path first. The walkers are array expressions; no tree
-walk recurses. A tree written by hand as nested ``Leaf`` and ``Internal``
-nodes is converted when a ``DecisionForest`` is made. Random forests store a
-positive-class probability in each leaf and predict the mean over trees;
-boosted ("mart") forests store additive scores with shrinkage already
-multiplied in and predict the sigmoid of initial_score plus the sum over
-trees.
+A forest's nodes are parallel per-node arrays in preorder, the layout of
+scikit-learn's ``tree_`` widened to the ensemble: one ``Tree`` of every
+tree's nodes, tree after tree. In a tree, node ``i``'s negative child is
+node ``i + 1`` and ``positive[i]`` names the other, so the leaves in node
+order put the all-conditions-false path first. Positive children and id
+ends count from their tree's first node and id, so each of
+``forest.trees`` is a ``Tree`` of slices of the forest's arrays, with no
+copy; ``forest_nodes`` shifts them to count across the forest. Only the
+JSON reader's walk fills node arrays: a tree grown or written as nested
+``Leaf`` and ``Internal`` nodes is read from its model document, and
+``DecisionForest`` concatenates the trees it is given once. No tree walk
+recurses. Random forests store a positive-class probability in each leaf
+and predict the mean over trees; boosted ("mart") forests store additive
+scores with shrinkage already multiplied in and predict the sigmoid of
+initial_score plus the sum over trees.
 """
 
 from __future__ import annotations
@@ -96,87 +101,70 @@ _DTYPES = (np.int8, np.int64, np.float64, np.int64, np.float64, np.int64, np.int
 _NO_NODES = Tree(*(np.empty(0, dtype=dtype) for dtype in _DTYPES))
 
 
-class TreeBuilder:
-    """Appends a tree's nodes in preorder: an internal node, its negative
-    subtree, then ``positive_next`` of the node and its positive subtree."""
-
-    def __init__(self):
-        self.nodes = []  # per node: kind, feature, threshold, positive, value, id end
-        self.ids = []
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def append(self, kind, feature, threshold=math.nan, ids=(), value=0.0) -> int:
-        """Append one node; returns its index."""
-        self.ids.extend(ids)
-        self.nodes.append([kind, feature, threshold, -1, value, len(self.ids)])
-        return len(self.nodes) - 1
-
-    def leaf(self, value: float) -> int:
-        return self.append(LEAF, -1, value=value)
-
-    def split(self, condition: SplitCondition) -> int:
-        if type(condition) is NumericalGE:
-            return self.append(NUMERICAL_GE, condition.feature, float(condition.threshold))
-        if type(condition) is CategoryIn:
-            return self.append(CATEGORY_IN, condition.feature, ids=sorted(condition.values))
-        return self.append(SET_INTERSECTS, condition.feature, ids=condition.mask)
-
-    def positive_next(self, i: int) -> None:
-        """The next node appended is the positive child of node ``i``."""
-        self.nodes[i][3] = len(self.nodes)
-
-    def tree(self) -> Tree:
-        return Tree(*map(np.array, [*zip(*self.nodes), self.ids], _DTYPES))
-
-
-def _from_nested(root: Leaf | Internal) -> Tree:
-    """A nested tree's nodes in preorder, by an explicit stack."""
-    nodes, stack = TreeBuilder(), [(root, -1)]
+def tree_from_nested(root: Leaf | Internal) -> Tree:
+    """The ``Tree`` of a nested tree, read from its model document, filled
+    in from the root down by an explicit stack. Its numbers are made JSON's
+    ints and floats, so the reader's type checks hold."""
+    document = {}
+    stack = [(root, document)]
     while stack:
-        node, parent = stack.pop()
-        if parent >= 0:
-            nodes.positive_next(parent)
+        node, into = stack.pop()
         if isinstance(node, Leaf):
-            nodes.leaf(node.value)
+            into["leaf"] = float(node.value)
+            continue
+        c, f = node.condition, int(node.condition.feature)
+        if type(c) is NumericalGE:
+            split = {"kind": "numerical_ge", "feature": f, "threshold": float(c.threshold)}
+        elif type(c) is CategoryIn:
+            split = {"kind": "category_in", "feature": f, "values": sorted(map(int, c.values))}
         else:
-            stack += ((node.positive, nodes.split(node.condition)), (node.negative, -1))
-    return nodes.tree()
+            split = {"kind": "set_intersects", "feature": f, "mask": list(map(int, c.mask))}
+        into.update(split=split, negative={}, positive={})
+        stack += ((node.positive, into["positive"]), (node.negative, into["negative"]))
+    return _parse_trees([document], 0)[0]
 
 
 @dataclass
 class DecisionForest:
     kind: str  # RF | MART
-    trees: list[Tree]  # a nested Leaf or Internal tree is converted on entry
+    trees: list[Tree]  # slices of nodes (see the module docstring)
     initial_score: float
     features: list[Feature]
     metadata: dict = field(default_factory=dict)
+    # every tree's nodes; each tree's first node, then the node count (the
+    # JSON reader gives both); each tree's first id, then the id count
+    nodes: Tree | None = field(default=None, repr=False, compare=False)
+    starts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    id_starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.trees = [tree if isinstance(tree, Tree) else _from_nested(tree)
-                      for tree in self.trees]
+        if self.nodes is None:
+            trees = [t if isinstance(t, Tree) else tree_from_nested(t) for t in self.trees]
+            self.nodes = Tree(*map(np.concatenate, zip(*(t.arrays() for t in [_NO_NODES, *trees]))))
+            self.starts = np.cumsum([0] + [len(tree.kind) for tree in trees])
+        # a tree's last id end is its id count
+        self.id_starts = np.cumsum(np.append(0, self.nodes.id_ends[self.starts[1:] - 1]))
+        *arrays, ids = self.nodes.arrays()
+        self.trees = [Tree(*(a[s:e] for a in arrays), ids[i:j]) for s, e, i, j in zip(
+            self.starts.tolist(), self.starts[1:].tolist(), self.id_starts.tolist(),
+            self.id_starts[1:].tolist())]
 
 
-def stack_trees(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
-    """The nodes of ``trees`` one after another as one ``Tree``, positive
-    children and id ends shifted to match, and the index of each tree's first
-    node followed by the node count."""
-    sizes = np.array([len(tree.kind) for tree in trees], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    id_starts = np.cumsum([0] + [len(tree.ids) for tree in trees])
-    kind, feature, threshold, positive, value, id_ends, ids = (
-        np.concatenate(arrays) for arrays in zip(*(t.arrays() for t in [_NO_NODES, *trees])))
-    positive = np.where(positive >= 0, positive + np.repeat(starts[:-1], sizes), -1)
-    id_ends += np.repeat(id_starts[:-1], sizes)
-    return Tree(kind, feature, threshold, positive, value, id_ends, ids), starts
+def forest_nodes(forest: DecisionForest) -> Tree:
+    """Every node of ``forest`` as one ``Tree``, its positive children and id
+    ends counted from the forest's first node and id; no other array is new."""
+    nodes, starts = forest.nodes, forest.starts
+    sizes = np.diff(starts)
+    positive = np.where(nodes.positive >= 0, nodes.positive + np.repeat(starts[:-1], sizes), -1)
+    return Tree(nodes.kind, nodes.feature, nodes.threshold, positive, nodes.value,
+                nodes.id_ends + np.repeat(forest.id_starts[:-1], sizes), nodes.ids)
 
 
 def node_depths(tree: Tree) -> np.ndarray:
     """Every node's depth, the root's 0, by pointer jumping: each pass adds
     the depth a node's ancestor has reached so far and jumps to that
     ancestor's, so ``log2(depth)`` passes suffice. Takes any tree whose
-    children come after their parents, a ``stack_trees`` forest too."""
+    children come after their parents, a ``forest_nodes`` forest too."""
     internal = np.flatnonzero(tree.kind != LEAF)
     up = np.full(len(tree.kind), -1, dtype=np.int64)
     up[internal + 1] = up[tree.positive[internal]] = internal
@@ -286,47 +274,58 @@ def _tree_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
-def _parse_tree(document, n_features: int) -> Tree:
-    """One tree of a model document, read like ``_from_nested``, with its
-    fields' types checked: features and ids must be JSON ints, thresholds and
-    leaf values JSON numbers (not bools, not strings). ``_check_trees``
-    checks their values."""
-    nodes, stack = TreeBuilder(), [(document, -1)]
-    while stack:
-        node, parent = stack.pop()
-        if parent >= 0:
-            nodes.positive_next(parent)
-        if "leaf" in node:
-            nodes.leaf(node["leaf"])
-            continue
-        split = node["split"]
-        kind = _KIND_CODES.get(split["kind"])
-        if kind is None:
-            raise ValueError(f"unknown condition kind {split['kind']!r}")
-        numerical = kind == NUMERICAL_GE
-        i = nodes.append(kind, split["feature"], split["threshold"] if numerical else math.nan,
-                         () if numerical else split["values" if kind == CATEGORY_IN else "mask"])
-        stack += ((node["positive"], i), (node["negative"], -1))
-    _, features, thresholds, _, values, _ = zip(*nodes.nodes)
-    if set(map(type, features)) != {int}:
-        feature = next(f for f in features if type(f) is not int)
-        raise ValueError(f"a split on feature {feature!r}, but the schema has "
-                         f"{n_features} features")
-    if not set(map(type, nodes.ids)) <= {int}:
-        raise ValueError("term ids and values must be integers")
-    if not {*map(type, values), *map(type, thresholds)} <= {int, float}:
-        raise ValueError(_NOT_FINITE)
-    return nodes.tree()
+def _parse_trees(documents, n_features: int) -> tuple[Tree, np.ndarray]:
+    """Every tree of a model document, walked by an explicit stack into one
+    set of node arrays, with each tree's fields' types checked: features and ids
+    must be JSON ints, thresholds and leaf values JSON numbers (not bools,
+    not strings). ``_check_trees`` checks their values. Returns the nodes and
+    each tree's first node followed by the node count."""
+    columns = kind, feature, threshold, positive, value, id_ends, ids = tuple([] for _ in _DTYPES)
+    starts = [0]
+    for document in documents:
+        start, id_start, stack = len(kind), len(ids), [(document, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                positive[parent] = len(kind) - start
+            if "leaf" in node:
+                code, f, t, v = LEAF, -1, math.nan, node["leaf"]
+            else:
+                split = node["split"]
+                code = _KIND_CODES.get(split["kind"])
+                if code is None:
+                    raise ValueError(f"unknown condition kind {split['kind']!r}")
+                f, t, v = split["feature"], math.nan, 0.0
+                if code == NUMERICAL_GE:
+                    t = split["threshold"]
+                else:
+                    ids.extend(split["values" if code == CATEGORY_IN else "mask"])
+                stack += ((node["positive"], len(kind)), (node["negative"], -1))
+            kind.append(code)
+            feature.append(f)
+            threshold.append(t)
+            positive.append(-1)
+            value.append(v)
+            id_ends.append(len(ids) - id_start)
+        starts.append(len(kind))
+        if set(map(type, feature[start:])) != {int}:
+            f = next(f for f in feature[start:] if type(f) is not int)
+            raise ValueError(f"a split on feature {f!r}, but the schema has {n_features} features")
+        if not set(map(type, ids[id_start:])) <= {int}:
+            raise ValueError("term ids and values must be integers")
+        if not {*map(type, value[start:]), *map(type, threshold[start:])} <= {int, float}:
+            raise ValueError(_NOT_FINITE)
+    return Tree(*map(np.array, columns, _DTYPES)), np.array(starts)
 
 
-def _check_trees(trees: list[Tree], features: list[Feature]) -> None:
-    """Check the parsed trees against their schema, in array passes over all
-    their nodes: every split's feature in the schema and of its kind's type,
+def _check_trees(forest: DecisionForest) -> None:
+    """Check a parsed forest against its schema, in array passes over all
+    its nodes: every split's feature in the schema and of its kind's type,
     every id list non-empty, strictly increasing and inside its feature's
     vocabulary (any non-negative int where there is none), finite thresholds
     and leaf values, and no leaf deeper than ``MAX_TREE_DEPTH``. Raises
     ``ValueError`` naming the first bad node."""
-    nodes, _ = stack_trees(trees)
+    nodes, features = forest_nodes(forest), forest.features
     inner = np.flatnonzero(nodes.kind != LEAF)
     kind, feature = nodes.kind[inner], nodes.feature[inner]
     # a feature past the schema reads the LEAF at the end, which no split is
@@ -340,19 +339,20 @@ def _check_trees(trees: list[Tree], features: list[Feature]) -> None:
                          f"but the schema has {len(features)} features")
     ends, ids = nodes.id_ends, nodes.ids
     counts = np.diff(ends, prepend=0)
-    # each feature's largest id, then 0 for a leaf's feature -1: it has no ids
-    bounds = np.array([_UNBOUNDED if f.vocabulary is None else len(f.vocabulary) - 1
-                       for f in features] + [0], dtype=np.int64)
-    rising = np.ones(len(ids), dtype=bool)
-    rising[1:] = ids[1:] > ids[:-1]
-    rising[(ends - counts)[counts > 0]] = True  # the first id of every node
-    largest = np.repeat(bounds[nodes.feature], counts)
-    bad_ids = np.flatnonzero((ids < 0) | ~rising | (ids > largest))
-    bad = np.union1d(inner[(kind != NUMERICAL_GE) & (counts[inner] == 0)],
-                     np.searchsorted(ends, bad_ids, side="right"))
+    firsts = ends - counts
+    # a node's ids rise from at least 0 to at most its feature's largest id
+    largest = np.array([_UNBOUNDED if f.vocabulary is None else len(f.vocabulary) - 1
+                        for f in features], dtype=np.int64)
+    held = np.flatnonzero(counts)
+    falls = np.flatnonzero(ids[1:] <= ids[:-1]) + 1
+    fell = np.searchsorted(ends, falls, side="right")
+    bad = np.concatenate((inner[(kind != NUMERICAL_GE) & (counts[inner] == 0)],
+                          fell[falls != firsts[fell]],
+                          held[(ids[firsts[held]] < 0)
+                               | (ids[ends[held] - 1] > largest[nodes.feature[held]])]))
     if bad.size:
-        i = bad[0]
-        raise ValueError(f"feature {nodes.feature[i]}: {ids[ends[i] - counts[i]:ends[i]].tolist()}"
+        i = bad.min()
+        raise ValueError(f"feature {nodes.feature[i]}: {ids[firsts[i]:ends[i]].tolist()}"
                          " is not a non-empty, strictly increasing list of ids in its vocabulary")
     if not (np.isfinite(nodes.value[nodes.kind == LEAF]).all()
             and np.isfinite(nodes.threshold[nodes.kind == NUMERICAL_GE]).all()):
@@ -376,7 +376,7 @@ def forest_to_dict(forest: DecisionForest) -> dict:
 def forest_from_dict(data: dict) -> DecisionForest:
     """Parse a model document, validating it against its own schema: an
     object of the format and version, the forest kind, every tree (see
-    ``_parse_tree`` and ``_check_trees``) and at least one for a random
+    ``_parse_trees`` and ``_check_trees``) and at least one for a random
     forest, a finite number for the initial score, and an object of
     metadata. Raises ``ValueError``."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
@@ -391,21 +391,17 @@ def forest_from_dict(data: dict) -> DecisionForest:
         features = [Feature.from_dict(f) for f in data["features"]]
         initial_score = data["initial_score"]
         finite = type(initial_score) in (int, float) and math.isfinite(initial_score)
-        trees = [_parse_tree(t, len(features)) for t in data["trees"]]
+        nodes, starts = _parse_trees(data["trees"], len(features))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if not finite:
         raise ValueError(_NOT_FINITE)
-    if data["kind"] == RF and not trees:
+    if data["kind"] == RF and len(starts) == 1:
         raise ValueError("a random forest needs at least one tree")  # its mean is NaN
-    _check_trees(trees, features)
-    return DecisionForest(
-        kind=data["kind"],
-        trees=trees,
-        initial_score=float(initial_score),
-        features=features,
-        metadata=data.get("metadata", {}),
-    )
+    forest = DecisionForest(data["kind"], [], float(initial_score), features,
+                            data.get("metadata", {}), nodes, starts)
+    _check_trees(forest)
+    return forest
 
 
 def forest_to_json(forest: DecisionForest) -> str:
@@ -415,7 +411,10 @@ def forest_to_json(forest: DecisionForest) -> str:
 
 
 def forest_from_json(text: str) -> DecisionForest:
-    return forest_from_dict(json.loads(text))
+    """The forest of a model's JSON text; the text is dropped once parsed."""
+    document = json.loads(text)
+    del text
+    return forest_from_dict(document)
 
 
 def save_forest(forest: DecisionForest, path) -> None:

@@ -20,26 +20,27 @@ seed) gives a bit-identical serialized model.
 A random forest's trees grow in a pool of forked worker processes, one per
 CPU in ``os.sched_getaffinity(0)`` and at most one per tree; ``taskset``
 limits them. The workers inherit the dataset by fork, each ``Tree`` comes
-back as its flat arrays, in tree order, and the model bytes are the same at
-any worker count. The trees grow in this process instead where there is one
-CPU or one tree, where ``os.fork`` or ``os.sched_getaffinity`` is missing, in
-a daemonic process and while other threads are alive. The pool's modules are
-imported only when a pool starts. The pool is shut down before ``train``
-returns or raises, and a worker exits by itself once the training process is
-gone. MART grows its rounds one after another in this process.
+back as its flat arrays, in tree order, ``DecisionForest`` concatenates them
+once, and the model bytes are the same at any worker count. The trees grow
+in this process instead where there is one CPU or one tree, where
+``os.fork`` or ``os.sched_getaffinity`` is missing, in a daemonic process
+and while other threads are alive. The pool's modules are imported only when
+a pool starts. The pool is shut down before ``train`` returns or raises, and
+a worker exits by itself once the training process is gone. MART grows its
+rounds one after another in this process.
 
-The grower appends its nodes to a ``model.TreeBuilder`` in preorder. A node
-routes its rows with the partition its winning splitter returns
-(``SplitCandidate.positive``). A set feature's tokens are gathered from the
-CSR index only where a node first samples it; each child then inherits its
-share of its parent's tokens, in the order the index would give them. A
-child that will be a leaf, at the depth limit or with fewer than
-``2 * min_examples_per_leaf`` rows, gets none. A node splits its tokens
-between the children that can split further and drops its own before
-growing them, so the tokens held along the recursion path never exceed the
-root's. MART's validation rows and RF's out-of-bag rows are scored by the
-compiled evaluator, ``inference.predict_dataset``, through a one-tree
-forest.
+The grower builds a tree as nested ``model.Leaf`` and ``model.Internal``
+nodes, numbered in preorder, and ``model.tree_from_nested`` reads them into
+a ``Tree``. A node routes its rows with the partition its winning splitter
+returns (``SplitCandidate.positive``). A set feature's tokens are gathered
+from the CSR index only where a node first samples it; each child then
+inherits its share of its parent's tokens, in the order the index would give
+them. A child that will be a leaf, at the depth limit or with fewer than
+``2 * min_examples_per_leaf`` rows, gets none. A node splits its tokens between
+the children that can split further and drops its own before growing them,
+so the tokens held along the recursion path never exceed the root's. MART's
+validation rows and RF's out-of-bag rows are scored by the compiled
+evaluator, ``inference.predict_dataset``, through a one-tree forest.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, FeatureType
 from .inference import compile_forest, predict_dataset
-from .model import MART, MAX_TREE_DEPTH, RF, DecisionForest, Tree, TreeBuilder
+from .model import MART, MAX_TREE_DEPTH, RF, DecisionForest, Internal, Leaf, Tree, tree_from_nested
 from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
@@ -152,7 +153,7 @@ class _TreeGrower:
         self.leaf_value = leaf_value
         self.tree_tag = tree_tag
         self.fitted = fitted
-        self.nodes = TreeBuilder()
+        self.n_nodes = 0  # the preorder index of the next node
         f = dataset.n_features
         policy = config.features_per_node
         if policy == "sqrt":
@@ -163,8 +164,7 @@ class _TreeGrower:
             self.features_per_node = min(f, int(policy))
 
     def grow(self, indices) -> Tree:
-        self._grow(np.asarray(indices, dtype=np.int64), 0, {})
-        return self.nodes.tree()
+        return tree_from_nested(self._grow(np.asarray(indices, dtype=np.int64), 0, {}))
 
     def _find_split(self, feature: int, indices, node_targets, node_weights, node_id,
                     tokens: dict):
@@ -185,11 +185,12 @@ class _TreeGrower:
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
             tokens=tokens[feature])
 
-    def _grow(self, indices, depth, tokens: dict) -> None:
-        """Append the subtree of the rows ``indices`` to ``self.nodes``, in
+    def _grow(self, indices, depth, tokens: dict) -> Leaf | Internal:
+        """The subtree of the rows ``indices``, its nodes numbered in
         preorder; ``tokens`` maps each set feature gathered so far to its
         (rows, terms) over these rows."""
-        node_id = len(self.nodes)
+        node_id = self.n_nodes
+        self.n_nodes += 1
         cfg = self.config
         node_targets = self.targets[indices]
         if not self._may_split(depth, len(indices)) or np.all(node_targets == node_targets[0]):
@@ -217,23 +218,22 @@ class _TreeGrower:
             children.append((indices.take(chosen), _child_tokens(tokens, side, chosen)
                              if self._may_split(depth + 1, chosen.size) else {}))
         tokens.clear()
-        split = self.nodes.split(best.condition)
         child_indices, child_tokens = children.pop(0)
-        self._grow(child_indices, depth + 1, child_tokens)
-        self.nodes.positive_next(split)
+        negative = self._grow(child_indices, depth + 1, child_tokens)
         child_indices, child_tokens = children.pop()
-        self._grow(child_indices, depth + 1, child_tokens)
+        return Internal(best.condition, negative,
+                        self._grow(child_indices, depth + 1, child_tokens))
 
     def _may_split(self, depth: int, n_rows: int) -> bool:
         """Whether a node at ``depth`` of ``n_rows`` rows is above the depth
         limit and large enough for two leaves; if not, it is a leaf."""
         return depth < self.config.max_depth and n_rows >= 2 * self.config.min_examples_per_leaf
 
-    def _leaf(self, indices) -> None:
+    def _leaf(self, indices) -> Leaf:
         value = self.leaf_value(indices)
         if self.fitted is not None:
             self.fitted[indices] = value
-        self.nodes.leaf(value)
+        return Leaf(value)
 
 
 def _child_tokens(tokens: dict, side: np.ndarray, chosen: np.ndarray) -> dict:

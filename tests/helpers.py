@@ -135,6 +135,44 @@ def reference_leaf_words(forest, row, words_per_tree: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").astype(np.uint64)
 
 
+def stack_trees(trees) -> tuple[sf.Tree, np.ndarray]:
+    """The nodes of ``trees`` one after another as one ``Tree``, positive
+    children and id ends shifted to count from the first node and id, and the
+    index of each tree's first node followed by the node count: the copy the
+    load checks and the compiler made before a forest held its nodes this
+    way, kept as a reference for ``model.forest_nodes``."""
+    sizes = np.array([len(tree.kind) for tree in trees], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    id_starts = np.cumsum([0] + [len(tree.ids) for tree in trees])
+    empty = sf.Tree(*(np.empty(0, dtype) for dtype in
+                      (np.int8, np.int64, np.float64, np.int64, np.float64, np.int64, np.int64)))
+    kind, feature, threshold, positive, value, id_ends, ids = (
+        np.concatenate(arrays) for arrays in zip(*(t.arrays() for t in [empty, *trees])))
+    positive = np.where(positive >= 0, positive + np.repeat(starts[:-1], sizes), -1)
+    id_ends += np.repeat(id_starts[:-1], sizes)
+    return sf.Tree(kind, feature, threshold, positive, value, id_ends, ids), starts
+
+
+def random_nested_tree(rng, n_leaves: int, features) -> sf.Leaf | sf.Internal:
+    """A random nested tree of ``n_leaves`` leaves whose splits test random
+    ``features``: a threshold, or up to three of the feature's ids."""
+    if n_leaves == 1:
+        return sf.Leaf(float(rng.normal()))
+    f = int(rng.integers(len(features)))
+    if features[f].ftype == FeatureType.NUMERICAL:
+        condition = sf.NumericalGE(f, float(rng.normal()))
+    else:
+        size = len(features[f].vocabulary)
+        ids = sorted(rng.choice(size, size=int(rng.integers(1, min(3, size) + 1)),
+                                replace=False).tolist())
+        condition = (sf.CategoryIn(f, frozenset(ids))
+                     if features[f].ftype == FeatureType.CATEGORICAL
+                     else sf.SetIntersects(f, tuple(ids)))
+    k = int(rng.integers(1, n_leaves))
+    return sf.Internal(condition, random_nested_tree(rng, k, features),
+                       random_nested_tree(rng, n_leaves - k, features))
+
+
 def key_row(features, feature: int, key) -> tuple:
     """A row holding only ``key`` at ``feature``: the value, category or
     one-term set; every other value is missing."""

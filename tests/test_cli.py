@@ -311,6 +311,19 @@ class TestModelOnLoad:
         assert main(["predict", str(model), str(test)]) == 2
         assert "must be finite numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["features", "pipeline"])
+    def test_feature_name_not_a_string_is_two(self, tmp_path, capsys, where):
+        # it loaded, and predict printed every score with exit 0
+        model, test = TestTrainPredict._mixed_csv_model(tmp_path)
+        document = json.loads(model.read_text())
+        owner = document if where == "features" else document["metadata"]["pipeline"]
+        owner["features"][1]["name"] = 5
+        model.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", str(model), str(test)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load model" in err and "feature name must be a string" in err
+
     def test_models_that_evaluate_saves_can_be_scored(self, tmp_path, corpus_path, capsys):
         cfg = _config(tmp_path, corpus_path, methods="rf; rf:bow")
         assert main(["evaluate", "--config", str(cfg)]) == 0

@@ -13,9 +13,9 @@ from setforest.evaluation import (
     summary_csv,
     summary_table,
 )
-from setforest.model import forest_to_json
+from setforest.model import count_leaves, count_nodes, forest_to_json, leaf_depths
 
-from helpers import build_complete_tree
+from helpers import build_complete_tree, make_vocab, random_nested_tree
 
 
 def brute_force_auc(scores, labels):
@@ -132,6 +132,33 @@ class TestStructureStats:
         assert stats.nodes_per_tree == 5
         assert stats.leaves_per_tree == 3
         assert stats.balance_ratio == math.log2(3) / (5 / 3)
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_equals_the_per_tree_formula(self, sizes, seed):
+        # the per-tree means that structure_stats took before it read the
+        # forest's node arrays in one pass; single-leaf trees included
+        features = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                    sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, make_vocab("abcde"))]
+        rng = np.random.default_rng(seed)
+        forest = sf.DecisionForest("rf", [random_nested_tree(rng, n, features) for n in sizes],
+                                   0.0, features)
+        trees = forest.trees
+        avg_depth = float(np.mean([np.mean(leaf_depths(tree)) for tree in trees]))
+        leaves_per_tree = float(np.mean([count_leaves(tree) for tree in trees]))
+        expected = sf.StructureStats(
+            avg_depth, float(np.mean([count_nodes(tree) for tree in trees])), leaves_per_tree,
+            1.0 if avg_depth == 0 else math.log2(leaves_per_tree) / avg_depth)
+        stats = sf.structure_stats(forest)
+        assert [np.float64(x).tobytes() for x in vars(stats).values()] == \
+            [np.float64(x).tobytes() for x in vars(expected).values()]
+
+    def test_forest_without_trees_raises(self):
+        forest = sf.DecisionForest("mart", [], 0.5, [sf.Feature("x", sf.FeatureType.NUMERICAL)])
+        with pytest.raises(ValueError, match="at least one tree"):
+            sf.structure_stats(forest)
 
 
 class TestFoldIndices:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,19 +16,21 @@ from setforest.model import (
     forest_from_dict,
     count_nodes,
     forest_from_json,
+    forest_nodes,
     forest_to_json,
     leaf_depths,
     leaf_index,
     leaf_values,
     max_depth,
     sigmoid,
-    stack_trees,
 )
+from setforest import inference
 from setforest.inference import _negative_spans
 from setforest.training import _tree_values
 
 import helpers
-from helpers import build_complete_tree, one_split_document, random_mixed_dataset
+from helpers import (build_complete_tree, make_vocab, one_split_document, random_mixed_dataset,
+                     random_nested_tree, stack_trees)
 
 
 def _trained(seed=0, algorithm="rf", **kw):
@@ -92,6 +95,57 @@ class TestSerialization:
             forest_from_json(
                 '{"format": "setforest-model", "version": 99, "kind": "rf",'
                 ' "initial_score": 0, "features": [], "trees": []}')
+
+
+class TestForestLayout:
+    FEATURES = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab(["u", "v", "w", "z"])),
+                sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, make_vocab("abcdefgh"))]
+
+    @staticmethod
+    def _views_of_nodes(forest, trees):
+        """Each of ``forest.trees`` equals its tree of ``trees`` and is
+        slices of the forest's own arrays, with no copy."""
+        assert len(forest.trees) == len(trees)
+        for view, tree in zip(forest.trees, trees):
+            assert view == tree
+            for a, whole in zip(view.arrays(), forest.nodes.arrays()):
+                assert a.base is whole and (a.size == 0 or np.shares_memory(a, whole))
+
+    @staticmethod
+    def _tables(compiled):
+        return {f: (t.keys.tobytes(), t.ends.tobytes(), t.tree_ids.tobytes(),
+                    t.masks.tobytes(), t.slots, t.cumulative, t.lookup)
+                for f, t in compiled.keyed.items()}
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 90), max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind=MART, sizes=[], seed=0)
+    @example(kind=RF, sizes=[1, 65, 1, 130], seed=1)
+    def test_one_set_of_node_arrays(self, kind, sizes, seed):
+        # trees of one leaf up to more than 64 (two compiled words), over all
+        # three feature kinds; a random forest needs a tree
+        sizes = sizes or ([1] if kind == RF else [])
+        rng = np.random.default_rng(seed)
+        nested = [random_nested_tree(rng, n, self.FEATURES) for n in sizes]
+        trees = [sf.model.tree_from_nested(root) for root in nested]
+        forest = sf.DecisionForest(kind, nested, 0.25 if kind == MART else 0.0, self.FEATURES)
+        self._views_of_nodes(forest, trees)
+        text = forest_to_json(forest)
+        loaded = forest_from_json(text)
+        self._views_of_nodes(loaded, trees)
+        assert forest_to_json(loaded) == text
+        # the forest-wide arrays and every mask table equal those of the
+        # concatenation that the load checks and the compiler copied before
+        reference, starts = stack_trees(trees)
+        assert forest_nodes(loaded) == reference and loaded.starts.tolist() == starts.tolist()
+        with mock.patch.object(inference, "forest_nodes", lambda f: stack_trees(f.trees)[0]):
+            expected = inference.compile_forest(loaded)
+        compiled = inference.compile_forest(loaded)
+        assert self._tables(compiled) == self._tables(expected)
+        for name in ("leaf_values", "num_leaves", "default_masks", "tree_starts"):
+            assert getattr(compiled, name).tobytes() == getattr(expected, name).tobytes()
 
 
 class TestTreeWalkers:
@@ -284,6 +338,14 @@ class TestValidation:
         document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
         document["features"][0]["vocabulary"] = vocabulary
         with pytest.raises(ValueError):
+            forest_from_dict(document)
+
+    @pytest.mark.parametrize("name", [5, None, [1, 2], {"a": 1}, True])
+    def test_feature_name_must_be_a_string(self, name):
+        # a list name also made the Feature unhashable
+        document = one_split_document({"kind": "set_intersects", "feature": 0, "mask": [0]})
+        document["features"][1]["name"] = name
+        with pytest.raises(ValueError, match="feature name must be a string"):
             forest_from_dict(document)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
