@@ -16,10 +16,20 @@ Column storage is columnar:
 layout when it is built; indexing the column by row still gives the tuple.
 
 Each input format has one reader, which every command uses. ``read_text``
-reads and decodes every file or stream. ``text_examples`` splits each text
-line into an optional label and its token set. A CSV column's cells are
-parsed once by type; ``load_csv`` infers a value table for each categorical
-and set column from them, and both CSV loaders encode through one function.
+reads and decodes every file or stream, and drops a leading byte-order
+mark. ``text_examples`` splits each text line into an optional label and
+its token set. A CSV column's cells are parsed once by type; ``load_csv``
+infers a value table for each categorical and set column from them, and
+both CSV loaders encode through one function.
+
+Raw tokens reach the CSR layout in whole-column passes. The split rule is
+chosen once per text (``_split_rule``): ``str.split``, in C, unless the text
+holds a character it splits on that ASCII whitespace does not, and then the
+``_ASCII_WS`` regex; ``tokenize``, text lines and CSV set cells all use it.
+``build_vocabulary`` counts document frequencies in one ``Counter`` pass.
+``encode_set_column`` is the one encoder of raw token rows, text or CSV: it
+maps every token to its id at once and orders and deduplicates every row
+with one sort, making no per-row tuple.
 """
 
 from __future__ import annotations
@@ -27,11 +37,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +51,8 @@ import numpy as np
 MISSING_CATEGORY = -1
 
 _ASCII_WS = re.compile(r"[ \t\n\r\f\v]+")
+# what str.split() splits on besides _ASCII_WS's characters
+_OTHER_WS = re.compile("[\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 class DataError(Exception):
@@ -117,13 +130,28 @@ class Feature:
         )
 
 
+def _regex_split(text: str) -> list[str]:
+    return list(filter(None, _ASCII_WS.split(text)))
+
+
+def _split_rule(text: str):
+    """The token split for every line or cell of ``text``: ``str.split``,
+    which runs in C and splits as ``_ASCII_WS`` does unless ``text`` holds
+    one of ``_OTHER_WS``; the regex when it does."""
+    if text.isascii():
+        other = any(c in text for c in "\x1c\x1d\x1e\x1f")
+    else:
+        other = _OTHER_WS.search(text) is not None
+    return _regex_split if other else str.split
+
+
 def tokenize(text: str) -> frozenset[str]:
     """Split on runs of ASCII whitespace and deduplicate.
 
     No lowercasing, no stemming; surface forms are kept as-is. An empty
     string yields an empty set.
     """
-    return frozenset(filter(None, _ASCII_WS.split(text)))
+    return frozenset(_split_rule(text)(text))
 
 
 def build_vocabulary(
@@ -140,9 +168,9 @@ def build_vocabulary(
     """
     if (max_size is not None and max_size < 1) or min_frequency < 1:
         raise ValueError("max_size and min_frequency must be >= 1")
-    counts: Counter[str] = Counter()
-    for tokens in corpus:
-        counts.update(set(tokens))
+    # one counting pass in C; a row that is not a set yet counts a token once
+    counts = Counter(chain.from_iterable(
+        tokens if isinstance(tokens, (set, frozenset)) else set(tokens) for tokens in corpus))
     items = [(t, c) for t, c in counts.items() if c >= min_frequency]
     items.sort(key=lambda tc: (-tc[1], tc[0]))
     items = items[:max_size]
@@ -155,9 +183,40 @@ def encode_tokens(tokens: Iterable[str], vocab: Vocabulary) -> tuple[int, ...]:
     Already-encoded input round-trips: encoding the decoded form of a sorted
     id tuple returns the same tuple.
     """
-    index = vocab.index
-    ids = {index[t] for t in tokens if t in index}
-    return tuple(sorted(ids))
+    return encode_set_column([tuple(tokens)], vocab)[0]
+
+
+def encode_set_column(rows: Sequence[Iterable[str] | None], vocab: Vocabulary) -> "SetColumnIndex":
+    """The set column of ``rows``, token collections or None (missing), in
+    its CSR layout: each row's tokens that are in ``vocab``, as distinct
+    term ids in increasing order. Whole-column passes: the ids of every
+    token at once, then one sort of row-major keys (row times the
+    vocabulary's size plus id), which orders each row and makes a repeated
+    token adjacent to its twin."""
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    missing = np.fromiter(map(operator.is_, rows, repeat(None)), dtype=bool, count=len(rows))
+    present = [tokens for tokens in rows if tokens is not None] if missing.any() else rows
+    try:
+        lengths = np.fromiter(map(len, present), dtype=np.int64, count=len(present))
+    except TypeError:  # rows without a length, such as generators
+        present = list(map(tuple, present))
+        lengths = np.fromiter(map(len, present), dtype=np.int64, count=len(present))
+    width = max(len(vocab), 1)
+    keys = np.repeat(np.flatnonzero(~missing) * width, lengths)
+    ids = np.fromiter(map(vocab.index.get, chain.from_iterable(present), repeat(-1)),
+                      dtype=np.int64, count=len(keys))
+    keys += ids
+    known = ids >= 0
+    del ids
+    if not known.all():
+        keys = keys[known]  # out-of-vocabulary tokens are dropped
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]  # a token listed twice in its row
+    if repeated.any():
+        keys = keys[np.concatenate(([True], ~repeated))]
+    indptr = np.searchsorted(keys, np.arange(len(rows) + 1, dtype=np.int64) * width)
+    np.remainder(keys, width, out=keys)
+    return SetColumnIndex.from_arrays(indptr, keys, missing)
 
 
 class SetColumnIndex:
@@ -178,6 +237,12 @@ class SetColumnIndex:
         self.term_ids = np.fromiter(chain.from_iterable(filter(None, column)),
                                     dtype=np.int64, count=int(self.indptr[-1]))
 
+    @classmethod
+    def from_arrays(cls, indptr, term_ids, missing) -> "SetColumnIndex":
+        out = cls.__new__(cls)
+        out.indptr, out.term_ids, out.missing = indptr, term_ids, missing
+        return out
+
     def __len__(self) -> int:
         return len(self.missing)
 
@@ -189,12 +254,10 @@ class SetColumnIndex:
 
     def take(self, indices) -> "SetColumnIndex":
         """The column of the rows ``indices``, in that order."""
-        out = SetColumnIndex.__new__(SetColumnIndex)
-        lengths, out.term_ids = self.row_tokens(indices)
-        out.missing = self.missing[indices]
-        out.indptr = np.zeros(len(out.missing) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=out.indptr[1:])
-        return out
+        lengths, term_ids = self.row_tokens(indices)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return SetColumnIndex.from_arrays(indptr, term_ids, self.missing[indices])
 
     def node_tokens(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(positions in ``indices``, term ids) of every token of the selected
@@ -329,9 +392,8 @@ def dataset_from_token_sets(
     name: str = "text",
 ) -> Dataset:
     """Single set-feature dataset from raw token sets (OOV tokens dropped)."""
-    column = [encode_tokens(tokens, vocab) for tokens in token_sets]
     feature = Feature(name, FeatureType.CATEGORICAL_SET, vocab)
-    return Dataset.create([feature], [column], labels, weights)
+    return Dataset.create([feature], [encode_set_column(token_sets, vocab)], labels, weights)
 
 
 def read_text(source) -> tuple[str, str]:
@@ -345,10 +407,11 @@ def read_text(source) -> tuple[str, str]:
     except OSError as exc:
         raise DataError(f"cannot open {name}: {exc}") from exc
     try:
-        return name, data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
+    return name, text[1:] if text.startswith("\ufeff") else text  # a byte-order mark
 
 
 def text_examples(source) -> Iterator[tuple[int, int | None, frozenset[str]]]:
@@ -358,10 +421,11 @@ def text_examples(source) -> Iterator[tuple[int, int | None, frozenset[str]]]:
     (``None``) and is all text. A line of ASCII whitespace alone is blank,
     and skipped. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
     text = read_text(source)[1].replace("\r\n", "\n").replace("\r", "\n")
+    split = _split_rule(text)
     for lineno, line in enumerate(text.split("\n"), start=1):
         head, tab, rest = line.partition("\t")
         label = int(head) if tab and head in ("0", "1") else None
-        tokens = tokenize(line if label is None else rest)
+        tokens = frozenset(split(line if label is None else rest))
         if tokens or label is not None:
             yield lineno, label, tokens
 
@@ -380,13 +444,14 @@ def load_labeled_text(path) -> tuple[list[frozenset[str]], np.ndarray]:
     return token_sets, np.asarray(labels, dtype=np.int64)
 
 
-def _parse_set_cell(cell: str) -> frozenset[str] | None:
-    # "{a b c}" -> tokens, "{}" -> empty set, "" -> missing
+def _parse_set_cell(cell: str, split=None) -> frozenset[str] | None:
+    # "{a b c}" -> tokens, "{}" -> empty set, "" -> missing; split by the
+    # file's split rule, or the cell's own
     if cell == "":
         return None
     if not (cell.startswith("{") and cell.endswith("}")):
         raise DataError("set cell must look like '{tok tok}' or '{}'")
-    return tokenize(cell[1:-1])
+    return tokenize(cell[1:-1]) if split is None else frozenset(split(cell[1:-1]))
 
 
 def _read_table(path, columns, label_column: str | None, weight_column: str | None):
@@ -432,22 +497,24 @@ def _read_table(path, columns, label_column: str | None, weight_column: str | No
                 raise DataError(f"{name}:{rowno}: weight must be positive and finite, "
                                 f"got {cell!r}")
             weights.append(weight)
-    values = {column: _parse_cells(name, column, ftype, [row[col_of[column]] for row in rows])
+    split = _split_rule(text)
+    values = {column: _parse_cells(name, column, ftype, [row[col_of[column]] for row in rows],
+                                   split)
               for column, ftype in columns.items()}
     return header, values, labels, weights
 
 
-def _parse_cells(name: str, column: str, ftype: FeatureType, cells: list[str]):
+def _parse_cells(name: str, column: str, ftype: FeatureType, cells: list[str], split):
     """A column's cells parsed by type: floats (NaN when missing) for
     numerical, the cells themselves (``""`` when missing) for categorical,
-    token sets (None when missing) for set."""
+    token sets (None when missing, split by ``split``) for set."""
     if ftype == FeatureType.CATEGORICAL:
         return cells
     if ftype == FeatureType.CATEGORICAL_SET:
         parsed = []
         for i, cell in enumerate(cells):
             try:
-                parsed.append(_parse_set_cell(cell))
+                parsed.append(_parse_set_cell(cell, split))
             except DataError as exc:
                 raise DataError(f"{name}:{i + 2}: column {column!r}: {exc}") from None
         return parsed
@@ -478,7 +545,7 @@ def _encode_column(feature: Feature, values):
         index = vocab.index
         return np.array([index.get(c, MISSING_CATEGORY) if c != "" else MISSING_CATEGORY
                          for c in values], dtype=np.int64)
-    return [None if p is None else encode_tokens(p, vocab) for p in values]
+    return encode_set_column(values, vocab)
 
 
 def load_csv(

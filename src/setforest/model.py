@@ -274,16 +274,21 @@ def _tree_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
-def _parse_trees(documents, n_features: int) -> tuple[Tree, np.ndarray]:
+def _parse_trees(documents: list, n_features: int) -> tuple[Tree, np.ndarray]:
     """Every tree of a model document, walked by an explicit stack into one
     set of node arrays, with each tree's fields' types checked: features and ids
     must be JSON ints, thresholds and leaf values JSON numbers (not bools,
     not strings). ``_check_trees`` checks their values. Returns the nodes and
-    each tree's first node followed by the node count."""
+    each tree's first node followed by the node count.
+
+    ``documents`` is emptied: each tree leaves it when it is walked, and each
+    column list is emptied once it is an array, so what no one else holds is
+    freed as the reader goes."""
     columns = kind, feature, threshold, positive, value, id_ends, ids = tuple([] for _ in _DTYPES)
     starts = [0]
-    for document in documents:
-        start, id_start, stack = len(kind), len(ids), [(document, -1)]
+    documents.reverse()
+    while documents:
+        start, id_start, stack = len(kind), len(ids), [(documents.pop(), -1)]
         while stack:
             node, parent = stack.pop()
             if parent >= 0:
@@ -315,7 +320,11 @@ def _parse_trees(documents, n_features: int) -> tuple[Tree, np.ndarray]:
             raise ValueError("term ids and values must be integers")
         if not {*map(type, value[start:]), *map(type, threshold[start:])} <= {int, float}:
             raise ValueError(_NOT_FINITE)
-    return Tree(*map(np.array, columns, _DTYPES)), np.array(starts)
+    arrays = []
+    for column, dtype in zip(columns, _DTYPES):
+        arrays.append(np.array(column, dtype))
+        column.clear()
+    return Tree(*arrays), np.array(starts)
 
 
 def _check_trees(forest: DecisionForest) -> None:
@@ -378,7 +387,13 @@ def forest_from_dict(data: dict) -> DecisionForest:
     object of the format and version, the forest kind, every tree (see
     ``_parse_trees`` and ``_check_trees``) and at least one for a random
     forest, a finite number for the initial score, and an object of
-    metadata. Raises ``ValueError``."""
+    metadata. Raises ``ValueError``. ``data`` is left as it was."""
+    return _forest_from_document(data, owned=False)
+
+
+def _forest_from_document(data, owned: bool) -> DecisionForest:
+    """``forest_from_dict``; a document the reader ``owned`` hands its trees
+    over, so each is freed once walked."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     if data.get("version") != MODEL_VERSION:
@@ -391,7 +406,8 @@ def forest_from_dict(data: dict) -> DecisionForest:
         features = [Feature.from_dict(f) for f in data["features"]]
         initial_score = data["initial_score"]
         finite = type(initial_score) in (int, float) and math.isfinite(initial_score)
-        nodes, starts = _parse_trees(data["trees"], len(features))
+        nodes, starts = _parse_trees(list(data.pop("trees") if owned else data["trees"]),
+                                     len(features))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if not finite:
@@ -411,10 +427,12 @@ def forest_to_json(forest: DecisionForest) -> str:
 
 
 def forest_from_json(text: str) -> DecisionForest:
-    """The forest of a model's JSON text; the text is dropped once parsed."""
+    """The forest of a model's JSON text, read as ``forest_from_dict`` reads
+    its document; the reader owns the document, and frees each tree of it
+    once walked."""
     document = json.loads(text)
-    del text
-    return forest_from_dict(document)
+    del text  # the text is freed once parsed, unless the caller holds it
+    return _forest_from_document(document, owned=True)
 
 
 def save_forest(forest: DecisionForest, path) -> None:

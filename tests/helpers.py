@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import re
+from collections import Counter
+
 import numpy as np
 
 import setforest as sf
 from setforest.conditions import SplitCondition, evaluate
-from setforest.dataset import MISSING_CATEGORY, Dataset, Feature, FeatureType, Vocabulary
+from setforest.dataset import (
+    MISSING_CATEGORY,
+    Dataset,
+    Feature,
+    FeatureType,
+    SetColumnIndex,
+    Vocabulary,
+)
 from setforest.splits import gain_from_stats
 from setforest.transforms import hash64
 
@@ -514,3 +526,54 @@ def filtering_set_mask_split(set_index, indices, targets, weights, sampling_rate
         return None
     return (tuple(sorted(term for term, _ in steps)), current_gain, tuple(steps),
             n_pos, n_neg, in_pos)
+
+
+# The per-row ingest that the bulk path in ``setforest.dataset`` replaced, kept
+# as its reference: a regex split of each line or cell, one ``Counter.update``
+# per row, a sorted id tuple per row, and the tuple-to-CSR constructor.
+_ASCII_WS = re.compile(r"[ \t\n\r\f\v]+")
+
+
+def reference_tokenize(text: str) -> frozenset[str]:
+    return frozenset(filter(None, _ASCII_WS.split(text)))
+
+
+def reference_text_examples(text: str) -> list[tuple[int, int | None, frozenset[str]]]:
+    """``text_examples`` of a decoded text that holds no byte-order mark."""
+    examples = []
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        head, tab, rest = line.partition("\t")
+        label = int(head) if tab and head in ("0", "1") else None
+        tokens = reference_tokenize(line if label is None else rest)
+        if tokens or label is not None:
+            examples.append((lineno, label, tokens))
+    return examples
+
+
+def reference_build_vocabulary(corpus, max_size, min_frequency) -> Vocabulary:
+    counts: Counter[str] = Counter()
+    for tokens in corpus:
+        counts.update(set(tokens))
+    items = sorted(((t, c) for t, c in counts.items() if c >= min_frequency),
+                   key=lambda tc: (-tc[1], tc[0]))[:max_size]
+    return Vocabulary(tuple(t for t, _ in items), tuple(c for _, c in items))
+
+
+def reference_encode_tokens(tokens, vocab: Vocabulary) -> tuple[int, ...]:
+    index = vocab.index
+    return tuple(sorted({index[t] for t in tokens if t in index}))
+
+
+def reference_set_column(rows, vocab: Vocabulary) -> SetColumnIndex:
+    """The CSR column of token rows (None for missing), one row at a time."""
+    return SetColumnIndex([None if tokens is None else reference_encode_tokens(tokens, vocab)
+                           for tokens in rows])
+
+
+def reference_csv_set_cells(text: str, column: str) -> list[frozenset[str] | None]:
+    """The token sets (None when missing) of a CSV text's set column, whose
+    every cell is empty or braced."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    j = rows[0].index(column)
+    return [None if row[j] == "" else reference_tokenize(row[j][1:-1]) for row in rows[1:]]

@@ -692,6 +692,31 @@ class TestInputReaders:
         code, scores = self._predict(capsys, tmp_path / "out" / "model.json", train)
         assert code == 0 and len(scores.split()) == 4
 
+    def test_byte_order_mark_reads_as_without(self, tmp_path, corpus_path, text_model,
+                                              capsys, monkeypatch):
+        # the mark once joined the first line's label or first token
+        bom = b"\xef\xbb\xbf"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(b"key0 key1\n" + self.EXAMPLES)
+        marked.write_bytes(bom + plain.read_bytes().replace(b"\n", b"\r\n"))
+        code, scores = self._predict(capsys, text_model, plain)
+        assert code == 0 and len(scores.split()) == 7
+        assert self._predict(capsys, text_model, marked) == (0, scores)
+        _stdin(monkeypatch, marked.read_bytes())
+        assert self._predict(capsys, text_model) == (0, scores)
+        marked_corpus = tmp_path / "marked_corpus.tsv"
+        marked_corpus.write_bytes(bom + corpus_path.read_bytes())
+        cfg = _config(tmp_path, marked_corpus, output=str(tmp_path / "marked_out"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "marked_out" / "model.json").read_bytes() \
+            == (tmp_path / "out" / "model.json").read_bytes()
+        model, test = TestTrainPredict._mixed_csv_model(tmp_path)
+        code, csv_scores = self._predict(capsys, model, test)
+        marked_csv = tmp_path / "marked.csv"
+        marked_csv.write_bytes(bom + test.read_bytes())
+        assert code == 0 and self._predict(capsys, model, marked_csv) == (0, csv_scores)
+        assert main(["predict", str(model), str(marked_csv), "--set", "label=label"]) == 0
+
     BAD_TSV = b"1\tspam eggs\n0\tham \xff toast\n"
 
     def test_non_utf8_text_to_train_is_two(self, tmp_path, capsys):

@@ -8,9 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setforest as sf
-from setforest.dataset import DataError, Feature, FeatureType, _parse_set_cell, text_examples
+from setforest.dataset import (
+    DataError,
+    Feature,
+    FeatureType,
+    _parse_set_cell,
+    encode_set_column,
+    text_examples,
+)
 
-from helpers import make_vocab
+from helpers import (
+    make_vocab,
+    reference_build_vocabulary,
+    reference_csv_set_cells,
+    reference_set_column,
+    reference_text_examples,
+    reference_tokenize,
+)
+
+# every character that str.split() splits on and ASCII whitespace is not
+OTHER_WS = ("\x1c\x1d\x1e\x1f\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+            + "\u2028\u2029\u202f\u205f\u3000")
+BOM = "\ufeff".encode("utf-8")
 
 
 class TestTokenize:
@@ -25,6 +44,11 @@ class TestTokenize:
         text = "a\tb  c"
         expected = frozenset(t for t in re.split(r"\s+", text) if t)
         assert sf.tokenize(text) == expected == {"a", "b", "c"}
+        # str.split() splits on these too, the tokenizer only on ASCII whitespace
+        for c in OTHER_WS:
+            for text in (f"a{c}b \tc", f"{c}", f"\u00e9 x{c}y"):
+                assert sf.tokenize(text) == reference_tokenize(text), repr(text)
+        assert sf.tokenize("a\u00a0b c") == {"a\u00a0b", "c"}
 
     def test_case_preserved(self):
         assert sf.tokenize("Cat cat") == {"Cat", "cat"}
@@ -155,6 +179,149 @@ class TestTextExamples:
                 sf.load_labeled_text(path)
             else:
                 sf.load_csv(path, {"words": "set"})
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is dropped by ``read_text``, so every
+    reader sees the file as if it had none."""
+
+    def test_text(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(BOM + b"1\tgood fine\r\n0\tbad\r\n")
+        token_sets, labels = sf.load_labeled_text(path)
+        assert token_sets == [{"good", "fine"}, {"bad"}] and labels.tolist() == [1, 0]
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(BOM + b"label,words\n1,{a b}\n0,\n")
+        plain = sf.load_csv(io.BytesIO(b"label,words\n1,{a b}\n0,\n"), {"words": "set"})
+        ds = sf.load_csv(path, {"words": "set"})
+        assert ds.features == plain.features and ds.labels.tolist() == [1, 0]
+        assert list(ds.columns[0]) == list(plain.columns[0]) == [(0, 1), None]
+        reread = sf.load_csv_with_schema(path, ds.features, "label")
+        assert list(reread.columns[0]) == [(0, 1), None]
+
+    def test_only_the_first_mark_is_dropped_and_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(BOM + BOM + b"1\ta\n")
+        with pytest.raises(DataError, match="a.tsv:1: .*label"):
+            sf.load_labeled_text(path)
+        path.write_bytes(BOM + b"1\ta\n0\tcaf\xe9\n")
+        with pytest.raises(DataError, match="a.tsv:2: not UTF-8"):
+            sf.load_labeled_text(path)
+
+
+_WORDS = st.text(alphabet="abc\u00e9", min_size=1, max_size=2)
+
+
+@st.composite
+def _separators(draw):
+    """Whitespace runs: ASCII alone, which ``str.split`` reads, or with the
+    characters it also splits on, which need the regex rule."""
+    alphabet = draw(st.sampled_from([" \t", " \t\f\v" + OTHER_WS]))
+    return st.text(alphabet=alphabet, min_size=1, max_size=3)
+
+
+@st.composite
+def _text_file(draw):
+    sep = draw(_separators())
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        words = draw(st.lists(_WORDS, max_size=5))
+        body = draw(st.sampled_from(["", draw(sep)])) + draw(sep).join(words)
+        head = draw(st.sampled_from(["0\t", "1\t", "1\t", "0\t", "", "2\t"]))
+        lines.append(head + body)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends)) + draw(st.sampled_from(["", "0\ttail"]))
+
+
+@st.composite
+def _csv_set_file(draw):
+    sep = draw(_separators())
+    rows = [["label", "words"]]
+    for _ in range(draw(st.integers(0, 12))):
+        cell = draw(st.sampled_from(["", "{}", "{words}"]))
+        if cell == "{words}":
+            cell = "{" + draw(st.sampled_from(["", draw(sep)])) \
+                + draw(sep).join(draw(st.lists(_WORDS, min_size=1, max_size=5))) + "}"
+        rows.append([draw(st.sampled_from(["0", "1"])), cell])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return out.getvalue()
+
+
+def _same_column(have, want):
+    for name in ("indptr", "term_ids", "missing"):
+        assert getattr(have, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(have, name), getattr(want, name)), name
+
+
+class TestBulkIngestMatchesReference:
+    """The whole-column ingest (one split rule per text, one counting pass,
+    one set-column encoder) against the per-row reference in ``helpers``."""
+
+    def test_split_rule_covers_every_whitespace_character(self):
+        # str.split() splits on exactly the characters for which isspace() holds
+        spaces = {c for c in map(chr, range(0x110000)) if c.isspace()}
+        assert spaces == set(" \t\n\r\f\v" + OTHER_WS)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_text_file(), st.booleans(), st.integers(1, 3), st.sampled_from([None, 3]))
+    def test_text(self, text, bom, min_frequency, max_size):
+        data = (BOM if bom else b"") + text.encode("utf-8")
+        examples = reference_text_examples(text)
+        assert list(text_examples(io.BytesIO(data))) == examples
+        unlabeled = [lineno for lineno, label, _ in examples if label is None]
+        if unlabeled:
+            with pytest.raises(DataError, match=f":{unlabeled[0]}: a line must start"):
+                sf.load_labeled_text(io.BytesIO(data))
+            examples = [e for e in examples if e[1] is not None]
+        else:
+            token_sets, labels = sf.load_labeled_text(io.BytesIO(data))
+            assert token_sets == [tokens for _, _, tokens in examples]
+            assert labels.tolist() == [label for _, label, _ in examples]
+        token_sets = [tokens for _, _, tokens in examples]
+        # a vocabulary of the first half leaves out-of-vocabulary tokens in the rest
+        half = token_sets[:len(token_sets) // 2]
+        vocab = sf.build_vocabulary(half, max_size, min_frequency)
+        want = reference_build_vocabulary(half, max_size, min_frequency)
+        assert (vocab.terms, vocab.frequencies) == (want.terms, want.frequencies)
+        ds = sf.dataset_from_token_sets(token_sets, vocab, [0] * len(token_sets))
+        _same_column(ds.columns[0], reference_set_column(token_sets, vocab))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.none() | st.lists(st.sampled_from("abcdefg"), max_size=6), max_size=15),
+           st.lists(st.sampled_from("abcdefgh"), unique=True))
+    def test_list_rows_with_repeated_tokens(self, rows, terms):
+        present = [tokens for tokens in rows if tokens is not None]
+        vocab = sf.build_vocabulary(present, None, 1)
+        want = reference_build_vocabulary(present, None, 1)
+        assert (vocab.terms, vocab.frequencies) == (want.terms, want.frequencies)
+        for vocab in (vocab, make_vocab(terms)):
+            _same_column(encode_set_column(rows, vocab), reference_set_column(rows, vocab))
+            ds = sf.dataset_from_token_sets(present, vocab, [1] * len(present))
+            _same_column(ds.columns[0], reference_set_column(present, vocab))
+            # any iterable of rows, and rows that are iterators
+            rows_of_iterators = (None if tokens is None else iter(tokens) for tokens in rows)
+            _same_column(encode_set_column(rows_of_iterators, vocab),
+                         reference_set_column(rows, vocab))
+            assert [sf.encode_tokens(tokens, vocab) for tokens in present] \
+                == list(reference_set_column(present, vocab))
+
+    @settings(deadline=None, max_examples=150)
+    @given(_csv_set_file(), _csv_set_file(), st.booleans())
+    def test_csv(self, train, holdout, bom):
+        data = (BOM if bom else b"") + train.encode("utf-8")
+        cells = reference_csv_set_cells(train, "words")
+        vocab = reference_build_vocabulary([c for c in cells if c is not None], None, 1)
+        ds = sf.load_csv(io.BytesIO(data), {"words": "set"})
+        assert (ds.features[0].vocabulary or make_vocab([])).terms == vocab.terms
+        _same_column(ds.columns[0], reference_set_column(cells, vocab))
+        reread = sf.load_csv_with_schema(io.BytesIO(holdout.encode("utf-8")), ds.features,
+                                         "label")
+        _same_column(reread.columns[0],
+                     reference_set_column(reference_csv_set_cells(holdout, "words"), vocab))
 
 
 class TestSetCell:

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -69,6 +70,18 @@ class TestSerialization:
         sf.save_forest(forest, path)
         restored = sf.load_forest(path)
         assert forest_to_json(restored) == forest_to_json(forest)
+
+    @pytest.mark.parametrize("algorithm", ["rf", "mart"])
+    def test_reading_a_document_leaves_it_as_it_was(self, algorithm):
+        # the JSON reader frees each tree of its own document as it walks it;
+        # a caller's document is read, not emptied
+        _, forest = _trained(seed=2, algorithm=algorithm)
+        text = forest_to_json(forest)
+        document = json.loads(text)
+        trees = document["trees"]
+        restored = forest_from_dict(document)
+        assert document == json.loads(text) and document["trees"] is trees
+        assert forest_to_json(restored) == forest_to_json(forest_from_json(text)) == text
 
     def test_masks_serialized_as_sorted_arrays(self):
         _, forest = _trained(seed=7)
