@@ -61,7 +61,6 @@ from .splits import (
     find_categorical_split,
     find_numerical_split,
     find_set_mask_split,
-    gain_from_stats,
 )
 from .synthetic import noise_corpus, planted_keyword_corpus, write_corpus_tsv
 from .training import (

@@ -396,12 +396,18 @@ def dataset_from_token_sets(
     return Dataset.create([feature], [encode_set_column(token_sets, vocab)], labels, weights)
 
 
+def _source_name(source) -> str:
+    """How a ``DataError`` names ``source``: a path as given, a stream by its
+    ``name``, or ``<stream>`` where it has none."""
+    return getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
+
+
 def read_text(source) -> tuple[str, str]:
-    """The name and the text of ``source``, a path or a binary stream such as
-    ``sys.stdin.buffer``: every input is read here, and decoded from UTF-8
-    at once. Raises ``DataError`` when it cannot be read, naming
-    ``path:line`` of the first byte that is not UTF-8."""
-    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
+    """The name (``_source_name``) and the text of ``source``, a path or a
+    binary stream such as ``sys.stdin.buffer``: every input is read here,
+    and decoded from UTF-8 at once. Raises ``DataError`` when it cannot be
+    read, naming ``path:line`` of the first byte that is not UTF-8."""
+    name = _source_name(source)
     try:
         data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     except OSError as exc:
@@ -437,8 +443,8 @@ def load_labeled_text(path) -> tuple[list[frozenset[str]], np.ndarray]:
     labels: list[int] = []
     for lineno, label, tokens in text_examples(path):
         if label is None:
-            raise DataError(f"{path}:{lineno}: a line must start with a 0 or 1 label "
-                            "and a TAB")
+            raise DataError(f"{_source_name(path)}:{lineno}: a line must start with a 0 "
+                            "or 1 label and a TAB")
         labels.append(label)
         token_sets.append(tokens)
     return token_sets, np.asarray(labels, dtype=np.int64)

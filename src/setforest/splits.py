@@ -25,21 +25,43 @@ never -0.0, and adding +0.0 leaves it as it was, so every sum equals the sum
 over the rows still negative. An accepted term keeps no weight, so its
 extended gain equals the current gain and it cannot be chosen again; once
 every token is zeroed, every gain equals the current one and the search
-stops. The node's tokens come from the dataset's set column (a CSR
-``SetColumnIndex``), or from the caller through ``tokens=`` (the tree
-grower passes each child the share of its parent's tokens).
+stops.
 
-All three splitters score with one kernel, which ``gain_scorer`` builds
-once per search: it computes the node's own term once, keeps its buffers
-across the greedy steps, and takes ``x log2 x`` of the six branch
-statistics of a classification split in one stacked pass.
-``gain_from_stats`` is that kernel clipped at 0. Each candidate carries its
-node-local partition (``SplitCandidate.positive``).
+Each splitter starts from one piece of per-node state, which it computes
+or the caller hands it:
+
+* a set feature's tokens, from the dataset's set column (a CSR
+  ``SetColumnIndex``) or through ``tokens=``;
+* a numerical feature's order (``numerical_order``), the positions of the
+  node's non-NaN rows stably sorted by value, or ``order=``;
+* a categorical feature's coding (``category_coding``), each row's index
+  among the sorted category values present, -1 where missing, with those
+  values, or ``coding=``.
+
+Given state must equal what the splitter would compute, except that a
+coding may hold categories the node lacks. The tree grower computes each
+where a node first searches the feature and hands each child its share of
+its parent's. That share is bit for bit what the child would compute: a
+child keeps its rows in its parent's order, so a stable sort of its values
+is the parent's order filtered to its rows, and a ``bincount`` over the
+codes sums each category's rows in the order one over ``np.unique``'s
+inverse does.
+
+Every search builds one kernel, ``gain_scorer``, and scores all its
+candidates through it: each numerical cut that leaves both branches
+``min_examples_per_leaf`` rows, the suffix and prefix cuts of a categorical
+scan together, and every extended mask of each greedy step. The kernel
+computes the node's own term once, keeps its buffers across calls, and
+takes ``x log2 x`` of the six branch statistics of a classification split
+in one stacked pass. Gains are not clipped at 0: a best gain at or below 0
+means no split all the same. Each candidate carries its node-local
+partition (``SplitCandidate.positive``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,14 +146,31 @@ def gain_scorer(w, wt, shape=(), objective=CLASSIFICATION):
     return score
 
 
-def gain_from_stats(w, wt, pos_w, pos_wt, objective=CLASSIFICATION):
-    """``gain_scorer``'s gains of one node, clipped at 0; ``pos_w`` and
-    ``pos_wt`` are scalars or aligned arrays of candidate branches."""
-    pos_w = np.asarray(pos_w, dtype=np.float64)
-    pos_wt = np.asarray(pos_wt, dtype=np.float64)
-    gain = gain_scorer(w, wt, pos_w.shape, objective)(pos_w, pos_wt)
-    # children never exceed the parent's impurity; negatives are float noise
-    return np.maximum(gain, 0.0)
+def numerical_order(values) -> np.ndarray:
+    """The positions of the non-NaN entries of ``values``, stably sorted by
+    value: ``find_numerical_split``'s per-node state."""
+    values = np.asarray(values, dtype=np.float64)
+    present = np.flatnonzero(~np.isnan(values))
+    return present.take(np.argsort(values.take(present), kind="stable"))
+
+
+class CategoryCoding(NamedTuple):
+    """``find_categorical_split``'s per-node state: ``categories`` are sorted
+    category values, and ``codes`` holds each row's index among them, -1
+    where the row's value is missing."""
+
+    codes: np.ndarray
+    categories: np.ndarray
+
+
+def category_coding(values) -> CategoryCoding:
+    """The coding of ``values`` over the category values present in it."""
+    values = np.asarray(values, dtype=np.int64)
+    present = values != MISSING_CATEGORY
+    categories, inverse = np.unique(values[present], return_inverse=True)
+    codes = np.full(values.size, -1, dtype=np.int64)
+    codes[present] = inverse
+    return CategoryCoding(codes, categories)
 
 
 def find_numerical_split(
@@ -141,48 +180,48 @@ def find_numerical_split(
     feature: int,
     min_examples_per_leaf: int = 1,
     objective: str = CLASSIFICATION,
+    *,
+    order: np.ndarray | None = None,
 ) -> SplitCandidate | None:
     """Exact search over midpoints between consecutive distinct values.
 
     Missing (NaN) values stay on the negative side of every candidate. Ties
     in gain break toward the smaller threshold. Returns None when no
     positive-gain split exists.
+
+    ``order``, when given, must equal ``numerical_order(values)``; it saves
+    sorting the node again. The array is only read.
     """
     values = np.asarray(values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     wt = weights * np.asarray(targets, dtype=np.float64)
+    if order is None:
+        order = numerical_order(values)
     n = len(values)
-    present = ~np.isnan(values)
-    if present.sum() < 2:
+    if order.size < 2:
         return None
-    order = np.argsort(values[present], kind="stable")
-    sv = values[present][order]
-    cw = np.cumsum(weights[present][order])
-    cwt = np.cumsum(wt[present][order])
-    bounds = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+    sv = values.take(order)
+    bounds = (sv[1:] != sv[:-1]).nonzero()[0] + 1
+    # n_pos = sv.size - bounds falls as the cut moves right, so the cuts
+    # that leave both branches min_examples_per_leaf rows form one slice
+    m = min_examples_per_leaf
+    bounds = bounds[bounds.searchsorted(m - (n - sv.size)):
+                    bounds.searchsorted(sv.size - m, side="right")]
     if bounds.size == 0:
         return None
-    thresholds = (sv[bounds - 1] + sv[bounds]) / 2.0
-    n_pos = sv.size - bounds
-    n_neg = n - n_pos
-    valid = (n_pos >= min_examples_per_leaf) & (n_neg >= min_examples_per_leaf)
-    if not valid.any():
-        return None
-    pos_w = cw[-1] - cw[bounds - 1]
-    pos_wt = cwt[-1] - cwt[bounds - 1]
-    gains = gain_from_stats(weights.sum(), wt.sum(), pos_w, pos_wt, objective)
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
+    cw = weights.take(order).cumsum()
+    cwt = wt.take(order).cumsum()
+    before = bounds - 1
+    gains = gain_scorer(weights.sum(), wt.sum(), bounds.shape, objective)(
+        cw[-1] - cw.take(before), cwt[-1] - cwt.take(before))
+    best = int(gains.argmax())  # the first of equal gains: the smallest threshold
     if gains[best] <= 0.0:
         return None
-    threshold = float(thresholds[best])
-    return SplitCandidate(
-        NumericalGE(feature, threshold),
-        float(gains[best]),
-        int(n_pos[best]),
-        int(n_neg[best]),
-        positive=present & (values >= threshold),
-    )
+    cut = int(bounds[best])
+    threshold = float((sv[cut - 1] + sv[cut]) / 2.0)
+    n_pos = sv.size - cut
+    return SplitCandidate(NumericalGE(feature, threshold), float(gains[best]), n_pos,
+                          n - n_pos, positive=values >= threshold)
 
 
 def find_categorical_split(
@@ -192,6 +231,8 @@ def find_categorical_split(
     feature: int,
     min_examples_per_leaf: int = 1,
     objective: str = CLASSIFICATION,
+    *,
+    coding: CategoryCoding | None = None,
 ) -> SplitCandidate | None:
     """One-dimensional category scan in mean-target order.
 
@@ -204,54 +245,55 @@ def find_categorical_split(
     are pinned to the negative branch, the orientations stop being
     gain-equivalent, and the contiguity guarantee no longer binds (the scan
     is the contract, and can sit marginally below the unrestricted optimum).
+    Of equal gains, the suffix wins over the prefix, then the earlier cut.
+
+    ``coding``, when given, must equal ``category_coding(values)``, or be
+    such a coding of a superset of the node's categories (a parent node's):
+    categories the node lacks are dropped here. The arrays are only read.
     """
-    values = np.asarray(values, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     wt = weights * np.asarray(targets, dtype=np.float64)
-    n = len(values)
-    present = values != MISSING_CATEGORY
-    cats, inv = np.unique(values[present], return_inverse=True)
-    if cats.size < 2:
+    codes, categories = category_coding(values) if coding is None else coding
+    n = codes.size
+    # slot 0 gathers the missing rows; every category's sums run over its
+    # rows in node order, as a bincount over np.unique's inverse does
+    slot = codes + 1
+    c_n = np.bincount(slot, minlength=categories.size + 1)[1:]
+    held = c_n.nonzero()[0]
+    if held.size < 2:
         return None
-    c_w = np.bincount(inv, weights=weights[present], minlength=cats.size)
-    c_wt = np.bincount(inv, weights=wt[present], minlength=cats.size)
-    c_n = np.bincount(inv, minlength=cats.size)
-    order = np.lexsort((cats, c_wt / c_w))
-    pre_w = np.cumsum(c_w[order])
-    pre_wt = np.cumsum(c_wt[order])
-    pre_n = np.cumsum(c_n[order])
-    w_total, wt_total = weights.sum(), wt.sum()
-    n_missing = int(n - present.sum())
+    c_w = np.bincount(slot, weights=weights, minlength=categories.size + 1)[1:].take(held)
+    c_wt = np.bincount(slot, weights=wt, minlength=categories.size + 1)[1:].take(held)
+    c_n = c_n.take(held)
+    # held ascends, so a stable sort breaks ties in mean by category id
+    order = (c_wt / c_w).argsort(kind="stable")
+    pre_w = c_w.take(order).cumsum()
+    pre_wt = c_wt.take(order).cumsum()
+    pre_n = c_n.take(order).cumsum()
 
-    cuts = np.arange(1, cats.size)
-    variants = [("suffix", pre_w[-1] - pre_w[cuts - 1], pre_wt[-1] - pre_wt[cuts - 1],
-                 pre_n[-1] - pre_n[cuts - 1])]
-    if n_missing > 0:
-        variants.append(("prefix", pre_w[cuts - 1], pre_wt[cuts - 1], pre_n[cuts - 1]))
-
-    best = None
-    for side, pos_w, pos_wt, pos_n in variants:
-        n_neg = n - pos_n
-        valid = (pos_n >= min_examples_per_leaf) & (n_neg >= min_examples_per_leaf)
-        if not valid.any():
-            continue
-        gains = gain_from_stats(w_total, wt_total, pos_w, pos_wt, objective)
-        gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        if gains[i] <= 0.0 or (best is not None and gains[i] <= best[0]):
-            continue
-        cut = int(cuts[i])
-        chosen = order[cut:] if side == "suffix" else order[:cut]
-        best = (float(gains[i]), chosen, int(pos_n[i]), int(n_neg[i]))
-    if best is None:
+    # row 0 the high-mean suffixes after each cut; row 1, with missing rows,
+    # the low-mean prefixes before it
+    sides = 2 if pre_n[-1] < n else 1
+    pos_w = np.empty((sides, held.size - 1))
+    pos_wt = np.empty_like(pos_w)
+    pos_n = np.empty(pos_w.shape, dtype=np.int64)
+    np.subtract(pre_w[-1], pre_w[:-1], out=pos_w[0])
+    np.subtract(pre_wt[-1], pre_wt[:-1], out=pos_wt[0])
+    np.subtract(pre_n[-1], pre_n[:-1], out=pos_n[0])
+    if sides == 2:
+        pos_w[1], pos_wt[1], pos_n[1] = pre_w[:-1], pre_wt[:-1], pre_n[:-1]
+    gains = gain_scorer(weights.sum(), wt.sum(), pos_w.shape, objective)(pos_w, pos_wt)
+    gains[(pos_n < min_examples_per_leaf) | (n - pos_n < min_examples_per_leaf)] = -np.inf
+    best = int(gains.argmax())  # row-major: of equal gains, the suffix and the earlier cut
+    if gains.flat[best] <= 0.0:
         return None
-    gain, chosen, n_pos, n_neg = best
-    member = np.zeros(cats.size, dtype=bool)
+    side, i = divmod(best, held.size - 1)
+    chosen = held.take(order[i + 1:] if side == 0 else order[:i + 1])
+    member = np.zeros(categories.size + 1, dtype=bool)  # the last entry is code -1's
     member[chosen] = True
-    positive = np.zeros(n, dtype=bool)
-    positive[present] = member[inv]
-    return SplitCandidate(CategoryIn(feature, frozenset(cats[chosen].tolist())), gain,
-                          n_pos, n_neg, positive=positive)
+    n_pos = int(pos_n[side, i])
+    return SplitCandidate(CategoryIn(feature, frozenset(categories.take(chosen).tolist())),
+                          float(gains.flat[best]), n_pos, n - n_pos, positive=member.take(codes))
 
 
 def find_set_mask_split(

@@ -32,13 +32,22 @@ rounds one after another in this process.
 The grower builds a tree as nested ``model.Leaf`` and ``model.Internal``
 nodes, numbered in preorder, and ``model.tree_from_nested`` reads them into
 a ``Tree``. A node routes its rows with the partition its winning splitter
-returns (``SplitCandidate.positive``). A set feature's tokens are gathered
-from the CSR index only where a node first samples it; each child then
-inherits its share of its parent's tokens, in the order the index would give
-them. A child that will be a leaf, at the depth limit or with fewer than
-``2 * min_examples_per_leaf`` rows, gets none. A node splits its tokens between
+returns (``SplitCandidate.positive``). Each splitter's per-node state
+(``splits`` module docstring) is computed where a node first searches the
+feature, and each child inherits its share of its parent's, in the order it
+would compute itself:
+
+* a set feature's tokens, gathered from the CSR index, always;
+* a numerical feature's order and a categorical feature's coding only where
+  every node searches every feature (``features_per_node`` is the number of
+  features, as MART's default is). Where nodes sample features, a child may
+  not search a feature at all, and filtering the state of every sampled
+  feature for each child costs more than it saves.
+
+A child that will be a leaf, at the depth limit or with fewer than
+``2 * min_examples_per_leaf`` rows, gets none. A node splits its state between
 the children that can split further and drops its own before growing them,
-so the tokens held along the recursion path never exceed the root's. MART's
+so the state held along the recursion path never exceeds the root's. MART's
 validation rows and RF's out-of-bag rows are scored by the compiled
 evaluator, ``inference.predict_dataset``, through a one-tree forest.
 """
@@ -61,9 +70,12 @@ from .rng import make_rng
 from .splits import (
     CLASSIFICATION,
     REGRESSION,
+    CategoryCoding,
+    category_coding,
     find_categorical_split,
     find_numerical_split,
     find_set_mask_split,
+    numerical_order,
 )
 
 # clamp for the degenerate single-class log-odds
@@ -162,33 +174,42 @@ class _TreeGrower:
             self.features_per_node = f
         else:
             self.features_per_node = min(f, int(policy))
+        # where every node searches every feature, a child inherits its
+        # parent's numerical orders and categorical codings
+        self.inherit = self.features_per_node == f
 
     def grow(self, indices) -> Tree:
         return tree_from_nested(self._grow(np.asarray(indices, dtype=np.int64), 0, {}))
 
     def _find_split(self, feature: int, indices, node_targets, node_weights, node_id,
-                    tokens: dict):
+                    state: dict):
         cfg = self.config
         ftype = self.ds.features[feature].ftype
-        if ftype != FeatureType.CATEGORICAL_SET:
-            search = (find_numerical_split if ftype == FeatureType.NUMERICAL
-                      else find_categorical_split)
-            return search(np.asarray(self.ds.columns[feature])[indices], node_targets,
-                          node_weights, feature, cfg.min_examples_per_leaf, self.objective)
         column = self.ds.columns[feature]
-        if feature not in tokens:
-            tokens[feature] = column.node_tokens(indices)
+        if ftype != FeatureType.CATEGORICAL_SET:
+            values = np.asarray(column)[indices]
+            numerical = ftype == FeatureType.NUMERICAL
+            given = {}
+            if self.inherit:
+                if feature not in state:
+                    state[feature] = (numerical_order if numerical else category_coding)(values)
+                given = {"order" if numerical else "coding": state[feature]}
+            search = find_numerical_split if numerical else find_categorical_split
+            return search(values, node_targets, node_weights, feature,
+                          cfg.min_examples_per_leaf, self.objective, **given)
+        if feature not in state:
+            state[feature] = column.node_tokens(indices)
         rng = (make_rng(cfg.seed, _TAG_TREE, self.tree_tag, 2, node_id, feature)
                if cfg.sampling_rate < 1.0 else None)
         return find_set_mask_split(
             column, indices, node_targets, node_weights, feature,
             cfg.sampling_rate, rng, cfg.min_examples_per_leaf, self.objective,
-            tokens=tokens[feature])
+            tokens=state[feature])
 
-    def _grow(self, indices, depth, tokens: dict) -> Leaf | Internal:
+    def _grow(self, indices, depth, state: dict) -> Leaf | Internal:
         """The subtree of the rows ``indices``, its nodes numbered in
-        preorder; ``tokens`` maps each set feature gathered so far to its
-        (rows, terms) over these rows."""
+        preorder; ``state`` maps each feature whose per-node state is held
+        to that state over these rows (module docstring)."""
         node_id = self.n_nodes
         self.n_nodes += 1
         cfg = self.config
@@ -205,24 +226,24 @@ class _TreeGrower:
         best = None
         for f in feats:
             cand = self._find_split(int(f), indices, node_targets, node_weights, node_id,
-                                    tokens)
+                                    state)
             if cand is not None and (best is None or cand.gain > best.gain):
                 best = cand
         if best is None:
             return self._leaf(indices)
-        # the children take every token they can use; popping them leaves no
-        # reference to a child's tokens here once that child is grown
+        # the children take every state they can use; popping them leaves no
+        # reference to a child's state here once that child is grown
         children = []
         for side in (~best.positive, best.positive):
-            chosen = np.flatnonzero(side)
-            children.append((indices.take(chosen), _child_tokens(tokens, side, chosen)
+            chosen = side.nonzero()[0]
+            children.append((indices.take(chosen), _child_state(state, side, chosen)
                              if self._may_split(depth + 1, chosen.size) else {}))
-        tokens.clear()
-        child_indices, child_tokens = children.pop(0)
-        negative = self._grow(child_indices, depth + 1, child_tokens)
-        child_indices, child_tokens = children.pop()
+        state.clear()
+        child_indices, child_state = children.pop(0)
+        negative = self._grow(child_indices, depth + 1, child_state)
+        child_indices, child_state = children.pop()
         return Internal(best.condition, negative,
-                        self._grow(child_indices, depth + 1, child_tokens))
+                        self._grow(child_indices, depth + 1, child_state))
 
     def _may_split(self, depth: int, n_rows: int) -> bool:
         """Whether a node at ``depth`` of ``n_rows`` rows is above the depth
@@ -236,16 +257,22 @@ class _TreeGrower:
         return Leaf(value)
 
 
-def _child_tokens(tokens: dict, side: np.ndarray, chosen: np.ndarray) -> dict:
-    """The tokens of the rows where ``side`` holds (``chosen``, their
-    positions), each renumbered to its row's position among them; the order
-    of the tokens is kept."""
+def _child_state(state: dict, side: np.ndarray, chosen: np.ndarray) -> dict:
+    """The state of the rows where ``side`` holds (``chosen``, their
+    positions), renumbered to the rows' positions among them; every order
+    is kept."""
     position = np.empty(side.size, dtype=np.int64)
     position[chosen] = np.arange(chosen.size)
     child = {}
-    for feature, (rows, terms) in tokens.items():
-        kept = np.flatnonzero(side[rows])
-        child[feature] = position.take(rows.take(kept)), terms.take(kept)
+    for feature, held in state.items():
+        if isinstance(held, CategoryCoding):
+            child[feature] = held._replace(codes=held.codes.take(chosen))
+        elif isinstance(held, np.ndarray):  # a numerical order
+            child[feature] = position.take(held[side.take(held)])
+        else:  # a set feature's tokens
+            rows, terms = held
+            kept = side.take(rows).nonzero()[0]
+            child[feature] = position.take(rows.take(kept)), terms.take(kept)
     return child
 
 

@@ -19,7 +19,7 @@ from setforest.dataset import (
     SetColumnIndex,
     Vocabulary,
 )
-from setforest.splits import gain_from_stats
+from setforest.splits import gain_scorer
 from setforest.transforms import hash64
 
 
@@ -259,6 +259,108 @@ def build_complete_tree(depth, leaf_values=None):
         return sf.Internal(sf.NumericalGE(0, float(d)), build(d + 1), build(d + 1))
 
     return build(0)
+
+
+def gain_from_stats(w, wt, pos_w, pos_wt, objective="classification"):
+    """``gain_scorer``'s gains of one node, clipped at 0; ``pos_w`` and
+    ``pos_wt`` are scalars or aligned arrays of candidate branches. The
+    reference kernel of the oracles here: the splitters call ``gain_scorer``
+    unclipped."""
+    pos_w = np.asarray(pos_w, dtype=np.float64)
+    pos_wt = np.asarray(pos_wt, dtype=np.float64)
+    gain = gain_scorer(w, wt, pos_w.shape, objective)(pos_w, pos_wt)
+    # children never exceed the parent's impurity; negatives are float noise
+    return np.maximum(gain, 0.0)
+
+
+# The per-node numerical and categorical searches as they were before the
+# splitters took a sorted order or a category coding: every call sorts its
+# values or runs np.unique over them, and scores each candidate set through
+# gain_from_stats. The splitters must match them bit for bit.
+def reference_numerical_split(values, targets, weights, feature, min_examples_per_leaf=1,
+                              objective="classification"):
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    wt = weights * np.asarray(targets, dtype=np.float64)
+    n = len(values)
+    present = ~np.isnan(values)
+    if present.sum() < 2:
+        return None
+    order = np.argsort(values[present], kind="stable")
+    sv = values[present][order]
+    cw = np.cumsum(weights[present][order])
+    cwt = np.cumsum(wt[present][order])
+    bounds = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+    if bounds.size == 0:
+        return None
+    thresholds = (sv[bounds - 1] + sv[bounds]) / 2.0
+    n_pos = sv.size - bounds
+    n_neg = n - n_pos
+    valid = (n_pos >= min_examples_per_leaf) & (n_neg >= min_examples_per_leaf)
+    if not valid.any():
+        return None
+    pos_w = cw[-1] - cw[bounds - 1]
+    pos_wt = cwt[-1] - cwt[bounds - 1]
+    gains = gain_from_stats(weights.sum(), wt.sum(), pos_w, pos_wt, objective)
+    gains[~valid] = -np.inf
+    best = int(np.argmax(gains))
+    if gains[best] <= 0.0:
+        return None
+    threshold = float(thresholds[best])
+    return sf.SplitCandidate(sf.NumericalGE(feature, threshold), float(gains[best]),
+                             int(n_pos[best]), int(n_neg[best]),
+                             positive=present & (values >= threshold))
+
+
+def reference_categorical_split(values, targets, weights, feature, min_examples_per_leaf=1,
+                                objective="classification"):
+    values = np.asarray(values, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    wt = weights * np.asarray(targets, dtype=np.float64)
+    n = len(values)
+    present = values != MISSING_CATEGORY
+    cats, inv = np.unique(values[present], return_inverse=True)
+    if cats.size < 2:
+        return None
+    c_w = np.bincount(inv, weights=weights[present], minlength=cats.size)
+    c_wt = np.bincount(inv, weights=wt[present], minlength=cats.size)
+    c_n = np.bincount(inv, minlength=cats.size)
+    order = np.lexsort((cats, c_wt / c_w))
+    pre_w = np.cumsum(c_w[order])
+    pre_wt = np.cumsum(c_wt[order])
+    pre_n = np.cumsum(c_n[order])
+    w_total, wt_total = weights.sum(), wt.sum()
+    n_missing = int(n - present.sum())
+
+    cuts = np.arange(1, cats.size)
+    variants = [("suffix", pre_w[-1] - pre_w[cuts - 1], pre_wt[-1] - pre_wt[cuts - 1],
+                 pre_n[-1] - pre_n[cuts - 1])]
+    if n_missing > 0:
+        variants.append(("prefix", pre_w[cuts - 1], pre_wt[cuts - 1], pre_n[cuts - 1]))
+
+    best = None
+    for side, pos_w, pos_wt, pos_n in variants:
+        n_neg = n - pos_n
+        valid = (pos_n >= min_examples_per_leaf) & (n_neg >= min_examples_per_leaf)
+        if not valid.any():
+            continue
+        gains = gain_from_stats(w_total, wt_total, pos_w, pos_wt, objective)
+        gains[~valid] = -np.inf
+        i = int(np.argmax(gains))
+        if gains[i] <= 0.0 or (best is not None and gains[i] <= best[0]):
+            continue
+        cut = int(cuts[i])
+        chosen = order[cut:] if side == "suffix" else order[:cut]
+        best = (float(gains[i]), chosen, int(pos_n[i]), int(n_neg[i]))
+    if best is None:
+        return None
+    gain, chosen, n_pos, n_neg = best
+    member = np.zeros(cats.size, dtype=bool)
+    member[chosen] = True
+    positive = np.zeros(n, dtype=bool)
+    positive[present] = member[inv]
+    return sf.SplitCandidate(sf.CategoryIn(feature, frozenset(cats[chosen].tolist())), gain,
+                             n_pos, n_neg, positive=positive)
 
 
 def enumerate_mask_gains(sets, targets, weights, vocab_size, objective="classification"):

@@ -164,6 +164,16 @@ class TestTextExamples:
         with pytest.raises(DataError, match=f"corpus.tsv:{line}: .*label"):
             sf.load_labeled_text(path)
 
+    def test_labeled_reader_names_a_stream_as_read_text_does(self):
+        # no repr such as <_io.BytesIO object at 0x...>: a stream without a
+        # name is <stream>, one with a name goes by it
+        with pytest.raises(DataError, match=r"^<stream>:2: a line must start"):
+            sf.load_labeled_text(io.BytesIO(b"1\ta\nb\n"))
+        named = io.BytesIO(b"b\n")
+        named.name = "<stdin>"
+        with pytest.raises(DataError, match=r"^<stdin>:1: a line must start"):
+            sf.load_labeled_text(named)
+
     def test_labeled_reader_skips_blank_lines(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_bytes(b"\r\n1\ta\r\n   \n\t\n0\tb\n")

@@ -4,10 +4,11 @@ The first three constants were recorded before the set-feature trainer was
 vectorised (the CSR set index, the table-and-bincount partition and the
 shrinking greedy mask search), the next two before the grower began handing
 each child its parent's tokens and routing it with the splitter's own
-partition, and the last two while the mask search still dropped the tokens
-of moved rows and every child still received tokens, leaf or not; any later
-change that moves a split, a leaf value or a metadata float changes a hash
-here.
+partition, the next two while the mask search still dropped the tokens of
+moved rows and every child still received tokens, leaf or not, and the last
+while every node still sorted its numerical values and ran ``np.unique`` over
+its categorical ones; any later change that moves a split, a leaf value or a
+metadata float changes a hash here.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ GOLDEN = {
     "mart_planted_thick_leaves": "a7a4df6c6265ff0a4b82352ca28b7d46f71bebd9ffe159a1ffb0b7837740503c",
     "mart_planted_shallow": "2520bda76e0be38f82ac385e48bb0ed1809bb6341782927a06be20b2049807f0",
     "rf_planted_all_terms": "c627f02e6f0b6aff7e1209b7ed6cc12c6be6eb5025b2ae4703c84c549df7a8aa",
+    "rf_num_cat_csv": "0b8c047b15ff9482da0489e7508547a7430646ebeb508fa7b5046a1c362b615c",
 }
 
 
@@ -92,6 +94,27 @@ def _two_set_csv(path):
     return path
 
 
+def _num_cat_csv(path):
+    """label,a,b,c,d,e,w: three numerical and two categorical columns, no
+    set column, missing cells in each; rounded values give ties, and ``-0``
+    sits beside ``0``."""
+    rng = np.random.default_rng(29)
+    lines = ["label,a,b,c,d,e,w\n"]
+    for _ in range(400):
+        y = int(rng.integers(0, 2))
+        cells = []
+        for scale, digits in ((1.0, 3), (2.0, 1), (0.5, 0)):
+            value = round(rng.normal(0.6 * y, scale), digits)
+            cells.append("" if rng.random() < 0.08 else f"{value}")
+        for k in (5, 9):
+            cells.append("" if rng.random() < 0.08
+                         else f"v{int(rng.integers(0, k)) + y * int(rng.random() < 0.4)}")
+        weight = f"{rng.choice([0.25, 1.0, 1.5, 3.0])}"
+        lines.append(f"{y},{','.join(cells)},{weight}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 def test_rf_planted(planted):
     config = sf.TrainConfig.random_forest(num_trees=6, seed=11, compute_oob=True)
     assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted"]
@@ -119,6 +142,16 @@ def test_rf_two_set_csv(tmp_path):
     config = sf.TrainConfig.random_forest(num_trees=6, seed=13, sampling_rate=0.5,
                                           compute_oob=True)
     assert _digest(sf.train(ds, config)) == GOLDEN["rf_two_set_csv"]
+
+
+def test_rf_num_cat_csv(tmp_path):
+    # three of the five features per node: a node searches a numerical or
+    # categorical feature from scratch, and no child inherits its order
+    ds = sf.load_csv(_num_cat_csv(tmp_path / "num_cat.csv"),
+                     {"a": "numerical", "b": "numerical", "c": "numerical",
+                      "d": "categorical", "e": "categorical"}, weight_column="w")
+    config = sf.TrainConfig.random_forest(num_trees=6, seed=31, compute_oob=True)
+    assert _digest(sf.train(ds, config)) == GOLDEN["rf_num_cat_csv"]
 
 
 def test_mart_planted_thick_leaves(planted):

@@ -11,19 +11,24 @@ from setforest.dataset import FeatureType
 from setforest.rng import make_rng
 from setforest.splits import (
     SetColumnIndex,
+    category_coding,
     find_categorical_split,
     find_numerical_split,
     find_set_mask_split,
-    gain_from_stats,
+    numerical_order,
 )
+from setforest.training import _child_state
 
 from helpers import (
     best_singleton,
     enumerate_mask_gains,
     evaluate_column,
     filtering_set_mask_split,
+    gain_from_stats,
     random_mixed_dataset,
+    reference_categorical_split,
     reference_gain,
+    reference_numerical_split,
     set_dataset,
     split_gain,
     weighted_entropy,
@@ -519,6 +524,99 @@ class TestAgainstFilteringSearch:
         assert [_bytes(g) for _, g in fast.steps] == [_bytes(g) for _, g in steps]
         assert (fast.n_positive, fast.n_negative) == (n_pos, n_neg)
         assert np.array_equal(fast.positive, positive)
+
+
+# numerical cells: NaN, ties, -0.0 beside 0.0, neighbouring floats whose
+# midpoint rounds onto the lower one, and magnitudes far apart; categorical
+# cells: missing, small ids and max-hash values up to 2**63 - 1
+_NUMBERS = st.sampled_from([math.nan, -0.0, 0.0, 1.0, float(np.nextafter(1.0, 2.0)), 1.5,
+                            -2.0, 3.25, 1e15, -1e300])
+_CATEGORIES = st.sampled_from([sf.MISSING_CATEGORY, 0, 1, 2, 5, 9, 2**62, 2**63 - 1])
+
+
+@st.composite
+def _ordered_nodes(draw, cells, dtype):
+    """A node of a drawn column's rows, repeats included as in a bootstrap,
+    with fractional weights, labels or residuals, a ``min_examples_per_leaf``
+    up to past half the node, and a side that picks a child's rows."""
+    column = np.array(draw(st.lists(cells, min_size=1, max_size=25)), dtype=dtype)
+    n = draw(st.integers(1, 50))
+    rows = np.array(draw(st.lists(st.integers(0, column.size - 1), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0, 1.5, 7.0]),
+                                     min_size=n, max_size=n)))
+    objective = draw(st.sampled_from(["classification", "regression"]))
+    if objective == "classification":
+        targets = st.integers(0, 1).map(float)
+    else:  # the residual of a label and a probability
+        targets = st.tuples(st.integers(0, 1), st.floats(0.0, 1.0)).map(
+            lambda pair: pair[0] - pair[1])
+    targets = np.array(draw(st.lists(targets, min_size=n, max_size=n)))
+    min_leaf = draw(st.integers(1, n // 2 + 2))
+    side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return column.take(rows), targets, weights, min_leaf, objective, side
+
+
+def _assert_same_split(got, want):
+    """Equal conditions, thresholds and gains as bits, branch sizes and
+    partitions."""
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and got.condition == want.condition
+    if isinstance(want.condition, sf.NumericalGE):  # -0.0 == 0.0, but not as bits
+        assert _bytes(got.condition.threshold) == _bytes(want.condition.threshold)
+    assert _bytes(got.gain) == _bytes(want.gain)
+    assert (got.n_positive, got.n_negative) == (want.n_positive, want.n_negative)
+    assert got.positive.dtype == bool and np.array_equal(got.positive, want.positive)
+
+
+class TestAgainstPerNodeSearch:
+    """The numerical and categorical splitters against the per-node searches
+    they replaced (``helpers``): without state, with the state computed for
+    the node, and, for a child, with its share of its parent's state as the
+    tree grower hands it on."""
+
+    @staticmethod
+    def _check(search, reference, make_state, key, node):
+        values, targets, weights, min_leaf, objective, side = node
+        chosen = np.flatnonzero(side)
+        inherited = _child_state({0: make_state(values)}, side, chosen)[0]
+        for rows, given in ((np.arange(values.size), make_state(values)),
+                            (chosen, inherited)):
+            args = (values.take(rows), targets.take(rows), weights.take(rows), 3,
+                    min_leaf, objective)
+            want = reference(*args)
+            _assert_same_split(search(*args), want)
+            _assert_same_split(search(*args, **{key: given}), want)
+            _assert_same_split(search(*args, **{key: make_state(args[0])}), want)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_ordered_nodes(_NUMBERS, np.float64))
+    def test_numerical_matches_bit_for_bit(self, node):
+        self._check(find_numerical_split, reference_numerical_split, numerical_order,
+                    "order", node)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_ordered_nodes(_CATEGORIES, np.int64))
+    def test_categorical_matches_bit_for_bit(self, node):
+        self._check(find_categorical_split, reference_categorical_split, category_coding,
+                    "coding", node)
+
+    def test_inherited_state_is_a_fresh_state(self):
+        values = np.array([1.0, np.nan, 0.0, -0.0, 1.0, 0.0, np.nan, 2.0])
+        side = np.array([True, True, False, True, True, True, False, True])
+        chosen = np.flatnonzero(side)
+        child = _child_state({0: numerical_order(values)}, side, chosen)[0]
+        # the child's values: 1.0, nan, -0.0, 1.0, 0.0, 2.0
+        assert child.tolist() == numerical_order(values[side]).tolist() == [2, 4, 0, 3, 5]
+        codes = np.array([4, sf.MISSING_CATEGORY, 2**63 - 1, 4, 0])
+        coding = category_coding(codes)
+        assert coding.categories.tolist() == [0, 4, 2**63 - 1]
+        assert coding.codes.tolist() == [1, -1, 2, 1, 0]
+        keep = np.array([True, True, False, True, False])
+        child = _child_state({0: coding}, keep, np.flatnonzero(keep))[0]
+        assert child.codes.tolist() == [1, -1, 1]
+        assert child.categories.tolist() == [0, 4, 2**63 - 1]  # the parent's, kept
 
 
 class TestSetColumnIndex:

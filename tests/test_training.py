@@ -21,14 +21,14 @@ from setforest.rng import make_rng
 from setforest.splits import find_set_mask_split
 from setforest.training import (
     MAX_INITIAL_SCORE,
-    _child_tokens,
+    _child_state,
     _forest_workers,
     _tree_values,
     log_loss,
     log_loss_gradient,
 )
 
-from helpers import evaluate_column, random_mixed_dataset, set_dataset
+from helpers import evaluate_column, make_vocab, random_mixed_dataset, set_dataset
 
 
 def _separable_dataset(n=40, seed=0):
@@ -129,22 +129,90 @@ class TestInheritedTokens:
             side = found[int(rng.integers(len(found)))].positive
             if rng.random() < 0.5:
                 side = ~side
-            tokens = _child_tokens(tokens, side, np.flatnonzero(side))
+            tokens = _child_state(tokens, side, np.flatnonzero(side))
             indices = indices[side]
+
+
+def _tied_dataset(seed, n=300):
+    """Two numerical features full of ties (NaN, -0.0 and 0.0 among them),
+    a categorical one with missing values, fractional weights."""
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.normal(size=n), 1)
+    a[a == 0] = np.where(rng.random(n) < 0.5, -0.0, 0.0)[a == 0]
+    a[rng.random(n) < 0.1] = np.nan
+    b = rng.integers(0, 4, size=n).astype(np.float64)
+    c = rng.integers(0, 6, size=n)
+    c[rng.random(n) < 0.1] = sf.MISSING_CATEGORY
+    signal = np.nan_to_num(a) + b / 2 + (c % 2) + rng.normal(scale=0.8, size=n)
+    features = [sf.Feature("a", FeatureType.NUMERICAL), sf.Feature("b", FeatureType.NUMERICAL),
+                sf.Feature("c", FeatureType.CATEGORICAL, make_vocab([f"c{i}" for i in range(6)]))]
+    return sf.Dataset.create(features, [a, b, c], (signal > 1.5).astype(np.int64),
+                             rng.choice([0.5, 1.0, 2.5], size=n))
+
+
+class TestInheritedOrders:
+    @staticmethod
+    def _recorded(monkeypatch) -> tuple[list, list]:
+        """The (values, keywords) of every numerical and categorical search
+        the grower makes, and the values of every ``numerical_order`` it
+        computes."""
+        calls, made = [], []
+        for name in ("find_numerical_split", "find_categorical_split"):
+            def recording(values, *args, real=getattr(training, name), **kw):
+                calls.append((values, kw))
+                return real(values, *args, **kw)
+
+            monkeypatch.setattr(training, name, recording)
+        real_order = training.numerical_order
+        monkeypatch.setattr(training, "numerical_order",
+                            lambda values: made.append(values) or real_order(values))
+        return calls, made
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_node_order_is_a_fresh_stable_sort(self, monkeypatch, seed):
+        # MART searches every feature at every node, so a child inherits its
+        # parent's orders and codings; on a bootstrap, rows repeat
+        calls, made = self._recorded(monkeypatch)
+        ds = _tied_dataset(seed)
+        rng = np.random.default_rng(seed)
+        boot = rng.integers(0, ds.n_examples, size=ds.n_examples)
+        residuals = ds.labels - rng.random(ds.n_examples)
+        config = sf.TrainConfig.mart(num_trees=1, max_depth=6, min_examples_per_leaf=3)
+        sf.grow_tree(ds, config, boot, "regression", residuals)
+        for values, kw in calls:
+            if "order" in kw:
+                present = np.flatnonzero(~np.isnan(values))
+                fresh = present[np.argsort(values[present], kind="stable")]
+                assert np.array_equal(kw["order"], fresh)
+            else:
+                codes, categories = kw["coding"]
+                present = values != sf.MISSING_CATEGORY
+                assert (codes[~present] == -1).all()
+                assert np.array_equal(categories[codes[present]], values[present])
+                assert (np.diff(categories) > 0).all()
+        # each numerical order was sorted at the root alone
+        assert len(made) == 2 and len(calls) > 3 * 3
+
+    def test_sampled_features_inherit_nothing(self, monkeypatch):
+        calls, made = self._recorded(monkeypatch)
+        config = sf.TrainConfig.random_forest(num_trees=1, max_depth=8)  # 2 of 3 per node
+        sf.grow_tree(_tied_dataset(5), config)
+        assert len(calls) > 3 and made == []
+        assert all(kw == {} for _, kw in calls)
 
 
 class TestLeafChildren:
     @staticmethod
     def _counted(monkeypatch) -> list:
-        """The row count of every child ``_child_tokens`` is asked for."""
+        """The row count of every child ``_child_state`` is asked for."""
         sizes = []
-        real = training._child_tokens
+        real = training._child_state
 
         def counting(tokens, side, chosen):
             sizes.append(chosen.size)
             return real(tokens, side, chosen)
 
-        monkeypatch.setattr(training, "_child_tokens", counting)
+        monkeypatch.setattr(training, "_child_state", counting)
         return sizes
 
     def test_depth_one_gathers_no_child_tokens(self, monkeypatch):
