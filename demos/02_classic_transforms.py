@@ -20,17 +20,17 @@ dataset = sf.dataset_from_token_sets(token_sets, vocab, labels)
 # --- bag of words: one 0/1 column per vocabulary term -----------------------
 x = dataset.columns[0][0]
 print("set:", x)
-print("bag of words:", sf.bag_of_words(x, len(vocab))[:10], "...")
-
 bow = sf.BagOfWords().fit(dataset).transform(dataset)
 print(f"bag-of-words dataset: {bow.n_features} numerical columns")
+print("bag of words:", [float(bow.columns[j][0]) for j in range(10)], "...")
 
 # --- max-hash: k seeded hash maxima per set ---------------------------------
 # the hash is pinned (FNV-1a + splitmix64 finalizer, 63-bit), so these
-# numbers are reproducible anywhere
-seeds = [11, 22]
-print("max_hash:", sf.max_hash(x, vocab, seeds))
-print("empty set sentinel:", sf.max_hash((), vocab, seeds))
+# numbers are reproducible anywhere; an empty set hashes to the sentinel 0
+maxhash = sf.MaxHash(k=2, seed=11)
+hashed = maxhash.fit(dataset).transform(dataset)
+print("max_hash:", [int(hashed.columns[j][0]) for j in range(2)])
+print("by hand: ", [max(sf.hash64(vocab.terms[t], s) for t in x) for s in maxhash.seeds])
 
 # --- target mean: categorical value -> smoothed positive ratio --------------
 chain = sf.make_chain(("maxhash", "targetmean"), seed=7, maxhash_k=4)

@@ -79,12 +79,9 @@ from .transforms import (
     TargetMean,
     TargetMeanTable,
     TransformChain,
-    bag_of_words,
     fit_target_mean,
     hash64,
     make_chain,
-    max_hash,
-    one_hot,
 )
 
 __version__ = "0.1.0"

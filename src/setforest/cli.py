@@ -440,7 +440,7 @@ def _load_model(path: str):
         return forest, _model_reader(forest)
     except (ValueError, KeyError) as exc:
         raise DataError(f"cannot load model {path}: {exc}") from exc
-    except RecursionError:  # json.loads on a document nested too deeply
+    except RecursionError:  # json's scanner on a document nested too deeply
         raise DataError(f"cannot load model {path}: nested too deeply") from None
 
 

@@ -173,7 +173,8 @@ def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndar
     (feature, key) pair's key and feature, ascending, terms' and categories'
     first; the offsets of the pairs' entries, pairs + 1 of them; the
     entries' slots and masks; how many entries are terms' and categories';
-    and the thresholds that a numerical pair's key ranks."""
+    and the thresholds that a numerical pair's key ranks. A temporary as
+    long as the entries is held in its narrowest dtype, and freed once used."""
     # one entry per (internal node, word in which the node clears leaves): the
     # word's leaves minus the node's negative span [lo, hi)
     internal, lo, hi = _negative_spans(nodes, starts)
@@ -184,29 +185,40 @@ def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndar
     count = np.minimum(hi[node] - 64 * word, 64) - begin
     slots = (np.searchsorted(starts, internal, side="right") - 1)[node] * words + word
     masks = default_masks[slots] ^ (_low_bits(count) << begin.astype(np.uint64))
-    feature = nodes.feature[internal][node]
+    internal = internal[node]
+    del lo, hi, span, node, word, begin, count
 
     # every entry once per key of its node: a set or categorical node's ids,
     # a numerical node's threshold (none when it is NaN: the node never
-    # holds) as its rank among the thresholds
-    id_count = np.diff(nodes.id_ends, prepend=0)[internal][node]
-    term = nodes.ids[_ranges((nodes.id_ends[internal][node] - id_count), id_count)]
-    threshold = nodes.threshold[internal][node]
-    numerical = threshold == threshold
+    # holds) as its rank among the thresholds; ``entry`` names the (node,
+    # word) entry each one repeats
+    id_count = np.diff(nodes.id_ends, prepend=0)[internal]
+    threshold = nodes.threshold[internal]
+    numerical = np.flatnonzero(threshold == threshold)
     thresholds, threshold_rank = np.unique(threshold[numerical], return_inverse=True)
-    key = np.concatenate((term, threshold_rank))
-    feature, slots, masks = (np.concatenate((np.repeat(a, id_count), a[numerical]))
-                             for a in (feature, slots, masks))
-    cumulative = np.repeat([False, True], [len(term), len(key) - len(term)])
+    key = np.concatenate((nodes.ids[_ranges(nodes.id_ends[internal] - id_count, id_count)],
+                          threshold_rank))
+    n_keyed = len(key) - len(numerical)
+    narrow = np.min_scalar_type(len(slots))
+    entry = np.concatenate((np.repeat(np.arange(len(slots), dtype=narrow), id_count),
+                            numerical.astype(narrow)))
+    feature = nodes.feature[internal]
+    feature = feature.astype(np.min_scalar_type(feature.max(initial=0)))[entry]
+    del internal, id_count, threshold, numerical, threshold_rank
+    cumulative = np.repeat([False, True], [n_keyed, len(key) - n_keyed])
     # entries sort by their pair, each key cast to its narrowest dtype
     # (lexsort radix-sorts up to 16 bits), and keep their node order in it
-    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)))
+    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)), copy=False)
                         for a in (key, feature, cumulative)])
-    key, feature = key[order], feature[order]
+    del cumulative
+    key = key[order]
+    feature = feature[order]
+    entry = entry[order]
+    del order
     new = np.ones(len(key), dtype=bool)
     new[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
-    return (key[new], feature[new], np.append(np.flatnonzero(new), len(key)), slots[order],
-            masks[order], len(term), thresholds)
+    return (key[new], feature[new].astype(np.int64), np.append(np.flatnonzero(new), len(key)),
+            slots[entry], masks[entry], n_keyed, thresholds)
 
 
 def compile_forest(forest: DecisionForest) -> CompiledForest:
@@ -234,13 +246,13 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     combined = np.flatnonzero(table != _ALL)  # by row, then slot
     combined_ends = np.searchsorted(combined, np.arange(n_rows + 1) * n_slots)
     combined_slots, combined_masks = combined % max(n_slots, 1), table.reshape(-1)[combined]
-    # each row as one bytes object (a forest without trees has no slots and
-    # no rows); the fixed-width bytes dtype drops a row's trailing zero bytes,
-    # the high bytes of its last word, which leaves its int the same
-    rows = table.view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel().tolist()
-    del table  # the rows are a copy; the ints need not share the peak with it
-    packed = list(map(int.from_bytes, rows, repeat("little")))
-    del rows
+    # each row's int from its bytes, read one row at a time (a forest without
+    # trees has no slots and no rows); the fixed-width bytes dtype drops a
+    # row's trailing zero bytes, the high bytes of its last word, which
+    # leaves its int the same
+    packed = list(map(int.from_bytes, table.view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel(),
+                      repeat("little")))
+    del table
     tables = {}
     first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
     for p, q in zip(first, [*first[1:], len(pair_key)]):  # one feature's pairs

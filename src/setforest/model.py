@@ -15,13 +15,21 @@ recurses. Random forests store a positive-class probability in each leaf
 and predict the mean over trees; boosted ("mart") forests store additive
 scores with shrinkage already multiplied in and predict the sigmoid of
 initial_score plus the sum over trees.
+
+Model JSON is read and written one tree at a time. The reader scans the
+top-level object itself and decodes each tree with json's C scanner, walks
+it into the node arrays and drops it, so no whole document is ever built;
+the writer writes each tree's ``json.dumps(indent=1)`` text from the node
+arrays. ``forest_from_dict`` reads a document already decoded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
+from json.decoder import scanstring
 from operator import attrgetter
 
 import numpy as np
@@ -36,9 +44,9 @@ RF = "rf"
 MART = "mart"
 
 # the deepest tree trained or loaded, root at depth 0. No tree walk recurses,
-# but the grower does, once per level, and so do json's encoder and decoder
-# on the nested model document; this leaves them room under Python's default
-# recursion limit
+# but the grower does, once per level, and so does json's scanner on each
+# nested tree of the model document; this leaves them room under Python's
+# default recursion limit
 MAX_TREE_DEPTH = 512
 
 # a node's kind: a leaf, or the kind of its condition, named as in model JSON
@@ -49,6 +57,8 @@ _KIND_OF_TYPE = {FeatureType.NUMERICAL: NUMERICAL_GE, FeatureType.CATEGORICAL: C
                  FeatureType.CATEGORICAL_SET: SET_INTERSECTS}
 _UNBOUNDED = np.iinfo(np.int64).max
 _NOT_FINITE = "thresholds, leaf values and the initial score must be finite numbers"
+_DECODE = json.JSONDecoder().raw_decode  # one JSON value at a position, by json's C scanner
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,44 +265,25 @@ def predict(forest: DecisionForest, row: tuple) -> float:
     return aggregate(forest.kind, forest.initial_score, values)
 
 
-def _tree_to_dict(tree: Tree) -> dict:
-    """The nested document of ``tree``, built bottom-up: in reverse preorder,
-    both children of a node are built before it."""
-    kind, feature, threshold, positive, value, id_ends, ids = (a.tolist() for a in tree.arrays())
-    nodes = [None] * len(kind)
-    for i in reversed(range(len(kind))):
-        if kind[i] == LEAF:
-            nodes[i] = {"leaf": value[i]}
-            continue
-        split = {"kind": _KIND_NAMES[kind[i]], "feature": feature[i]}
-        if kind[i] == NUMERICAL_GE:
-            split["threshold"] = threshold[i]
-        else:
-            split["values" if kind[i] == CATEGORY_IN else "mask"] = \
-                ids[id_ends[i - 1] if i else 0:id_ends[i]]
-        nodes[i] = {"split": split, "negative": nodes[i + 1], "positive": nodes[positive[i]]}
-    return nodes[0]
-
-
-def _parse_trees(documents: list, n_features: int) -> tuple[Tree, np.ndarray]:
+def _parse_trees(documents, n_features: int) -> tuple[Tree, np.ndarray]:
     """Every tree of a model document, walked by an explicit stack into one
     set of node arrays, with each tree's fields' types checked: features and ids
     must be JSON ints, thresholds and leaf values JSON numbers (not bools,
     not strings). ``_check_trees`` checks their values. Returns the nodes and
     each tree's first node followed by the node count.
 
-    ``documents`` is emptied: each tree leaves it when it is walked, and each
-    column list is emptied once it is an array, so what no one else holds is
-    freed as the reader goes."""
+    ``documents`` is any iterable of trees, taken one at a time: the reader
+    drops each tree once walked, and keeps its columns as arrays, so what no
+    one else holds is freed as it goes."""
     columns = kind, feature, threshold, positive, value, id_ends, ids = tuple([] for _ in _DTYPES)
-    starts = [0]
-    documents.reverse()
-    while documents:
-        start, id_start, stack = len(kind), len(ids), [(documents.pop(), -1)]
+    trees = [_NO_NODES.arrays()]
+    for document in documents:
+        stack = [(document, -1)]
+        del document  # the stack holds the tree until it is walked
         while stack:
             node, parent = stack.pop()
             if parent >= 0:
-                positive[parent] = len(kind) - start
+                positive[parent] = len(kind)
             if "leaf" in node:
                 code, f, t, v = LEAF, -1, math.nan, node["leaf"]
             else:
@@ -311,20 +302,19 @@ def _parse_trees(documents: list, n_features: int) -> tuple[Tree, np.ndarray]:
             threshold.append(t)
             positive.append(-1)
             value.append(v)
-            id_ends.append(len(ids) - id_start)
-        starts.append(len(kind))
-        if set(map(type, feature[start:])) != {int}:
-            f = next(f for f in feature[start:] if type(f) is not int)
+            id_ends.append(len(ids))
+        if set(map(type, feature)) != {int}:
+            f = next(f for f in feature if type(f) is not int)
             raise ValueError(f"a split on feature {f!r}, but the schema has {n_features} features")
-        if not set(map(type, ids[id_start:])) <= {int}:
+        if not set(map(type, ids)) <= {int}:
             raise ValueError("term ids and values must be integers")
-        if not {*map(type, value[start:]), *map(type, threshold[start:])} <= {int, float}:
+        if not {*map(type, value), *map(type, threshold)} <= {int, float}:
             raise ValueError(_NOT_FINITE)
-    arrays = []
-    for column, dtype in zip(columns, _DTYPES):
-        arrays.append(np.array(column, dtype))
-        column.clear()
-    return Tree(*arrays), np.array(starts)
+        trees.append([np.array(column, dtype) for column, dtype in zip(columns, _DTYPES)])
+        for column in columns:
+            column.clear()
+    starts = np.cumsum([0] + [len(arrays[0]) for arrays in trees[1:]])
+    return Tree(*map(np.concatenate, zip(*trees))), starts
 
 
 def _check_trees(forest: DecisionForest) -> None:
@@ -370,30 +360,18 @@ def _check_trees(forest: DecisionForest) -> None:
         raise ValueError(f"a tree is deeper than {MAX_TREE_DEPTH}")
 
 
-def forest_to_dict(forest: DecisionForest) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "kind": forest.kind,
-        "initial_score": float(forest.initial_score),
-        "features": [f.to_dict() for f in forest.features],
-        "trees": [_tree_to_dict(t) for t in forest.trees],
-        "metadata": forest.metadata,
-    }
-
-
 def forest_from_dict(data: dict) -> DecisionForest:
     """Parse a model document, validating it against its own schema: an
     object of the format and version, the forest kind, every tree (see
     ``_parse_trees`` and ``_check_trees``) and at least one for a random
     forest, a finite number for the initial score, and an object of
     metadata. Raises ``ValueError``. ``data`` is left as it was."""
-    return _forest_from_document(data, owned=False)
+    return _forest_from_document(data)
 
 
-def _forest_from_document(data, owned: bool) -> DecisionForest:
-    """``forest_from_dict``; a document the reader ``owned`` hands its trees
-    over, so each is freed once walked."""
+def _forest_from_document(data, trees: tuple[Tree, np.ndarray] | None = None) -> DecisionForest:
+    """``forest_from_dict``, its trees' node arrays already parsed when
+    ``trees`` is given."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     if data.get("version") != MODEL_VERSION:
@@ -406,8 +384,7 @@ def _forest_from_document(data, owned: bool) -> DecisionForest:
         features = [Feature.from_dict(f) for f in data["features"]]
         initial_score = data["initial_score"]
         finite = type(initial_score) in (int, float) and math.isfinite(initial_score)
-        nodes, starts = _parse_trees(list(data.pop("trees") if owned else data["trees"]),
-                                     len(features))
+        nodes, starts = trees or _parse_trees(data["trees"], len(features))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if not finite:
@@ -420,19 +397,149 @@ def _forest_from_document(data, owned: bool) -> DecisionForest:
     return forest
 
 
+def _number(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _trees_json(forest: DecisionForest) -> str:
+    """The ``trees`` array of ``forest``'s model document as
+    ``json.dumps(indent=1)`` writes it there, written from the node arrays:
+    an explicit stack holds each node's children and the text that closes
+    it, so a node's text follows its parent's, in preorder. A node of depth
+    ``d`` indents its members by ``3 + d``, its split's by ``4 + d``."""
+    nodes = forest_nodes(forest)
+    kind, feature, threshold, positive, value, id_ends, ids = (a.tolist() for a in nodes.arrays())
+    depth = node_depths(nodes).tolist()
+    pad = ["\n" + " " * k for k in range(max(depth, default=0) + 6)]
+    parts = []
+    for start in forest.starts[:-1].tolist():
+        parts.append("," + pad[2] if parts else "[" + pad[2])
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if type(i) is str:
+                parts.append(i)
+                continue
+            d, code = depth[i], kind[i]
+            if code == LEAF:
+                parts.append(f'{{{pad[3 + d]}"leaf": {_number(value[i])}{pad[2 + d]}}}')
+                continue
+            inner = pad[4 + d]
+            if code == NUMERICAL_GE:
+                test = f'"threshold": {_number(threshold[i])}'
+            else:
+                listed = ids[id_ends[i - 1] if i else 0:id_ends[i]]
+                items = pad[5 + d] + ("," + pad[5 + d]).join(map(str, listed)) + inner \
+                    if listed else ""
+                test = f'"{"values" if code == CATEGORY_IN else "mask"}": [{items}]'
+            parts.append(f'{{{pad[3 + d]}"split": {{{inner}"kind": "{_KIND_NAMES[code]}",{inner}'
+                         f'"feature": {feature[i]},{inner}{test}{pad[3 + d]}}},{pad[3 + d]}'
+                         '"negative": ')
+            stack += (pad[2 + d] + "}", positive[i], f',{pad[3 + d]}"positive": ', i + 1)
+    return "".join(parts) + pad[1] + "]" if parts else "[]"
+
+
 def forest_to_json(forest: DecisionForest) -> str:
-    """Canonical JSON text; serialising the same forest twice is
+    """Canonical JSON text, ``json.dumps(indent=1)`` of the model document:
+    its trees written from the node arrays (``_trees_json``), the other
+    members by ``json.dumps``. Serialising the same forest twice is
     byte-identical, and serialise -> parse -> serialise is the identity."""
-    return json.dumps(forest_to_dict(forest), indent=1)
+    text = json.dumps({
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "kind": forest.kind,
+        "initial_score": float(forest.initial_score),
+        "features": [f.to_dict() for f in forest.features],
+        "trees": [],
+        "metadata": forest.metadata,
+    }, indent=1)
+    # only a top-level member starts a line one space in
+    return text.replace('\n "trees": []', '\n "trees": ' + _trees_json(forest), 1)
+
+
+class _RepeatedKey(ValueError):
+    """A top-level key that a model document gives twice."""
+
+
+def _after(text: str, pos: int, marks: str) -> tuple[str, int]:
+    """The mark of ``marks`` that ``text`` holds at ``pos`` past any JSON
+    whitespace, and the position past it and the whitespace after it."""
+    pos = _SPACE(text, pos).end()
+    mark = text[pos:pos + 1]
+    if not mark or mark not in marks:
+        raise ValueError(f"expected one of {marks!r} at character {pos}")
+    return mark, _SPACE(text, pos + 1).end()
+
+
+def _array_items(text: str, at: list):
+    """Each item of the JSON array that ``text`` opens at ``at[0]``, decoded
+    by json's scanner one at a time; ``at[0]`` is then the array's end."""
+    _, pos = _after(text, at[0], "[")
+    mark, pos = ("]", pos + 1) if text.startswith("]", pos) else (",", pos)
+    while mark == ",":
+        item, pos = _DECODE(text, pos)
+        yield item
+        del item  # the consumer decides how long a tree lives
+        mark, pos = _after(text, pos, ",]")
+    at[0] = pos
+
+
+def _scan(text: str) -> tuple[dict, tuple[Tree, np.ndarray] | None]:
+    """The members of the model document of ``text`` but its trees, and its
+    trees' node arrays (None if ``trees`` is not an array): the top-level
+    object's members in turn, the trees each decoded, walked and dropped.
+    Raises at the first fault it meets."""
+    members, trees, at = {}, None, [0]
+    mark, pos = _after(text, 0, "{")
+    while mark != "}":  # "{}" holds no model, so a first key is always expected
+        if not text.startswith('"', pos):
+            raise ValueError(f"expected a key at character {pos}")
+        key, pos = scanstring(text, pos + 1)
+        if key in members:
+            raise _RepeatedKey(f"the model document repeats the key {key!r}")
+        _, pos = _after(text, pos, ":")
+        if key == "trees" and text.startswith("[", pos):
+            at[0] = pos
+            # only a fault's message names the feature count, and a fault
+            # sends the text to the whole-document read
+            trees, members[key] = _parse_trees(_array_items(text, at), 0), None
+            pos = at[0]
+        else:
+            members[key], pos = _DECODE(text, pos)
+        mark, pos = _after(text, pos, ",}")
+    if pos != len(text):
+        raise ValueError(f"extra data at character {pos}")
+    return members, trees
 
 
 def forest_from_json(text: str) -> DecisionForest:
     """The forest of a model's JSON text, read as ``forest_from_dict`` reads
-    its document; the reader owns the document, and frees each tree of it
-    once walked."""
+    ``json.loads(text)`` without building that document: the top-level
+    object is scanned member by member, and each of its trees is decoded by
+    json's scanner, walked and dropped, so the read peaks at about twice the
+    text. A key the document repeats is refused, since the trees of its
+    first copy are already read; ``json.loads`` kept the last.
+
+    Any other fault is named as before. A scan stops at the first fault it
+    meets, and the whole document is then read as it always was: its JSON
+    syntax checked first, then the model's fields in order. Once a scan
+    has read every member and tree, the text is freed (unless the caller
+    holds it), and the checks that remain fail as the whole read's would."""
+    try:
+        members, trees = _scan(text)
+    except ValueError as exc:
+        fault = exc
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        fault = ValueError(f"malformed model document: {exc}")
+    else:
+        del text
+        return _forest_from_document(members, trees)
     document = json.loads(text)
-    del text  # the text is freed once parsed, unless the caller holds it
-    return _forest_from_document(document, owned=True)
+    if not isinstance(fault, _RepeatedKey):
+        forest_from_dict(document)
+    # a repeated key, or a fault in a copy of a member that a later copy hides
+    raise fault
 
 
 def save_forest(forest: DecisionForest, path) -> None:

@@ -42,7 +42,8 @@ would compute itself:
   every node searches every feature (``features_per_node`` is the number of
   features, as MART's default is). Where nodes sample features, a child may
   not search a feature at all, and filtering the state of every sampled
-  feature for each child costs more than it saves.
+  feature for each child costs more than it saves. A node that inherits a
+  coding gathers none of the feature's values: the search reads the codes.
 
 A child that will be a leaf, at the depth limit or with fewer than
 ``2 * min_examples_per_leaf`` rows, gets none. A node splits its state between
@@ -187,8 +188,10 @@ class _TreeGrower:
         ftype = self.ds.features[feature].ftype
         column = self.ds.columns[feature]
         if ftype != FeatureType.CATEGORICAL_SET:
-            values = np.asarray(column)[indices]
             numerical = ftype == FeatureType.NUMERICAL
+            # an inherited coding is all a categorical search reads
+            values = None if self.inherit and not numerical and feature in state \
+                else np.asarray(column)[indices]
             given = {}
             if self.inherit:
                 if feature not in state:

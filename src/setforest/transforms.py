@@ -31,7 +31,6 @@ from .dataset import (
     Dataset,
     Feature,
     FeatureType,
-    Vocabulary,
 )
 from .rng import derive_seed, splitmix64
 
@@ -49,31 +48,6 @@ def hash64(text: str, seed: int) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return splitmix64(h) >> 1
-
-
-def bag_of_words(term_ids, vocab_size: int) -> np.ndarray:
-    """Counts of each vocabulary term in the set; binary since sets dedupe."""
-    out = np.zeros(vocab_size, dtype=np.float64)
-    out[list(term_ids)] = 1.0
-    return out
-
-
-def one_hot(term_ids, vocab_size: int) -> np.ndarray:
-    """Same membership vector as ``bag_of_words`` but typed categorical."""
-    out = np.zeros(vocab_size, dtype=np.int64)
-    out[list(term_ids)] = 1
-    return out
-
-
-def max_hash(term_ids, vocab: Vocabulary, seeds) -> np.ndarray:
-    """Per seed, the max of ``hash64`` over the set's terms; empty set -> 0."""
-    ids = list(term_ids)
-    if not ids:
-        return np.zeros(len(seeds), dtype=np.int64)
-    return np.array(
-        [max(hash64(vocab.terms[i], s) for i in ids) for s in seeds],
-        dtype=np.int64,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from setforest.dataset import (
     SetColumnIndex,
     Vocabulary,
 )
+from setforest.model import (_KIND_NAMES, CATEGORY_IN, LEAF, MODEL_FORMAT, MODEL_VERSION,
+                             NUMERICAL_GE)
 from setforest.splits import gain_scorer
 from setforest.transforms import hash64
 
@@ -163,6 +165,40 @@ def stack_trees(trees) -> tuple[sf.Tree, np.ndarray]:
     positive = np.where(positive >= 0, positive + np.repeat(starts[:-1], sizes), -1)
     id_ends += np.repeat(id_starts[:-1], sizes)
     return sf.Tree(kind, feature, threshold, positive, value, id_ends, ids), starts
+
+
+def forest_to_dict(forest: sf.DecisionForest) -> dict:
+    """The model document of ``forest``, each tree built bottom-up from its
+    node arrays: the document ``model.forest_to_json`` writes as
+    ``json.dumps(forest_to_dict(forest), indent=1)``, kept as its
+    reference."""
+    def tree_to_dict(tree):
+        # in reverse preorder, both children of a node are built before it
+        kind, feature, threshold, positive, value, id_ends, ids = (a.tolist()
+                                                                   for a in tree.arrays())
+        nodes = [None] * len(kind)
+        for i in reversed(range(len(kind))):
+            if kind[i] == LEAF:
+                nodes[i] = {"leaf": value[i]}
+                continue
+            split = {"kind": _KIND_NAMES[kind[i]], "feature": feature[i]}
+            if kind[i] == NUMERICAL_GE:
+                split["threshold"] = threshold[i]
+            else:
+                split["values" if kind[i] == CATEGORY_IN else "mask"] = \
+                    ids[id_ends[i - 1] if i else 0:id_ends[i]]
+            nodes[i] = {"split": split, "negative": nodes[i + 1], "positive": nodes[positive[i]]}
+        return nodes[0]
+
+    return {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "kind": forest.kind,
+        "initial_score": float(forest.initial_score),
+        "features": [f.to_dict() for f in forest.features],
+        "trees": [tree_to_dict(t) for t in forest.trees],
+        "metadata": forest.metadata,
+    }
 
 
 def random_nested_tree(rng, n_leaves: int, features) -> sf.Leaf | sf.Internal:
@@ -503,6 +539,33 @@ def split_gain(dataset, condition, indices=None, targets=None, objective="classi
     wt = w * t
     pos = evaluate_column(condition, dataset, indices)
     return float(gain_from_stats(w.sum(), wt.sum(), w[pos].sum(), wt[pos].sum(), objective))
+
+
+# One set's flat encodings, row by row: the per-row functions the library
+# exported before its transforms encoded whole columns, kept as references.
+def bag_of_words(term_ids, vocab_size: int) -> np.ndarray:
+    """Counts of each vocabulary term in the set; binary since sets dedupe."""
+    out = np.zeros(vocab_size, dtype=np.float64)
+    out[list(term_ids)] = 1.0
+    return out
+
+
+def one_hot(term_ids, vocab_size: int) -> np.ndarray:
+    """Same membership vector as ``bag_of_words`` but typed categorical."""
+    out = np.zeros(vocab_size, dtype=np.int64)
+    out[list(term_ids)] = 1
+    return out
+
+
+def max_hash(term_ids, vocab: Vocabulary, seeds) -> np.ndarray:
+    """Per seed, the max of ``hash64`` over the set's terms; empty set -> 0."""
+    ids = list(term_ids)
+    if not ids:
+        return np.zeros(len(seeds), dtype=np.int64)
+    return np.array(
+        [max(hash64(vocab.terms[i], s) for i in ids) for s in seeds],
+        dtype=np.int64,
+    )
 
 
 # The per-row loops the set-column transforms ran before they read the CSR

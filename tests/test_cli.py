@@ -333,6 +333,20 @@ class TestModelOnLoad:
             assert main(["predict", str(model), str(corpus_path)]) == 0
             assert len(capsys.readouterr().out.split()) == 150
 
+    @pytest.mark.parametrize("fault", ["repeated_key", "trailing", "cut", "bom"])
+    def test_malformed_model_text_is_two(self, trained, corpus_path, capsys, fault):
+        # a repeated top-level key loaded, its last copy read, until the
+        # reader decoded the trees one at a time
+        model, _ = trained
+        text = model.read_text(encoding="utf-8")
+        text = {"repeated_key": text[:-3] + ',\n "kind": "rf"\n}\n', "trailing": text + "{}",
+                "cut": text[:len(text) // 2], "bom": "﻿" + text}[fault]
+        model.write_text(text, encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load model" in err
+        assert fault != "repeated_key" or "repeats the key 'kind'" in err
+
     def test_document_nested_too_deeply_is_two(self, tmp_path, corpus_path, capsys):
         model = tmp_path / "model.json"
         model.write_text('{"format": "setforest-model", "trees": ' + "[" * 5000

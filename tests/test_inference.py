@@ -20,6 +20,7 @@ from setforest.inference import (
 from setforest.model import CATEGORY_IN, LEAF, forest_from_json, forest_to_json, leaf_index
 
 from helpers import (
+    forest_to_dict,
     golden_two_tree_forest,
     key_row,
     make_vocab,
@@ -914,7 +915,7 @@ class TestModelDocument:
         forest = _random_forest(rng, kind, ftypes, leaf_counts)
         text = forest_to_json(forest)
         assert forest_to_json(forest_from_json(text)) == text
-        assert sf.model.forest_to_dict(forest_from_json(text)) == json.loads(text)
+        assert forest_to_dict(forest_from_json(text)) == json.loads(text)
 
     @settings(deadline=None, max_examples=150)
     @given(kind=st.sampled_from(["rf", "mart"]),
@@ -927,7 +928,7 @@ class TestModelDocument:
                                                          data):
         rng = np.random.default_rng(seed)
         forest = _random_forest(rng, kind, ftypes, [widest, 2])
-        document = sf.model.forest_to_dict(forest)
+        document = forest_to_dict(forest)
         fields = _document_fields(document)
         container, key = fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
         mutation = data.draw(st.sampled_from(_field_mutations(container[key], len(ftypes))),

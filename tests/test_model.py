@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,8 @@ from setforest.inference import _negative_spans
 from setforest.training import _tree_values
 
 import helpers
-from helpers import (build_complete_tree, make_vocab, one_split_document, random_mixed_dataset,
-                     random_nested_tree, stack_trees)
+from helpers import (build_complete_tree, forest_to_dict, make_vocab, one_split_document,
+                     random_mixed_dataset, random_nested_tree, stack_trees)
 
 
 def _trained(seed=0, algorithm="rf", **kw):
@@ -85,7 +86,7 @@ class TestSerialization:
 
     def test_masks_serialized_as_sorted_arrays(self):
         _, forest = _trained(seed=7)
-        doc = sf.model.forest_to_dict(forest)
+        doc = json.loads(forest_to_json(forest))
 
         def check(node):
             if "leaf" in node:
@@ -402,3 +403,191 @@ class TestValidation:
                 {"kind": "set_intersects", "feature": 0, "mask": [0]}, kind="gbdt"))
         with pytest.raises(ValueError, match="condition kind"):
             forest_from_dict(one_split_document({"kind": "set_equals", "feature": 0}))
+
+
+# a schema of every feature kind, with non-ASCII terms
+TEXT_FEATURES = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                 sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab(["ü", "naïve", "x", "日本"])),
+                 sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, make_vocab("abcdéfgh"))]
+
+
+def _random_text(kind, sizes, seed) -> str:
+    """The model text of a random forest of ``kind`` over ``TEXT_FEATURES``
+    with trees of ``sizes`` leaves (one at least for a random forest)."""
+    rng = np.random.default_rng(seed)
+    sizes = sizes or ([1] if kind == RF else [])
+    trees = [random_nested_tree(rng, n, TEXT_FEATURES) for n in sizes]
+    forest = sf.DecisionForest(kind, trees, 0.0 if kind == RF else float(rng.normal()),
+                               TEXT_FEATURES, {"method": "ñ", "trees": [1.5, None, {"a": []}]})
+    return forest_to_json(forest)
+
+
+def _outcomes(text: str) -> tuple:
+    """What the streamed reader and the whole-document read make of
+    ``text``: each the forest's model text, or its error's type and message."""
+    def outcome(read):
+        try:
+            return forest_to_json(read(text))
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return outcome(forest_from_json), outcome(lambda t: forest_from_dict(json.loads(t)))
+
+
+def _relaid(text: str, layout: str, rng) -> str:
+    """``text``'s document written again in another JSON layout."""
+    document = json.loads(text)
+    if layout == "shuffled":  # trees before features, among others
+        keys = list(document)
+        rng.shuffle(keys)
+        document = {key: document[key] for key in keys}
+    indent = {"compact": None, "none": None, "indent4": 4}.get(layout, int(rng.integers(0, 3)))
+    separators = (",", ":") if layout == "compact" else None
+    relaid = json.dumps(document, indent=indent, separators=separators,
+                        ensure_ascii=layout != "unicode")
+    return relaid.replace("\n", "\r\n") if layout == "crlf" else relaid
+
+
+class TestModelText:
+    """The streamed reader against ``forest_from_dict(json.loads(text))``,
+    and the writer against ``json.dumps(forest_to_dict(forest), indent=1)``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 70), max_size=5),
+           seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["none", "compact", "indent4", "crlf", "shuffled", "unicode"]))
+    def test_streamed_read_equals_the_whole_document_read(self, kind, sizes, seed, layout):
+        text = _random_text(kind, sizes, seed)
+        relaid = _relaid(text, layout, np.random.default_rng(seed))
+        assert _outcomes(relaid) == (text, text)
+        assert _outcomes(" \r\n\t" + relaid + "\n \n") == (text, text)
+
+    @settings(deadline=None, max_examples=80)
+    @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 20), max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           fault=st.sampled_from(["cut", "trailing", "array", "string", "number", "bom"]),
+           data=st.data())
+    def test_malformed_text_fails_as_the_whole_document_read(self, kind, sizes, seed, fault,
+                                                            data):
+        text = _relaid(_random_text(kind, sizes, seed), "shuffled", np.random.default_rng(seed))
+        if fault == "cut":
+            text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+        elif fault == "trailing":
+            text += data.draw(st.sampled_from([" x", "{}", "]", ",", " 0", "\x00"]))
+        elif fault in ("array", "string", "number"):
+            text = {"array": f"[{text}]", "string": json.dumps(text), "number": "7"}[fault]
+        else:
+            text = "﻿" + text
+        streamed, whole = _outcomes(text)
+        assert type(whole) is tuple and streamed == whole
+
+    @pytest.mark.parametrize("document", [
+        lambda d: {**d, "features": d["features"][:1]},  # a split on a feature past the schema
+        lambda d: {**d, "trees": [{"split": {"kind": "set_equals", "feature": 0},
+                                   "negative": {"leaf": 0.0}, "positive": {"leaf": 1.0}}]},
+        lambda d: {**d, "trees": [{"leaf": 0.0}, {"leaf": "0.5"}]},
+        lambda d: {**d, "trees": [{"leaf": 0.0}, {"negative": {}}]},
+        lambda d: {**d, "trees": [{"split": {"kind": "set_intersects", "feature": 2,
+                                             "mask": [2**70]},
+                                   "negative": {"leaf": 0.0}, "positive": {"leaf": 1.0}}]},
+        lambda d: {**d, "trees": {}, "kind": RF},
+        lambda d: {**d, "trees": 5},
+        lambda d: {key: value for key, value in d.items() if key != "trees"},
+        lambda d: {**d, "metadata": []},
+        lambda d: {**d, "version": 2},
+    ])
+    @pytest.mark.parametrize("trees_first", [False, True])
+    def test_a_model_fault_is_named_as_before(self, document, trees_first):
+        # the same message with the trees before the features too: a split
+        # past the schema names the schema's feature count
+        base = json.loads(_random_text(MART, [3, 5], 1))
+        changed = document(base)
+        if trees_first and "trees" in changed:
+            changed = {"trees": changed.pop("trees"), **changed}
+        streamed, whole = _outcomes(json.dumps(changed, indent=1))
+        assert type(whole) is tuple and streamed == whole
+
+    @pytest.mark.parametrize("key", ["format", "features", "trees", "metadata", "other"])
+    def test_a_repeated_top_level_key_is_refused(self, key):
+        # json.loads keeps the last copy; the streamed read has already read
+        # the first copy of the trees
+        text = _random_text(RF, [4, 2], 3)
+        member = f'"{key}": ' + json.dumps(json.loads(text).get(key, 1))
+        text = text[:-2] + f",\n {member},\n {member}\n}}"
+        assert forest_to_json(forest_from_dict(json.loads(text))) == _random_text(RF, [4, 2], 3)
+        with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
+            forest_from_json(text)
+
+    def test_trees_are_decoded_one_at_a_time(self):
+        # each tree is decoded by the scanner on its own, never the array
+        text = _random_text(MART, [3, 1, 4], 2)
+        decoded = []
+        real = sf.model._DECODE
+
+        def decode(s, pos):
+            value, end = real(s, pos)
+            decoded.append(value)
+            return value, end
+
+        with mock.patch.object(sf.model, "_DECODE", decode):
+            assert forest_to_json(forest_from_json(text)) == text
+        trees = json.loads(text)["trees"]
+        assert [v for v in decoded if isinstance(v, dict) and ("split" in v or "leaf" in v)] \
+            == trees
+        assert not any(v == trees for v in decoded)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 90), max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_writer_equals_json_dumps_of_the_document(self, kind, sizes, seed):
+        forest = forest_from_json(_random_text(kind, sizes, seed))
+        assert forest_to_json(forest) == json.dumps(forest_to_dict(forest), indent=1)
+
+    def test_writer_on_hand_built_numbers(self):
+        # floats json writes by repr: signed zero, the least subnormal,
+        # 1e16 and integral floats; NaN and infinities as json's literals; a
+        # mask without ids; a feature and metadata key named "trees"
+        features = [sf.Feature("trees", sf.FeatureType.NUMERICAL),
+                    sf.Feature("ключ", sf.FeatureType.CATEGORICAL_SET,
+                               make_vocab(["ü", "日本", "\n", '"']))]
+        node = sf.Internal(sf.SetIntersects(1, (0, 3)), sf.Leaf(-0.0), sf.Leaf(5e-324))
+        for threshold, leaf in ((-0.0, 1e16), (2.0, -3.0), (1e-300, float("nan")),
+                                (-1e16, float("inf")), (0.1, -float("inf"))):
+            node = sf.Internal(sf.NumericalGE(0, threshold), node, sf.Leaf(leaf))
+        trees = [node, sf.Leaf(1.0), sf.Internal(sf.SetIntersects(1, ()), sf.Leaf(0.0),
+                                                 sf.Leaf(-1e-310))]
+        forest = sf.DecisionForest(MART, trees, -0.0, features,
+                                   {"trees": [], "note": "\n \"trees\": []"})
+        text = forest_to_json(forest)
+        assert text == json.dumps(forest_to_dict(forest), indent=1)
+        assert '"leaf": 5e-324' in text and '"threshold": -0.0' in text and '"mask": []' in text
+        no_trees = sf.DecisionForest(MART, [], 2.0, features, {})
+        assert forest_to_json(no_trees) == json.dumps(forest_to_dict(no_trees), indent=1)
+
+    def test_writer_reaches_the_depth_bound(self):
+        node = sf.Leaf(0.5)
+        for depth in range(MAX_TREE_DEPTH):
+            node = sf.Internal(sf.NumericalGE(0, float(depth)), node, sf.Leaf(depth / 7))
+        forest = sf.DecisionForest(RF, [node], 0.0, TEXT_FEATURES[:1])
+        assert forest_to_json(forest) == json.dumps(forest_to_dict(forest), indent=1)
+
+    def test_load_peaks_below_the_whole_document(self, tmp_path):
+        # the streamed read, text included, holds less than json.loads'
+        # document of the same text alone
+        tokens, labels = sf.planted_keyword_corpus(n=2000, vocab_terms=400, signal_terms=10,
+                                                   seed=1)
+        vocab = sf.build_vocabulary(tokens, max_size=5000, min_frequency=2)
+        ds = sf.dataset_from_token_sets(tokens, vocab, labels)
+        forest = sf.train_random_forest(ds, sf.TrainConfig.random_forest(num_trees=10, seed=1))
+        path = tmp_path / "model.json"
+        sf.save_forest(forest, path)
+        text = path.read_text(encoding="utf-8")
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: sf.load_forest(path)) < peak(lambda: json.loads(text))

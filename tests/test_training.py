@@ -153,13 +153,21 @@ def _tied_dataset(seed, n=300):
 class TestInheritedOrders:
     @staticmethod
     def _recorded(monkeypatch) -> tuple[list, list]:
-        """The (values, keywords) of every numerical and categorical search
-        the grower makes, and the values of every ``numerical_order`` it
-        computes."""
-        calls, made = [], []
+        """The (node's values, keywords, values given) of every numerical
+        and categorical search the grower makes, and the values of every
+        ``numerical_order`` it computes. The node's values are gathered here,
+        since a search given a coding is given no values below the root."""
+        calls, made, node = [], [], []
+        real_find = training._TreeGrower._find_split
+
+        def finding(grower, feature, indices, *args):
+            node[:] = [np.asarray(grower.ds.columns[feature])[indices]]
+            return real_find(grower, feature, indices, *args)
+
+        monkeypatch.setattr(training._TreeGrower, "_find_split", finding)
         for name in ("find_numerical_split", "find_categorical_split"):
             def recording(values, *args, real=getattr(training, name), **kw):
-                calls.append((values, kw))
+                calls.append((node[0], kw, values))
                 return real(values, *args, **kw)
 
             monkeypatch.setattr(training, name, recording)
@@ -179,7 +187,10 @@ class TestInheritedOrders:
         residuals = ds.labels - rng.random(ds.n_examples)
         config = sf.TrainConfig.mart(num_trees=1, max_depth=6, min_examples_per_leaf=3)
         sf.grow_tree(ds, config, boot, "regression", residuals)
-        for values, kw in calls:
+        for k, (values, kw, given) in enumerate(calls):
+            # only the root gathers a categorical feature's values, to code them
+            assert given is None if k >= 3 and "coding" in kw else \
+                np.array_equal(given, values, equal_nan=True)
             if "order" in kw:
                 present = np.flatnonzero(~np.isnan(values))
                 fresh = present[np.argsort(values[present], kind="stable")]
@@ -198,7 +209,8 @@ class TestInheritedOrders:
         config = sf.TrainConfig.random_forest(num_trees=1, max_depth=8)  # 2 of 3 per node
         sf.grow_tree(_tied_dataset(5), config)
         assert len(calls) > 3 and made == []
-        assert all(kw == {} for _, kw in calls)
+        assert all(kw == {} and np.array_equal(given, values, equal_nan=True)
+                   for values, kw, given in calls)
 
 
 class TestLeafChildren:

@@ -12,7 +12,10 @@ from setforest.transforms import (
 )
 
 from helpers import (
+    bag_of_words,
     make_vocab,
+    max_hash,
+    one_hot,
     reference_bag_of_words,
     reference_max_hash,
     reference_one_hot,
@@ -44,42 +47,42 @@ class TestHash64:
 
 class TestBagOfWords:
     def test_examples(self):
-        assert sf.bag_of_words((0, 2), 4).tolist() == [1, 0, 1, 0]
-        assert sf.bag_of_words((), 3).tolist() == [0, 0, 0]
+        assert bag_of_words((0, 2), 4).tolist() == [1, 0, 1, 0]
+        assert bag_of_words((), 3).tolist() == [0, 0, 0]
         # oracle: per-term membership test
         x = (0, 1, 2)
         expected = [1.0 if i in set(x) else 0.0 for i in range(3)]
-        assert sf.bag_of_words(x, 3).tolist() == expected == [1, 1, 1]
+        assert bag_of_words(x, 3).tolist() == expected == [1, 1, 1]
 
     def test_one_hot_same_membership_categorical_dtype(self):
-        assert sf.one_hot((0, 2), 4).tolist() == [1, 0, 1, 0]
-        assert sf.one_hot((), 3).tolist() == [0, 0, 0]
-        assert sf.one_hot((0, 1, 2), 3).dtype == np.int64
+        assert one_hot((0, 2), 4).tolist() == [1, 0, 1, 0]
+        assert one_hot((), 3).tolist() == [0, 0, 0]
+        assert one_hot((0, 1, 2), 3).dtype == np.int64
 
     @settings(deadline=None, max_examples=50)
     @given(st.sets(st.integers(0, 9)))
     def test_output_sums_to_set_size(self, ids):
         x = tuple(sorted(ids))
-        assert sf.bag_of_words(x, 10).sum() == len(x)
-        assert sf.one_hot(x, 10).sum() == len(x)
+        assert bag_of_words(x, 10).sum() == len(x)
+        assert one_hot(x, 10).sum() == len(x)
 
 
 class TestMaxHash:
     def test_empty_set_sentinel(self):
         vocab = make_vocab(["a", "b"])
-        assert sf.max_hash((), vocab, [1, 2]).tolist() == [EMPTY_SET_HASH] * 2
+        assert max_hash((), vocab, [1, 2]).tolist() == [EMPTY_SET_HASH] * 2
 
     def test_singleton(self):
         vocab = make_vocab(["a", "b"])
         seeds = [5, 9]
-        out = sf.max_hash((1,), vocab, seeds)
+        out = max_hash((1,), vocab, seeds)
         assert out.tolist() == [hash64("b", 5), hash64("b", 9)]
 
     def test_two_terms_is_explicit_max(self):
         vocab = make_vocab(["a", "b"])
         # oracle: enumerate both hashes and take the max by hand
         h_a, h_b = hash64("a", 3), hash64("b", 3)
-        out = sf.max_hash((0, 1), vocab, [3])
+        out = max_hash((0, 1), vocab, [3])
         assert out.tolist() == [max(h_a, h_b)]
 
     @settings(deadline=None, max_examples=40)
@@ -89,10 +92,10 @@ class TestMaxHash:
         seeds = [11, 22]
         x = tuple(sorted(xs))
         union = tuple(sorted(xs | ys))
-        out_x = sf.max_hash(x, vocab, seeds)
-        out_rev = sf.max_hash(tuple(reversed(x)), vocab, seeds)
+        out_x = max_hash(x, vocab, seeds)
+        out_rev = max_hash(tuple(reversed(x)), vocab, seeds)
         assert out_x.tolist() == out_rev.tolist()
-        assert (sf.max_hash(union, vocab, seeds) >= out_x).all() or not union
+        assert (max_hash(union, vocab, seeds) >= out_x).all() or not union
 
 
 class TestTargetMean:
