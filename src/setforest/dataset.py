@@ -420,15 +420,21 @@ def read_text(source) -> tuple[str, str]:
     return name, text[1:] if text.startswith("\ufeff") else text  # a byte-order mark
 
 
+def _text_lines(source):
+    """The lines of ``source`` (see ``read_text``), split at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and the split rule of its text."""
+    text = read_text(source)[1].replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n"), _split_rule(text)
+
+
 def text_examples(source) -> Iterator[tuple[int, int | None, frozenset[str]]]:
     """``(line number, label, tokens)`` of each example line of ``source``
     (see ``read_text``): a line that starts with ``0`` or ``1`` and a TAB has
     that label and the rest is its text; any other line has no label
     (``None``) and is all text. A line of ASCII whitespace alone is blank,
     and skipped. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
-    text = read_text(source)[1].replace("\r\n", "\n").replace("\r", "\n")
-    split = _split_rule(text)
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines, split = _text_lines(source)
+    for lineno, line in enumerate(lines, start=1):
         head, tab, rest = line.partition("\t")
         label = int(head) if tab and head in ("0", "1") else None
         tokens = frozenset(split(line if label is None else rest))
@@ -437,17 +443,20 @@ def text_examples(source) -> Iterator[tuple[int, int | None, frozenset[str]]]:
 
 
 def load_labeled_text(path) -> tuple[list[frozenset[str]], np.ndarray]:
-    """Read ``<label><TAB><text>`` lines with ``text_examples``; every
-    example line needs its ``0`` or ``1`` label."""
-    token_sets: list[frozenset[str]] = []
-    labels: list[int] = []
-    for lineno, label, tokens in text_examples(path):
-        if label is None:
+    """Read ``<label><TAB><text>`` lines as ``text_examples`` does, in one
+    pass; every example line needs its ``0`` or ``1`` label."""
+    lines, split = _text_lines(path)
+    labels: list[bool] = []
+    texts: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        head, tab, rest = line.partition("\t")
+        if tab and head in ("0", "1"):
+            labels.append(head == "1")
+            texts.append(rest)
+        elif split(line):  # not blank
             raise DataError(f"{_source_name(path)}:{lineno}: a line must start with a 0 "
                             "or 1 label and a TAB")
-        labels.append(label)
-        token_sets.append(tokens)
-    return token_sets, np.asarray(labels, dtype=np.int64)
+    return list(map(frozenset, map(split, texts))), np.asarray(labels, dtype=np.int64)
 
 
 def _parse_set_cell(cell: str, split=None) -> frozenset[str] | None:

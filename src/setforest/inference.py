@@ -55,10 +55,10 @@ validation and out-of-bag rows with it), scores a dataset's rows, or those a
 one (rows, slots) word array per block. Every value finds its table row
 first, all rows of the call at once: a numerical value by ``searchsorted``
 (a NaN reads row 0); a term or category, where its feature has a
-vocabulary, with one array index over ids 0 to the largest key + 1 that
-holds each key's row and 0 elsewhere, values clipped into it, so an id past
-the model's keys (a dataset's vocabulary may be larger than the model's)
-and ``MISSING_CATEGORY`` read the ones row. A feature without a vocabulary
+vocabulary, with one array over ids -1 to the largest key + 1 that holds
+each key's row and 0 elsewhere, read at id + 1 and clipped into it, so an id
+past the model's keys (a dataset's vocabulary may be larger than the
+model's) and ``MISSING_CATEGORY`` read the ones row. A feature without a vocabulary
 ranks its values among the keys with ``searchsorted`` instead: max-hash
 categorical values reach 2**63 - 1. ``MaskTable.words`` turns a table's rows
 into words: a term's or category's table once per call, (keys + 1) x slots
@@ -66,10 +66,21 @@ words, the size of its packed ints; a numerical feature's per block, only
 the distinct rows the block reads, each ANDing its own entries and those of
 the rows read below it, then a prefix AND down them, so it never outgrows
 the block. A numerical or categorical feature's block ``take``s its rows'
-words; a set feature ANDs the rows of a block row's tokens together with
-``reduceat``, unknown tokens included, since the ones row changes nothing;
-the runs start where the CSR row lengths say, and at most
-``_GATHER_BYTES`` of rows are gathered at a time.
+words, unless every row of the block reads row 0, the ones row: then the
+feature is skipped. A block's rows are scored longest first in the first
+set feature, and their scores go back to their places in ``rows`` at the
+end. A set feature ANDs its key rows one token rank at a time: layer ``k``
+is the ``k``-th token of every row longer than ``k``, a prefix of the
+ordered rows, so it is one ``take`` of key rows and one in-place AND over
+that prefix. Unknown tokens are ANDed too, since the ones row changes
+nothing. Layering stops at the first layer whose rows hold fewer than
+``_LAYER_WORDS`` words, below which a layer's fixed cost outweighs what it
+saves; in a block of ``_BLOCK_ROWS`` rows a forest of 1 to 3 words per row
+(training's one-tree forests) never layers. The tokens left belong to a
+few long rows: they are ANDed row by row with ``reduceat``, at most
+``_GATHER_BYTES`` of key rows gathered at a time. A later set feature
+orders a copy of the block its own way. AND is exact in any order, so
+every order gives the same bits.
 """
 
 from __future__ import annotations
@@ -115,9 +126,13 @@ class MaskTable:
         ends = self.ends if reads is None else self.ends[reads]
         # every entry up to the last row goes into the first row at or above its own
         words = np.full((len(ends), self.slots), _ALL, dtype=_WORD)
-        np.bitwise_and.at(words.reshape(-1), ends.searchsorted(np.arange(ends[-1]), "right")
-                          * self.slots + self.tree_ids[:ends[-1]], self.masks[:ends[-1]])
-        return np.bitwise_and.accumulate(words, axis=0, out=words) if self.cumulative else words
+        at = (np.arange(len(ends)) * self.slots).repeat(
+            ends - np.concatenate(([0], ends[:-1]))) + self.tree_ids[:ends[-1]]
+        if not self.cumulative:  # a row's entries are one per slot: each is its word
+            words.reshape(-1)[at] = self.masks[:ends[-1]]
+            return words
+        np.bitwise_and.at(words.reshape(-1), at, self.masks[:ends[-1]])
+        return np.bitwise_and.accumulate(words, axis=0, out=words)
 
     @property
     def index(self) -> dict:
@@ -331,9 +346,13 @@ def _leaf_positions(compiled: CompiledForest, leafidx: np.ndarray) -> np.ndarray
     low = np.bitwise_count((leafidx - _ONE) & ~leafidx)
     if compiled.words_per_tree == 1:
         return low  # uint8, only ever used as an index
-    low = low.reshape(-1, compiled.words_per_tree)
-    word = np.argmax(low < 64, axis=1)  # every tree keeps its reached leaf
-    return (64 * word + low[np.arange(len(low)), word]).reshape(len(leafidx), -1)
+    # a tree's trailing zeros: its words', up to the first with a leaf left
+    # (every tree keeps its reached leaf), summed from the last word down
+    low = low.reshape(len(leafidx), -1, compiled.words_per_tree)
+    position = low[..., -1].astype(np.intp)
+    for word in range(compiled.words_per_tree - 2, -1, -1):
+        position = np.where(low[..., word] < 64, low[..., word], position + 64)
+    return position
 
 
 def compiled_leaf_indices(compiled: CompiledForest, row: tuple) -> np.ndarray:
@@ -352,6 +371,44 @@ predict_top_down = predict  # the reference evaluator, named for comparisons
 
 _BLOCK_ROWS = 256  # rows scored together; keeps a block's word arrays small
 _GATHER_BYTES = 2**19  # bound on a block's gathered set-token key rows
+_LAYER_WORDS = 1024  # a token rank is ANDed as one layer while its rows hold this many words
+
+
+def _longest_first(index, rows: np.ndarray) -> np.ndarray:
+    """The order of ``rows`` by their token count in ``index``, longest first."""
+    return np.argsort(index.indptr[rows] - index.indptr[rows + 1])
+
+
+def _and_tokens(leafidx: np.ndarray, index, rows: np.ndarray, find, table: np.ndarray,
+                tokens_per_gather: int) -> None:
+    """AND into ``leafidx`` the ``table`` rows of the tokens of ``rows`` of
+    the set column ``index``, whose key rows ``find`` gives; ``rows`` come
+    longest first (see the module docstring)."""
+    starts = index.indptr[rows]
+    lengths = index.indptr[rows + 1] - starts
+    # layer k holds the k-th token of every row longer than k, a prefix of
+    # the rows; layering stops at the first layer of fewer than ``least`` rows
+    least = max(1, _LAYER_WORDS // leafidx.shape[1])
+    depth = int(lengths[least - 1]) if len(lengths) >= least else 0
+    layers = np.arange(depth)
+    # (layers, rows) key rows: past its layer's prefix a row reads another
+    # row's token (clipped at the end), never used
+    keys = find(index.term_ids.take(starts + layers[:, None], mode="clip"))
+    for layer, m in zip(keys, (-lengths).searchsorted(-layers).tolist()):
+        leafidx[:m] &= table.take(layer[:m], axis=0)
+    # the tokens past ``depth`` of the rows longer than that: each gather ANDs
+    # into the rows its tokens [c, e) overlap; a row cut between two gathers
+    # gets both ANDs: the same bits
+    m = int((-lengths).searchsorted(-depth))
+    counts = lengths[:m] - depth
+    keys = find(index.term_ids[_ranges(starts[:m] + depth, counts)])
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    for c in range(0, len(keys), tokens_per_gather):
+        e = c + tokens_per_gather
+        first, last = ends.searchsorted(c, "right"), begins.searchsorted(e)
+        leafidx[first:last] &= np.bitwise_and.reduceat(
+            table.take(keys[c:e], axis=0), np.maximum(begins[first:last] - c, 0))
 
 
 def _row_finder(table: MaskTable, feature: Feature):
@@ -363,10 +420,10 @@ def _row_finder(table: MaskTable, feature: Feature):
     keys = table.keys
     if feature.ftype == FeatureType.NUMERICAL:
         return lambda values: np.where(np.isnan(values), 0, keys.searchsorted(values, "right"))
-    if feature.vocabulary is not None:
-        dense = np.zeros(int(keys[-1]) + 2, dtype=np.intp)
-        dense[keys] = np.arange(1, len(keys) + 1)
-        return lambda values: dense[np.clip(values, -1, len(dense) - 1)]
+    if feature.vocabulary is not None:  # read at id + 1, clipped: -1 and past the keys read 0
+        dense = np.zeros(int(keys[-1]) + 3, dtype=np.intp)
+        dense[keys + 1] = np.arange(1, len(keys) + 1)
+        return lambda values: dense.take(values + 1, mode="clip")
 
     def ranks(values):
         rank = np.searchsorted(keys, values)
@@ -404,40 +461,52 @@ def predict_dataset(compiled: CompiledForest, dataset: Dataset, rows=None) -> np
         raise ValueError(f"rows must be in [0, {dataset.n_examples})")
     n, slots = len(rows), len(compiled.default_masks)
     numerical, categorical, sets = [], [], []
+    block_starts = np.arange(0, n, _BLOCK_ROWS)
     for f, table in compiled.keyed.items():
         feature, column = compiled.features[f], dataset.columns[f]
         find = _row_finder(table, feature)
-        if feature.ftype == FeatureType.NUMERICAL:
-            numerical.append((find(np.asarray(column, dtype=np.float64)[rows]), table))
-        elif feature.ftype == FeatureType.CATEGORICAL:
-            categorical.append((find(np.asarray(column, dtype=np.int64)[rows]), table.words()))
-        else:
+        if feature.ftype == FeatureType.CATEGORICAL_SET:
             sets.append((column, find, table.words()))
+            continue
+        reads = find(np.asarray(column, dtype=np.float64 if feature.ftype == _NUMERICAL
+                                else np.int64)[rows])
+        # per block, whether a row reads other than row 0, the ones row: a
+        # block where none does skips the feature
+        live = np.logical_or.reduceat(reads != 0, block_starts).tolist() if n else []
+        if feature.ftype == _NUMERICAL:
+            numerical.append((reads, live, table))
+        else:
+            categorical.append((reads, live, table.words()))
     tokens_per_gather = max(1, _GATHER_BYTES // (_WORD.itemsize * max(slots, 1)))
     scores = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
+    for b, lo in enumerate(block_starts.tolist()):
         hi = min(lo + _BLOCK_ROWS, n)
-        leafidx = np.tile(compiled.default_masks, (hi - lo, 1))
-        for table_rows, table in numerical:
-            reads, inverse = np.unique(table_rows[lo:hi], return_inverse=True)
-            leafidx &= table.words(reads).take(inverse, axis=0)
-        for table_rows, words in categorical:
-            leafidx &= words.take(table_rows[lo:hi], axis=0)
-        for index, find, table in sets:
-            lengths, terms = index.row_tokens(rows[lo:hi])
-            key_rows = find(terms)  # an unknown token reads the ones row: a no-op
-            # the block rows that hold tokens, and their [begins, ends) among them
-            filled = np.flatnonzero(lengths)
-            ends = np.cumsum(lengths[filled])
-            begins = ends - lengths[filled]
-            # each gather ANDs into the rows its tokens [c, e) overlap; a row
-            # cut between two gathers gets both ANDs: the same bits
-            for c in range(0, len(key_rows), tokens_per_gather):
-                e = c + tokens_per_gather
-                first, last = ends.searchsorted(c, "right"), begins.searchsorted(e)
-                leafidx[filled[first:last]] &= np.bitwise_and.reduceat(
-                    table.take(key_rows[c:e], axis=0), np.maximum(begins[first:last] - c, 0))
+        at = slice(lo, hi)  # the block's places in ``rows``, in the order it is scored
+        if sets:  # longest first in the first set feature
+            at = lo + _longest_first(sets[0][0], rows[at])
+        block = rows[at]
+        leafidx = np.empty((hi - lo, slots), dtype=_WORD)
+        leafidx[:] = compiled.default_masks
+        for table_rows, live, table in numerical:
+            if live[b]:
+                reads = table_rows[at]
+                # the ascending distinct rows read, and each block row's rank among them
+                read = np.zeros(len(table.ends), dtype=bool)
+                read[reads] = True
+                leafidx &= table.words(np.flatnonzero(read)).take(np.cumsum(read)[reads] - 1,
+                                                                  axis=0)
+        for table_rows, live, words in categorical:
+            if live[b]:
+                leafidx &= words.take(table_rows[at], axis=0)
+        for i, (index, find, table) in enumerate(sets):
+            # a later set feature orders a copy of the block its own way; an
+            # unknown token reads the ones row: a no-op
+            order = _longest_first(index, block) if i else slice(None)
+            part = leafidx[order]  # the block itself for the first
+            _and_tokens(part, index, block[order], find, table, tokens_per_gather)
+            if i:
+                leafidx[order] = part
         values = compiled.flat_values.take(_leaf_positions(compiled, leafidx)
                                            + compiled.tree_starts)
-        scores[lo:hi] = aggregate(compiled.kind, compiled.initial_score, values)
+        scores[at] = aggregate(compiled.kind, compiled.initial_score, values)
     return scores

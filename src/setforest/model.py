@@ -236,7 +236,7 @@ def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray):
     floating-point summation order is identical across them. One row of
     values gives a float; a C-contiguous (rows, trees) array gives a float64
     array with each row's float, bit for bit: a boosted forest's rows apply
-    ``sigmoid``'s formula inline, in one pass over the row sums."""
+    ``sigmoid``'s formula to all row sums at once."""
     if leaf_values.ndim == 1:  # mean's and sum's own reduction, without their wrappers
         total = np.add.reduce(leaf_values)
         if kind == RF:  # a float64 over the count, as mean divides: NaN with no trees
@@ -244,12 +244,12 @@ def aggregate(kind: str, initial_score: float, leaf_values: np.ndarray):
         return sigmoid(initial_score + float(total))
     if kind == RF:
         return leaf_values.mean(axis=-1)
-    # sigmoid's own formula inline, with math.exp, not np.exp: libm's bits
-    # are the reference
-    exp = math.exp
-    return np.array([1.0 / (1.0 + exp(-x)) if x >= 0 else (e := exp(x)) / (1.0 + e)
-                     for x in (leaf_values.sum(axis=-1) + initial_score).tolist()],
-                    dtype=np.float64)
+    # sigmoid's own formula on every row sum, with math.exp, not np.exp:
+    # libm's bits are the reference. exp(-|x|) is the exp of either branch
+    x = leaf_values.sum(axis=-1) + initial_score
+    e = np.fromiter(map(math.exp, np.negative(np.abs(x)).tolist()), dtype=np.float64,
+                    count=len(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def predict(forest: DecisionForest, row: tuple) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from collections import Counter
 
@@ -697,6 +698,15 @@ def filtering_set_mask_split(set_index, indices, targets, weights, sampling_rate
 # as its reference: a regex split of each line or cell, one ``Counter.update``
 # per row, a sorted id tuple per row, and the tuple-to-CSR constructor.
 _ASCII_WS = re.compile(r"[ \t\n\r\f\v]+")
+
+
+def reference_boosted_rows(initial_score: float, leaf_values: np.ndarray) -> np.ndarray:
+    """A boosted forest's ``aggregate`` of (rows, trees) leaf values, row by
+    row: ``sigmoid``'s formula with ``math.exp`` on each row's sum."""
+    exp = math.exp
+    return np.array([1.0 / (1.0 + exp(-x)) if x >= 0 else (e := exp(x)) / (1.0 + e)
+                     for x in (leaf_values.sum(axis=-1) + initial_score).tolist()],
+                    dtype=np.float64)
 
 
 def reference_tokenize(text: str) -> frozenset[str]:

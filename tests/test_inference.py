@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import setforest as sf
 from setforest.inference import (
     _BLOCK_ROWS,
+    _LAYER_WORDS,
     _apply_masks,
     _leaf_positions,
     compile_forest,
@@ -857,6 +858,78 @@ class TestBatchKeyLookup:
         scores = _assert_batch_agrees(forest, ds)
         assert scores.min() < 1e-17 and scores.max() == 1.0
         assert len(set(scores.tolist())) > 5
+
+
+WIDE = 40  # a dataset's set ids 0..39: the model knows 0..7, so 8..39 are no key
+
+
+def _skewed_sets(rng, n):
+    """A set column of ``n`` rows over ids 0..WIDE-1, skewed: missing, empty,
+    short and long rows, and one row (more, at random) holding every id."""
+    every = tuple(range(WIDE))
+    column = []
+    for u in rng.random(n):
+        if u < 0.1:
+            column.append(None)
+        elif u < 0.2:
+            column.append(())
+        elif u < 0.25:
+            column.append(every)
+        else:  # mostly 1 to 3 ids, some up to WIDE
+            size = int(rng.integers(1, 4)) if u < 0.85 else int(rng.integers(4, WIDE + 1))
+            column.append(tuple(sorted(set(rng.integers(0, WIDE, size=size).tolist()))))
+    if n:
+        column[int(rng.integers(0, n))] = every
+    return column
+
+
+class TestLayeredSetScoring:
+    """``predict_dataset`` ANDs a set feature's key rows token rank by token
+    rank over rows ordered longest first, and the rows longer than the last
+    layer through bounded gathers: bit-equal to ``predict_compiled`` and
+    ``predict_top_down`` on skewed token counts, on every path."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.sampled_from([("set",), ("set", "set"), ("num", "set", "cat", "set"),
+                                   ("cat", "set"), ("set", "hashed")]),
+           widest=st.sampled_from([1, 5, 64, 65, 140]),
+           n=st.sampled_from([0, 1, 2, 40, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                              2 * _BLOCK_ROWS + 3]),
+           layer_words=st.sampled_from([1, 64, 256, _LAYER_WORDS, 10**9]),
+           gather_tokens=st.sampled_from([None, 1, 7]),
+           selection=st.sampled_from(["all", "shuffled", "repeated"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_and_top_down(self, kind, ftypes, widest, n, layer_words,
+                                          gather_tokens, selection, seed):
+        # these forests hold 3 to 9 words per row: layer_words 1 layers every
+        # token, 64 and 256 stop within a block of 40 rows or more, 10**9
+        # never layers; a gather of 1 or 7 key rows cuts long rows between
+        # gathers
+        rng = np.random.default_rng(seed)
+        forest = _random_forest(rng, kind, ftypes, [widest, 3, 2])
+        wide = make_vocab([f"v{i}" for i in range(WIDE)])  # extends the model's terms
+        features = [sf.Feature(f.name, f.ftype, wide) if t == "set" else f
+                    for f, t in zip(forest.features, ftypes)]
+        columns = [_skewed_sets(rng, n) if t == "set" else _random_column(rng, t, n)
+                   for t in ftypes]
+        ds = sf.Dataset.create(features, columns, np.zeros(n, dtype=np.int64))
+        compiled = compile_forest(forest)
+        rows = {"all": None, "shuffled": rng.permutation(n),
+                "repeated": rng.integers(0, max(n, 1), size=n + 5 if n else 0)}[selection]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("setforest.inference._LAYER_WORDS", layer_words)
+            if gather_tokens is not None:
+                patch.setattr("setforest.inference._GATHER_BYTES",
+                              8 * len(compiled.default_masks) * gather_tokens)
+            got = predict_dataset(compiled, ds, rows)
+        picked = range(n) if rows is None else rows.tolist()
+        per_row = np.array([predict_compiled(compiled, ds.row(i)) for i in picked],
+                           dtype=np.float64)
+        top_down = np.array([predict_top_down(forest, ds.row(i)) for i in picked],
+                            dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (len(picked),)
+        assert got.tobytes() == per_row.tobytes() == top_down.tobytes()
 
 
 _DELETE = object()  # a mutation that removes the field's key

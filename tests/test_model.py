@@ -256,6 +256,26 @@ class TestAggregate:
                 one = np.array([aggregate(kind, -0.3, row) for row in values])
                 assert rows.tobytes() == one.tobytes(), (kind, trees)
 
+    def test_boosted_rows_match_the_reference_formula_bit_for_bit(self):
+        # row sums at exp's edges: +-0.0; +-709.78, where exp(|x|) nears the
+        # largest double; +-745.2, where exp(-|x|) underflows to 0; tiny and
+        # subnormal sums; infinities. An initial score of -0.0 leaves each
+        # one-tree sum as it is
+        tiny = [1e-300, 2.2250738585072014e-308, 1e-310, 5e-324]
+        edges = [0.0, 709.78, 709.7827128933840, 745.1, 745.2, 746.0, 36.8, 37.0, 1.0,
+                 *tiny, math.inf]
+        sums = np.array(edges + [-x for x in edges])
+        got = aggregate(MART, -0.0, sums[:, None])
+        assert got.tobytes() == helpers.reference_boosted_rows(-0.0, sums[:, None]).tobytes()
+        assert got.tolist() == [sigmoid(x) for x in sums.tolist()]
+        assert np.signbit(sums[len(edges)]) and got[0] == got[len(edges)] == 0.5
+        rng = np.random.default_rng(13)
+        for scale in (1e-3, 1.0, 30.0, 400.0):
+            values = rng.normal(scale=scale, size=(257, 7))
+            for initial in (0.0, -0.0, 0.4, -2.5):
+                assert aggregate(MART, initial, values).tobytes() == \
+                    helpers.reference_boosted_rows(initial, values).tobytes()
+
     def test_zero_trees_and_zero_rows(self):
         assert aggregate(MART, 0.5, np.empty((3, 0))).tolist() == [sigmoid(0.5)] * 3
         assert aggregate(MART, 0.5, np.empty((0, 4))).shape == (0,)
