@@ -36,18 +36,26 @@ Python int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``.
 A numerical key's entries are one per node and word, and its row ``k``
 stands for the AND of the entries of every key row up to ``k``: a value
 reaches row ``searchsorted(keys, value, "right")``, row 0 below the lowest
-threshold. Its table keeps one entry per node, not one row of all slots per
-threshold, which would grow as thresholds x slots.
+threshold. Its table keeps one entry per node; for the row path it also
+packs every ``stride``-th of its rows from row 0, as ints like a term's,
+with the stride the least that keeps them within ``_GATHER_BYTES`` (1 while
+thresholds x slots words fit), so they never grow as thresholds x slots.
+The same ``np.bitwise_and.at`` pass ANDs each numerical entry into the
+first packed row at or above its own (entries past the last packed row go
+to a spare row that is not packed), an AND down each table's packed rows
+then makes them cumulative, and one ``int.from_bytes`` pass packs the rows
+of every table.
 
-``predict_compiled`` scores a row with no numpy call per token or
-category. ``compile_forest`` computes ahead each keyed feature's type, the
-flat leaf values, each tree's offset into them, a packed row's byte length
-and an all-ones word row. A row ANDs into the packed default masks one int
-per known token and per category (looked up as given, by ``==``, as
-``CategoryIn`` tests it) and, per non-NaN numerical value, the entries it
-reaches scattered into a copy of the ones row; ``to_bytes``, ``frombuffer``,
-``bitwise_count``, an ``np.add.reduce`` over the words of a wider tree and
-one ``take`` then read every tree's leaf value.
+``predict_compiled`` scores a row with no numpy call per token, category
+or number short of a packed row. ``compile_forest`` computes ahead each
+keyed feature's type, the flat leaf values, each tree's offset into them and
+a packed row's byte length. A row ANDs into the packed default masks one
+int per known token and per category (looked up as given, by ``==``, as
+``CategoryIn`` tests it) and, per non-NaN numerical value that reaches row
+``k``, the packed row ``k // stride``, then the entries of the rows after
+it up to ``k`` one by one as int ops (none at stride 1); ``to_bytes``,
+``frombuffer``, ``bitwise_count``, an ``np.add.reduce`` over the words of a
+wider tree and one ``take`` then read every tree's leaf value.
 
 ``predict_dataset``, the one vectorised evaluator (training scores its
 validation and out-of-bag rows with it), scores a dataset's rows, or those a
@@ -96,6 +104,7 @@ from .model import LEAF, DecisionForest, Tree, aggregate, forest_nodes, predict
 
 _ONE = np.uint64(1)
 _ALL = np.uint64(2**64 - 1)
+_ALL_INT = 2**64 - 1  # the same word as a Python int
 _WORD = np.dtype("<u8")  # a leaf word as a packed int holds it, on any host
 _CATEGORICAL, _NUMERICAL = FeatureType.CATEGORICAL, FeatureType.NUMERICAL
 
@@ -108,8 +117,9 @@ class MaskTable:
     ``masks[i]`` of slot ``tree_ids[i]``. A term's or category's entries are
     one combined mask per slot, in slot order; a numerical key's are one per
     node and word. ``lookup`` serves the row path: a term's or category's
-    row over all slots as one int, by key, or a numerical feature's keys as
-    a list for ``bisect_right``."""
+    row over all slots as one int, by key; for a numerical feature, its keys
+    as a list for ``bisect_right``, its packed rows ``0, stride, 2 * stride,
+    ...`` (the rows ``words`` gives, as ints) and the stride."""
 
     keys: np.ndarray  # ascending: int64 ids or category values, float64 thresholds
     ends: np.ndarray  # int64, len(keys) + 1, from 0
@@ -117,7 +127,7 @@ class MaskTable:
     masks: np.ndarray  # uint64
     slots: int
     cumulative: bool  # numerical: a row also ANDs the entries of every row below
-    lookup: dict[int, int] | list[float]
+    lookup: dict[int, int] | tuple[list[float], list[int], int]
 
     def words(self, reads=None) -> np.ndarray:
         """The (rows, slots) words of every table row, or of the ascending
@@ -157,7 +167,6 @@ class CompiledForest:
     flat_values: np.ndarray  # leaf_values, flat
     tree_starts: np.ndarray  # each tree's offset into flat_values
     packed_bytes: int  # a packed row's byte length
-    ones: np.ndarray  # uint64 per slot, all ones
 
 
 def _low_bits(count: np.ndarray) -> np.ndarray:
@@ -217,22 +226,26 @@ def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndar
     narrow = np.min_scalar_type(len(slots))
     entry = np.concatenate((np.repeat(np.arange(len(slots), dtype=narrow), id_count),
                             numerical.astype(narrow)))
+    # each entry's feature as its rank, numerical features last, so that the
+    # terms' and categories' pairs sort first
     feature = nodes.feature[internal]
-    feature = feature.astype(np.min_scalar_type(feature.max(initial=0)))[entry]
+    is_numerical = np.zeros(feature.max(initial=0) + 1, dtype=bool)
+    is_numerical[feature[numerical]] = True
+    by_rank = np.argsort(is_numerical, kind="stable")
+    rank = np.empty(len(by_rank), dtype=np.min_scalar_type(len(by_rank)))
+    rank[by_rank] = np.arange(len(by_rank))
+    feature = rank[feature][entry]
     del internal, id_count, threshold, numerical, threshold_rank
-    cumulative = np.repeat([False, True], [n_keyed, len(key) - n_keyed])
-    # entries sort by their pair, each key cast to its narrowest dtype
+    # entries sort by their pair, the key cast to its narrowest dtype
     # (lexsort radix-sorts up to 16 bits), and keep their node order in it
-    order = np.lexsort([a.astype(np.min_scalar_type(a.max(initial=0)), copy=False)
-                        for a in (key, feature, cumulative)])
-    del cumulative
+    order = np.lexsort([key.astype(np.min_scalar_type(key.max(initial=0)), copy=False), feature])
     key = key[order]
     feature = feature[order]
     entry = entry[order]
     del order
     new = np.ones(len(key), dtype=bool)
     new[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
-    return (key[new], feature[new].astype(np.int64), np.append(np.flatnonzero(new), len(key)),
+    return (key[new], by_rank[feature[new]], np.append(np.flatnonzero(new), len(key)),
             slots[entry], masks[entry], n_keyed, thresholds)
 
 
@@ -250,33 +263,58 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
 
     pair_key, pair_feature, bounds, slots, masks, n_keyed, thresholds = _entries(
         nodes, starts, words, default_masks)
-    # every term's and category's row over all slots, in one pass: the AND of
-    # its entries; the words that are not all ones are its combined entries
-    n_rows = int(bounds.searchsorted(n_keyed))
-    table = np.full((n_rows, n_slots), _ALL, dtype=_WORD)
-    np.bitwise_and.at(table.reshape(-1), np.repeat(np.arange(n_rows) * n_slots,
-                                                   np.diff(bounds[:n_rows + 1])) + slots[:n_keyed],
-                      masks[:n_keyed])
+    n_rows = int(bounds.searchsorted(n_keyed))  # the terms' and categories' pairs
+    first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
+    spans = list(zip(first, [*first[1:], len(pair_key)]))  # one feature's pairs each
+    # each pair's row of one (rows, slots) array: a term's or category's own;
+    # a numerical key row's first packed row at or above it or, past its
+    # table's last packed row, the spare last row, which is not packed (see
+    # the module docstring)
+    budget_rows = max(1, _GATHER_BYTES // (_WORD.itemsize * max(n_slots, 1)))
+    pair_row = np.arange(len(pair_key))
+    numerical = {}  # by a numerical feature's first pair: its packed rows and stride
+    n_packed = n_rows
+    for p, q in spans:
+        if p >= n_rows:
+            stride = -(-(q - p + 1) // budget_rows)
+            checkpoint = -(-np.arange(1, q - p + 1) // stride)
+            pair_row[p:q] = np.where(checkpoint <= (q - p) // stride, n_packed + checkpoint, -1)
+            numerical[p] = (n_packed, n_packed + (q - p) // stride + 1, stride)
+            n_packed = numerical[p][1]
+    # every such row in one pass: the AND of its entries; a numerical table's
+    # rows then AND down, so each also holds the entries of every row below
+    pair_row[pair_row < 0] = n_packed  # the spare row
+    table = np.full((n_packed + 1, n_slots), _ALL, dtype=_WORD)
+    at = np.repeat(pair_row * n_slots, np.diff(bounds))
+    del pair_row
+    at += slots
+    np.bitwise_and.at(table.reshape(-1), at, masks)
+    del at
     slots, masks = slots[n_keyed:].copy(), masks[n_keyed:].copy()  # the numerical entries
-    combined = np.flatnonzero(table != _ALL)  # by row, then slot
+    for b, e, _ in numerical.values():
+        np.bitwise_and.accumulate(table[b:e], axis=0, out=table[b:e])
+    # a term's or category's words that are not all ones are its combined entries
+    combined = np.flatnonzero(table[:n_rows] != _ALL)  # by row, then slot
     combined_ends = np.searchsorted(combined, np.arange(n_rows + 1) * n_slots)
     combined_slots, combined_masks = combined % max(n_slots, 1), table.reshape(-1)[combined]
-    # each row's int from its bytes, read one row at a time (a forest without
+    del combined
+    # each packed row's int from its bytes, as one list (a forest without
     # trees has no slots and no rows); the fixed-width bytes dtype drops a
     # row's trailing zero bytes, the high bytes of its last word, which
     # leaves its int the same
-    packed = list(map(int.from_bytes, table.view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel(),
-                      repeat("little")))
+    rows = table[:n_packed].view(f"S{_WORD.itemsize * max(n_slots, 1)}").ravel().tolist()
     del table
+    packed = list(map(int.from_bytes, rows, repeat("little")))
+    del rows
     tables = {}
-    first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
-    for p, q in zip(first, [*first[1:], len(pair_key)]):  # one feature's pairs
-        if p >= n_rows:  # a numerical feature keeps its entries in threshold order
+    for p, q in spans:
+        if p in numerical:  # a numerical feature keeps its entries in threshold order
+            b, e, stride = numerical[p]
             table_keys = thresholds[pair_key[p:q]]
-            b, e = bounds[p] - n_keyed, bounds[q] - n_keyed
+            lo, hi = bounds[p] - n_keyed, bounds[q] - n_keyed
             tables[int(pair_feature[p])] = MaskTable(
-                table_keys, bounds[p:q + 1] - bounds[p], slots[b:e], masks[b:e], n_slots, True,
-                table_keys.tolist())
+                table_keys, bounds[p:q + 1] - bounds[p], slots[lo:hi], masks[lo:hi], n_slots,
+                True, (table_keys.tolist(), packed[b:e], stride))
             continue
         ends = combined_ends[p:q + 1]
         tables[int(pair_feature[p])] = MaskTable(
@@ -291,7 +329,7 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
         first_bits=_pack(np.arange(n_slots) % words == 0), keyed=tables,
         row_tables=[(f, forest.features[f].ftype, table) for f, table in tables.items()],
         flat_values=leaf_values.reshape(-1), tree_starts=np.arange(num_trees) * 64 * words,
-        packed_bytes=_WORD.itemsize * n_slots, ones=np.full(n_slots, _ALL, dtype=_WORD))
+        packed_bytes=_WORD.itemsize * n_slots)
 
 
 def _pack(words: np.ndarray) -> int:
@@ -302,8 +340,9 @@ def _pack(words: np.ndarray) -> int:
 def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
     """The packed leaf words of one row: the packed default ANDed with the
     packed row of every known token and category (as given: by ``==``), and
-    with the entries of every threshold a numerical value reaches. Raises
-    ``ValueError`` when the row's length is not the schema's."""
+    with the masks of every threshold a numerical value reaches: a packed
+    row, then the entries of any rows past it. Raises ``ValueError`` when
+    the row's length is not the schema's."""
     if len(row) != len(compiled.features):
         raise ValueError(f"row has {len(row)} values, schema has {len(compiled.features)}")
     leafidx = compiled.default_packed
@@ -313,12 +352,15 @@ def _apply_masks(compiled: CompiledForest, row: tuple) -> int:
             if value != MISSING_CATEGORY and (mask := lookup.get(value)) is not None:
                 leafidx &= mask
         elif ftype is _NUMERICAL:
+            keys, prefix, stride = lookup
             # NaN: missing applies nothing; so does a value below every threshold
-            if value == value and (k := bisect_right(lookup, value)):
-                end = table.ends[k]
-                words = compiled.ones.copy()
-                np.bitwise_and.at(words, table.tree_ids[:end], table.masks[:end])
-                leafidx &= int.from_bytes(words, "little")
+            if value == value and (k := bisect_right(keys, value)):
+                leafidx &= prefix[k // stride]
+                if k % stride:  # the rows past the packed one, entry by entry
+                    lo, hi = table.ends[k - k % stride], table.ends[k]
+                    for slot, mask in zip(table.tree_ids[lo:hi].tolist(),
+                                          table.masks[lo:hi].tolist()):
+                        leafidx &= ~((mask ^ _ALL_INT) << 64 * slot)
         elif value:  # missing or empty set: nothing to apply
             get = lookup.get
             for term in value:
@@ -370,7 +412,8 @@ predict_top_down = predict  # the reference evaluator, named for comparisons
 
 
 _BLOCK_ROWS = 256  # rows scored together; keeps a block's word arrays small
-_GATHER_BYTES = 2**19  # bound on a block's gathered set-token key rows
+# bound on a block's gathered set-token key rows, and on a numerical table's packed rows
+_GATHER_BYTES = 2**19
 _LAYER_WORDS = 1024  # a token rank is ANDed as one layer while its rows hold this many words
 
 

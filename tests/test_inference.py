@@ -56,9 +56,13 @@ def _assert_tables_match_the_trees(forest, compiled):
                                             compiled.words_per_tree)
             assert (got & compiled.default_masks).tolist() == expected.tolist()
         # the batch path reads some rows of a numerical table; the row path
-        # packs a term's or category's rows
+        # packs a term's or category's rows, and every stride-th row of a
+        # numerical table from row 0
         if forest.features[f].ftype == sf.FeatureType.NUMERICAL:
-            assert table.cumulative and table.lookup == keys
+            lookup_keys, prefix, stride = table.lookup
+            assert table.cumulative and lookup_keys == keys
+            assert len(prefix) == len(keys) // stride + 1
+            assert [_words(compiled, row) for row in prefix] == words[::stride].tolist()
             for reads in (np.arange(0, len(keys) + 1, 2), np.arange(1, len(keys) + 1, 3)):
                 if len(reads):
                     assert table.words(reads).tolist() == words[reads].tolist()
@@ -469,11 +473,11 @@ THRESHOLDS = (-1.0, 0.0, 0.5, 2.0)
 HASHED = (0, 5, 2**62 + 1, 2**63 - 2, 2**63 - 1)  # max-hash values have no vocabulary
 
 
-def _random_forest(rng, kind, ftypes, leaf_counts):
+def _random_forest(rng, kind, ftypes, leaf_counts, thresholds=THRESHOLDS):
     def condition():
         f = int(rng.integers(0, len(ftypes)))
         if ftypes[f] == "num":
-            return sf.NumericalGE(f, float(rng.choice(THRESHOLDS)))
+            return sf.NumericalGE(f, float(rng.choice(thresholds)))
         if ftypes[f] == "set":
             return sf.SetIntersects(f, tuple(sorted(set(
                 rng.integers(0, VOCAB, size=int(rng.integers(1, 4))).tolist()))))
@@ -574,6 +578,58 @@ class TestPackedMasks:
             assert leaves.tolist() == [int(np.count_nonzero(tree.kind[:leaf_index(tree, row)]
                                                             == LEAF)) for tree in forest.trees]
             assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+
+
+class TestPackedNumericalRows:
+    """A numerical table packs every ``stride``-th of its rows, the stride the
+    least that fits them in ``_GATHER_BYTES``, and the row path ANDs the
+    entries of the rows past a packed one as ints: at every stride, from 1
+    to one packed row only, ``predict_compiled``, ``predict_top_down`` and
+    ``predict_dataset`` agree bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["rf", "mart"]),
+           ftypes=st.sampled_from([("num",), ("num", "num"), ("num", "cat", "set"),
+                                   ("set", "num")]),
+           widest=st.sampled_from([2, 20, 64, 70]),
+           stride=st.sampled_from(["one", "two", "between", "all"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_stride_matches_top_down(self, kind, ftypes, widest, stride, seed):
+        rng = np.random.default_rng(seed)
+        # a few thresholds shared by many nodes and trees, -0.0 and 0.0 among them
+        pool = (-0.0, 0.0, *np.round(rng.normal(size=int(rng.integers(1, 12))), 1).tolist())
+        leaf_counts = [widest] + rng.integers(1, widest + 1, size=int(rng.integers(0, 5))).tolist()
+        forest = _random_forest(rng, kind, ftypes, leaf_counts, pool)
+        default = compile_forest(forest)
+        # k thresholds in the forest's largest numerical table make k + 1
+        # rows; the budget packs all, half, fewer or one of them
+        k = max((len(table.keys) for f, table in default.keyed.items() if ftypes[f] == "num"),
+                default=0)
+        budget_rows = {"one": k + 1, "two": -(-(k + 1) // 2), "all": 1,
+                       "between": int(rng.integers(2, max(3, -(-(k + 1) // 2))))}[stride]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("setforest.inference._GATHER_BYTES",
+                          8 * len(default.default_masks) * budget_rows)
+            compiled = compile_forest(forest)
+            _assert_tables_match_the_trees(forest, compiled)
+            if k:  # the largest table's stride
+                got = {len(t.keys): t.lookup[2] for f, t in compiled.keyed.items()
+                       if ftypes[f] == "num"}[k]
+                assert {"one": got == 1, "two": got == 2, "all": got == k + 1,
+                        "between": k < 4 or 2 < got < k + 1}[stride]
+            # each threshold (the signed zeros among them) and one ulp either
+            # side of it, NaN and the infinities, then values at random
+            near = [v for t in pool for v in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))]
+            values = np.array(near + [np.nan, np.inf, -np.inf])
+            n = len(values) + 20
+            columns = [np.concatenate((rng.permutation(values), rng.choice(values, size=20)))
+                       if t == "num" else _random_column(rng, t, n) for t in ftypes]
+            ds = sf.Dataset.create(forest.features, columns, np.zeros(n, dtype=np.int64))
+            rows = ds.rows()
+            per_row = np.array([predict_compiled(compiled, row) for row in rows])
+            top_down = np.array([predict_top_down(forest, row) for row in rows])
+            assert per_row.tobytes() == top_down.tobytes()
+            assert predict_dataset(compiled, ds).tobytes() == per_row.tobytes()
 
 
 class TestPredictDataset:
