@@ -14,6 +14,7 @@ metadata float changes a hash here.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,9 +32,41 @@ GOLDEN = {
     "rf_num_cat_csv": "0b8c047b15ff9482da0489e7508547a7430646ebeb508fa7b5046a1c362b615c",
 }
 
+ARRAY_DIGESTS = {
+    "rf_planted": "20ffd1e1a3455bb5d7c382e1bb51a1d7f5adf3e1d831a8d5f572e6e2975f6d9a",
+    "mart_planted": "eb5da64088c329cc508f203e87f1c8d5cade1550b7e40291e97d9a457aa57e76",
+    "mart_mixed_csv": "43ad52e9dd94df245d6ee8cc91072829532bac3c1894a50cc5bad47fae226bbf",
+    "rf_two_set_csv": "2e9096ecac07f53de157529a42d26665c4daa13d4041ebbfa6ce258d0c9dfc90",
+    "mart_planted_thick_leaves": "113302e948040317c6e80f1066136cdeeec447a45faf901daed28e16927981c5",
+    "mart_planted_shallow": "d48a270ed4a45ef809774962fe4acf6acb72ac49801805e5bad3225e6821b89c",
+    "rf_planted_all_terms": "7915407ccf1ee6e9141e7b04b2d9288b6e4317998bf21b8865ecfa58348063cf",
+    "rf_num_cat_csv": "299f34c36386107eed7ed2b3e99d73ee4798acaf3e73584fc60def534d44f80a",
+}
+
 
 def _digest(forest) -> str:
     return hashlib.sha256(sf.forest_to_json(forest).encode("utf-8")).hexdigest()
+
+
+def _array_digest(forest) -> str:
+    """SHA-256 of the forest's node arrays, its tree starts and the rest of
+    its model (kind, initial score, features and metadata): the same for any
+    model format that reads back the same forest."""
+    h = hashlib.sha256()
+    for array in (*forest.nodes.arrays(), forest.starts):
+        h.update(array.tobytes())
+    h.update(json.dumps({"kind": forest.kind, "initial_score": forest.initial_score,
+                         "features": [f.to_dict() for f in forest.features],
+                         "metadata": forest.metadata}, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+def _check(name, forest):
+    """``forest``'s text hash and array digest, and the array digest of the
+    forest its text reads back into."""
+    assert _array_digest(forest) == ARRAY_DIGESTS[name]
+    assert _array_digest(sf.forest_from_json(sf.forest_to_json(forest))) == ARRAY_DIGESTS[name]
+    assert _digest(forest) == GOLDEN[name]
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +150,12 @@ def _num_cat_csv(path):
 
 def test_rf_planted(planted):
     config = sf.TrainConfig.random_forest(num_trees=6, seed=11, compute_oob=True)
-    assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted"]
+    _check("rf_planted", sf.train(planted, config))
 
 
 def test_mart_planted(planted):
     config = sf.TrainConfig.mart(num_trees=12, seed=5)
-    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted"]
+    _check("mart_planted", sf.train(planted, config))
 
 
 def test_mart_mixed_csv(tmp_path):
@@ -130,7 +163,7 @@ def test_mart_mixed_csv(tmp_path):
                      {"text": "set", "num": "numerical", "cat": "categorical"},
                      weight_column="w")
     config = sf.TrainConfig.mart(num_trees=12, seed=9, sampling_rate=0.5)
-    assert _digest(sf.train(ds, config)) == GOLDEN["mart_mixed_csv"]
+    _check("mart_mixed_csv", sf.train(ds, config))
 
 
 def test_rf_two_set_csv(tmp_path):
@@ -141,7 +174,7 @@ def test_rf_two_set_csv(tmp_path):
                       "cat": "categorical"}, weight_column="w")
     config = sf.TrainConfig.random_forest(num_trees=6, seed=13, sampling_rate=0.5,
                                           compute_oob=True)
-    assert _digest(sf.train(ds, config)) == GOLDEN["rf_two_set_csv"]
+    _check("rf_two_set_csv", sf.train(ds, config))
 
 
 def test_rf_num_cat_csv(tmp_path):
@@ -151,24 +184,24 @@ def test_rf_num_cat_csv(tmp_path):
                      {"a": "numerical", "b": "numerical", "c": "numerical",
                       "d": "categorical", "e": "categorical"}, weight_column="w")
     config = sf.TrainConfig.random_forest(num_trees=6, seed=31, compute_oob=True)
-    assert _digest(sf.train(ds, config)) == GOLDEN["rf_num_cat_csv"]
+    _check("rf_num_cat_csv", sf.train(ds, config))
 
 
 def test_mart_planted_thick_leaves(planted):
     # leaves of at least 60 examples: the set splitter's closing size check
     # turns down some masks the greedy search grew
     config = sf.TrainConfig.mart(num_trees=8, seed=2, min_examples_per_leaf=60)
-    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted_thick_leaves"]
+    _check("mart_planted_thick_leaves", sf.train(planted, config))
 
 
 def test_mart_planted_shallow(planted):
     # depth 4 and leaves of at least 20 examples: the grower gives no tokens
     # to children at the depth limit, nor to children of fewer than 40 rows
     config = sf.TrainConfig.mart(num_trees=10, seed=7, max_depth=4, min_examples_per_leaf=20)
-    assert _digest(sf.train(planted, config)) == GOLDEN["mart_planted_shallow"]
+    _check("mart_planted_shallow", sf.train(planted, config))
 
 
 def test_rf_planted_all_terms(planted):
     # every present term is a candidate: no sampling filter and no rng
     config = sf.TrainConfig.random_forest(num_trees=6, seed=19, sampling_rate=1.0)
-    assert _digest(sf.train(planted, config)) == GOLDEN["rf_planted_all_terms"]
+    _check("rf_planted_all_terms", sf.train(planted, config))
