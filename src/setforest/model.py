@@ -7,29 +7,35 @@ node ``i + 1`` and ``positive[i]`` names the other, so the leaves in node
 order put the all-conditions-false path first. Positive children and id
 ends count from their tree's first node and id, so each of
 ``forest.trees`` is a ``Tree`` of slices of the forest's arrays, with no
-copy; ``forest_nodes`` shifts them to count across the forest. Only the
-JSON reader's walk fills node arrays: a tree grown or written as nested
-``Leaf`` and ``Internal`` nodes is read from its model document, and
-``DecisionForest`` concatenates the trees it is given once. No tree walk
-recurses. Random forests store a positive-class probability in each leaf
-and predict the mean over trees; boosted ("mart") forests store additive
-scores with shrinkage already multiplied in and predict the sigmoid of
-initial_score plus the sum over trees.
+copy; ``forest_nodes`` shifts them to count across the forest. A tree grown
+or written as nested ``Leaf`` and ``Internal`` nodes is read from its
+version 1 document, and ``DecisionForest`` concatenates the trees it is
+given once. No tree walk recurses. Random forests store a positive-class
+probability in each leaf and predict the mean over trees; boosted ("mart")
+forests store additive scores with shrinkage already multiplied in and
+predict the sigmoid of initial_score plus the sum over trees.
 
-Model JSON is read and written one tree at a time. The reader scans the
-top-level object itself and decodes each tree with json's C scanner, walks
-it into the node arrays and drops it, so no whole document is ever built;
-the writer writes each tree's ``json.dumps(indent=1)`` text from the node
-arrays. ``forest_from_dict`` reads a document already decoded.
+Model JSON version 2 holds the nodes as flat columns in preorder, each the
+base64 of a fixed little-endian dtype (``_COLUMNS``): every node's ``kind``
+(int8), each internal node's ``feature`` (int32), each ``numerical_ge``
+node's ``threshold`` (float64), each leaf's ``value`` (float64), each set
+and categorical node's ``id_count`` (int32), and their ``ids`` (int64: a
+max-hash categorical value takes 63 bits), with each tree's node count. The
+other arrays are derived, not stored: positive children from the kinds
+(``_read_columns``), id ends from the counts, and the NaN thresholds, zero
+inner values and -1 features. So a load is ``json.loads`` of a small
+document, one ``np.frombuffer`` per column and array checks, with no walk
+over nodes. Version 1, one nested object per node, is still read but no
+longer written. Either version's reader refuses a key repeated in any
+object.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-import re
 from dataclasses import dataclass, field, fields
-from json.decoder import scanstring
 from operator import attrgetter
 
 import numpy as np
@@ -38,15 +44,17 @@ from .conditions import CategoryIn, NumericalGE, SetIntersects, SplitCondition, 
 from .dataset import Feature, FeatureType
 
 MODEL_FORMAT = "setforest-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # the version written; version 1 is still read
 
 RF = "rf"
 MART = "mart"
 
 # the deepest tree trained or loaded, root at depth 0. No tree walk recurses,
 # but the grower does, once per level, and so does json's scanner on each
-# nested tree of the model document; this leaves them room under Python's
-# default recursion limit
+# nested tree of a version 1 document; this leaves them room under Python's
+# default recursion limit. A version 2 document nests no trees, but the
+# bound holds for every model, so that any model loaded can be grown and
+# written as version 1 too
 MAX_TREE_DEPTH = 512
 
 # a node's kind: a leaf, or the kind of its condition, named as in model JSON
@@ -57,8 +65,9 @@ _KIND_OF_TYPE = {FeatureType.NUMERICAL: NUMERICAL_GE, FeatureType.CATEGORICAL: C
                  FeatureType.CATEGORICAL_SET: SET_INTERSECTS}
 _UNBOUNDED = np.iinfo(np.int64).max
 _NOT_FINITE = "thresholds, leaf values and the initial score must be finite numbers"
-_DECODE = json.JSONDecoder().raw_decode  # one JSON value at a position, by json's C scanner
-_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
+# the version 2 columns, in the order written, and their dtypes
+_COLUMNS = {"kind": "<i1", "feature": "<i4", "threshold": "<f8", "value": "<f8",
+            "id_count": "<i4", "ids": "<i8"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +121,7 @@ _NO_NODES = Tree(*(np.empty(0, dtype=dtype) for dtype in _DTYPES))
 
 
 def tree_from_nested(root: Leaf | Internal) -> Tree:
-    """The ``Tree`` of a nested tree, read from its model document, filled
+    """The ``Tree`` of a nested tree, read from its version 1 document, filled
     in from the root down by an explicit stack. Its numbers are made JSON's
     ints and floats, so the reader's type checks hold."""
     document = {}
@@ -193,11 +202,6 @@ def count_nodes(tree: Tree) -> int:
     return len(tree.kind)
 
 
-def leaf_depths(tree: Tree) -> list[int]:
-    """Depths of leaves left-to-right; the root sits at depth 0."""
-    return node_depths(tree)[tree.kind == LEAF].tolist()
-
-
 def leaf_values(tree: Tree) -> list[float]:
     return tree.value[tree.kind == LEAF].tolist()
 
@@ -266,20 +270,16 @@ def predict(forest: DecisionForest, row: tuple) -> float:
 
 
 def _parse_trees(documents, n_features: int) -> tuple[Tree, np.ndarray]:
-    """Every tree of a model document, walked by an explicit stack into one
-    set of node arrays, with each tree's fields' types checked: features and ids
-    must be JSON ints, thresholds and leaf values JSON numbers (not bools,
-    not strings). ``_check_trees`` checks their values. Returns the nodes and
-    each tree's first node followed by the node count.
-
-    ``documents`` is any iterable of trees, taken one at a time: the reader
-    drops each tree once walked, and keeps its columns as arrays, so what no
-    one else holds is freed as it goes."""
+    """Every nested tree of a version 1 model document, walked by an
+    explicit stack into one set of node arrays, with each tree's fields'
+    types checked: features and ids must be JSON ints, thresholds and leaf
+    values JSON numbers (not bools, not strings). ``_check_trees`` checks
+    their values. Returns the nodes and each tree's first node followed by
+    the node count."""
     columns = kind, feature, threshold, positive, value, id_ends, ids = tuple([] for _ in _DTYPES)
     trees = [_NO_NODES.arrays()]
     for document in documents:
         stack = [(document, -1)]
-        del document  # the stack holds the tree until it is walked
         while stack:
             node, parent = stack.pop()
             if parent >= 0:
@@ -360,22 +360,88 @@ def _check_trees(forest: DecisionForest) -> None:
         raise ValueError(f"a tree is deeper than {MAX_TREE_DEPTH}")
 
 
-def forest_from_dict(data: dict) -> DecisionForest:
-    """Parse a model document, validating it against its own schema: an
-    object of the format and version, the forest kind, every tree (see
-    ``_parse_trees`` and ``_check_trees``) and at least one for a random
-    forest, a finite number for the initial score, and an object of
-    metadata. Raises ``ValueError``. ``data`` is left as it was."""
-    return _forest_from_document(data)
+def _tree_cumsum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The running sum of ``x``, started again at each tree; ``starts`` is
+    each tree's first node, then the node count."""
+    total = np.cumsum(x)
+    return total - np.repeat(np.append(0, total)[starts[:-1]], np.diff(starts))
 
 
-def _forest_from_document(data, trees: tuple[Tree, np.ndarray] | None = None) -> DecisionForest:
-    """``forest_from_dict``, its trees' node arrays already parsed when
-    ``trees`` is given."""
+def _column(trees: dict, name: str, size: int | None = None) -> np.ndarray:
+    """Column ``name`` of a version 2 ``trees`` object, the base64 of its
+    little-endian dtype, as a native array of ``size`` items (any number if
+    None); the decoded bytes are freed once copied."""
+    dtype, text = np.dtype(_COLUMNS[name]), trees[name]
+    if type(text) is not str:
+        raise ValueError(f"column {name!r} must be a base64 string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"column {name!r} is not base64: {exc}") from None
+    if len(data) % dtype.itemsize:
+        raise ValueError(f"column {name!r} holds {len(data)} bytes, not whole {dtype.name} items")
+    column = np.frombuffer(data, dtype)
+    if size is not None and len(column) != size:
+        raise ValueError(f"column {name!r} holds {len(column)} items, not {size}")
+    return column.astype(dtype.newbyteorder("="))
+
+
+def _read_columns(trees: dict) -> tuple[Tree, np.ndarray]:
+    """The node arrays of a version 2 ``trees`` object, and each tree's first
+    node followed by the node count. Checks each column's length and the
+    trees' shape; ``_check_trees`` checks the values.
+
+    ``open`` counts the subtrees still to read in a tree: 1 before its root,
+    one more after an internal node, one less after a leaf. A preorder tree
+    keeps it above 0 until its last node, which brings it to 0. Node ``i``'s
+    negative subtree ends at the first later node where ``open`` is back at
+    its value before ``i``, and its positive child follows that node."""
+    counts, kind = trees["node_counts"], _column(trees, "kind")
+    if not ((kind >= LEAF) & (kind <= SET_INTERSECTS)).all():
+        raise ValueError(f"node kinds must be {LEAF} to {SET_INTERSECTS}")
+    if type(counts) is not list or not all(type(c) is int and c > 0 for c in counts) \
+            or sum(counts) != len(kind):
+        raise ValueError(f"node_counts must be positive ints that sum to {len(kind)}")
+    n, leaf, numerical, listed = len(kind), kind == LEAF, kind == NUMERICAL_GE, kind >= CATEGORY_IN
+    inner = np.flatnonzero(~leaf)
+    feature = np.full(n, -1, dtype=np.int64)
+    feature[inner] = _column(trees, "feature", len(inner))
+    threshold = np.full(n, math.nan)
+    threshold[numerical] = _column(trees, "threshold", np.count_nonzero(numerical))
+    value = np.zeros(n)
+    value[leaf] = _column(trees, "value", n - len(inner))
+    id_count, ids = _column(trees, "id_count", np.count_nonzero(listed)), _column(trees, "ids")
+    if (id_count <= 0).any() or id_count.sum(dtype=np.int64) != len(ids):
+        raise ValueError(f"id_count must be positive and sum to the {len(ids)} ids")
+    starts = np.cumsum([0, *counts], dtype=np.int64)
+    # open after each node, less 1: the running sum of +1 per internal node
+    # and -1 per leaf, across the forest and from each tree's root
+    step = np.where(leaf, -1, 1)
+    opened = _tree_cumsum(step, starts)
+    if np.count_nonzero(opened < 0) != len(counts) or (opened[starts[1:] - 1] != -1).any():
+        raise ValueError("the node kinds do not make whole trees of the node counts")
+    # the first later node whose forest-wide sum is 1 below node i's; the
+    # first is in i's tree, since its tree is whole. Sorted keys order by
+    # (sum, node)
+    total = np.cumsum(step)
+    keys = np.sort(total * (n + 1) + np.arange(n))
+    closes = keys[np.searchsorted(keys, (total[inner] - 1) * (n + 1) + inner)] % (n + 1)
+    positive = np.full(n, -1, dtype=np.int64)
+    positive[inner] = closes + 1 - np.repeat(starts[:-1], np.diff(starts))[inner]
+    listed_counts = np.zeros(n, dtype=np.int64)
+    listed_counts[listed] = id_count
+    return Tree(kind, feature, threshold, positive, value, _tree_cumsum(listed_counts, starts),
+                ids), starts
+
+
+def _parse(data) -> DecisionForest:
+    """The forest of model document ``data`` of either version, every member
+    checked but its trees' values (``_check_trees``)."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
-    if data.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {data.get('version')!r}")
+    version = data.get("version")
+    if version not in (1, MODEL_VERSION):
+        raise ValueError(f"unsupported model version {version!r}")
     if data.get("kind") not in (RF, MART):
         raise ValueError(f"unknown forest kind {data.get('kind')!r}")
     if not isinstance(data.get("metadata", {}), dict):
@@ -384,162 +450,78 @@ def _forest_from_document(data, trees: tuple[Tree, np.ndarray] | None = None) ->
         features = [Feature.from_dict(f) for f in data["features"]]
         initial_score = data["initial_score"]
         finite = type(initial_score) in (int, float) and math.isfinite(initial_score)
-        nodes, starts = trees or _parse_trees(data["trees"], len(features))
+        nodes, starts = (_read_columns(data["trees"]) if version == MODEL_VERSION
+                         else _parse_trees(data["trees"], len(features)))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
     if not finite:
         raise ValueError(_NOT_FINITE)
     if data["kind"] == RF and len(starts) == 1:
         raise ValueError("a random forest needs at least one tree")  # its mean is NaN
-    forest = DecisionForest(data["kind"], [], float(initial_score), features,
-                            data.get("metadata", {}), nodes, starts)
+    return DecisionForest(data["kind"], [], float(initial_score), features,
+                          data.get("metadata", {}), nodes, starts)
+
+
+def forest_from_dict(data: dict) -> DecisionForest:
+    """Parse a model document of either version, validating it against its
+    own schema: an object of the format and version, the forest kind, every
+    tree (``_read_columns`` or ``_parse_trees``, then ``_check_trees``) and
+    at least one for a random forest, a finite number for the initial score,
+    and an object of metadata. Raises ``ValueError``. ``data`` is left as it
+    was."""
+    forest = _parse(data)
     _check_trees(forest)
     return forest
 
 
-def _number(x: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _trees_json(forest: DecisionForest) -> str:
-    """The ``trees`` array of ``forest``'s model document as
-    ``json.dumps(indent=1)`` writes it there, written from the node arrays:
-    an explicit stack holds each node's children and the text that closes
-    it, so a node's text follows its parent's, in preorder. A node of depth
-    ``d`` indents its members by ``3 + d``, its split's by ``4 + d``."""
-    nodes = forest_nodes(forest)
-    kind, feature, threshold, positive, value, id_ends, ids = (a.tolist() for a in nodes.arrays())
-    depth = node_depths(nodes).tolist()
-    pad = ["\n" + " " * k for k in range(max(depth, default=0) + 6)]
-    parts = []
-    for start in forest.starts[:-1].tolist():
-        parts.append("," + pad[2] if parts else "[" + pad[2])
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if type(i) is str:
-                parts.append(i)
-                continue
-            d, code = depth[i], kind[i]
-            if code == LEAF:
-                parts.append(f'{{{pad[3 + d]}"leaf": {_number(value[i])}{pad[2 + d]}}}')
-                continue
-            inner = pad[4 + d]
-            if code == NUMERICAL_GE:
-                test = f'"threshold": {_number(threshold[i])}'
-            else:
-                listed = ids[id_ends[i - 1] if i else 0:id_ends[i]]
-                items = pad[5 + d] + ("," + pad[5 + d]).join(map(str, listed)) + inner \
-                    if listed else ""
-                test = f'"{"values" if code == CATEGORY_IN else "mask"}": [{items}]'
-            parts.append(f'{{{pad[3 + d]}"split": {{{inner}"kind": "{_KIND_NAMES[code]}",{inner}'
-                         f'"feature": {feature[i]},{inner}{test}{pad[3 + d]}}},{pad[3 + d]}'
-                         '"negative": ')
-            stack += (pad[2 + d] + "}", positive[i], f',{pad[3 + d]}"positive": ', i + 1)
-    return "".join(parts) + pad[1] + "]" if parts else "[]"
-
-
 def forest_to_json(forest: DecisionForest) -> str:
-    """Canonical JSON text, ``json.dumps(indent=1)`` of the model document:
-    its trees written from the node arrays (``_trees_json``), the other
-    members by ``json.dumps``. Serialising the same forest twice is
+    """Canonical JSON text of the version 2 model document,
+    ``json.dumps(indent=1)``. Serialising the same forest twice is
     byte-identical, and serialise -> parse -> serialise is the identity."""
-    text = json.dumps({
+    nodes, kind = forest.nodes, forest.nodes.kind
+    columns = {"kind": kind, "feature": nodes.feature[kind != LEAF],
+               "threshold": nodes.threshold[kind == NUMERICAL_GE],
+               "value": nodes.value[kind == LEAF],
+               "id_count": np.diff(forest_nodes(forest).id_ends, prepend=0)[kind >= CATEGORY_IN],
+               "ids": nodes.ids}
+    trees = {"node_counts": np.diff(forest.starts).tolist()}
+    for name, dtype in _COLUMNS.items():
+        trees[name] = base64.b64encode(np.asarray(columns[name], dtype).tobytes()).decode("ascii")
+    return json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": forest.kind,
         "initial_score": float(forest.initial_score),
         "features": [f.to_dict() for f in forest.features],
-        "trees": [],
+        "trees": trees,
         "metadata": forest.metadata,
     }, indent=1)
-    # only a top-level member starts a line one space in
-    return text.replace('\n "trees": []', '\n "trees": ' + _trees_json(forest), 1)
 
 
-class _RepeatedKey(ValueError):
-    """A top-level key that a model document gives twice."""
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members, refusing a key it repeats: ``json.loads``
+    alone keeps the last copy."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"the model document repeats the key {key!r}")
+    return members
 
 
-def _after(text: str, pos: int, marks: str) -> tuple[str, int]:
-    """The mark of ``marks`` that ``text`` holds at ``pos`` past any JSON
-    whitespace, and the position past it and the whitespace after it."""
-    pos = _SPACE(text, pos).end()
-    mark = text[pos:pos + 1]
-    if not mark or mark not in marks:
-        raise ValueError(f"expected one of {marks!r} at character {pos}")
-    return mark, _SPACE(text, pos + 1).end()
-
-
-def _array_items(text: str, at: list):
-    """Each item of the JSON array that ``text`` opens at ``at[0]``, decoded
-    by json's scanner one at a time; ``at[0]`` is then the array's end."""
-    _, pos = _after(text, at[0], "[")
-    mark, pos = ("]", pos + 1) if text.startswith("]", pos) else (",", pos)
-    while mark == ",":
-        item, pos = _DECODE(text, pos)
-        yield item
-        del item  # the consumer decides how long a tree lives
-        mark, pos = _after(text, pos, ",]")
-    at[0] = pos
-
-
-def _scan(text: str) -> tuple[dict, tuple[Tree, np.ndarray] | None]:
-    """The members of the model document of ``text`` but its trees, and its
-    trees' node arrays (None if ``trees`` is not an array): the top-level
-    object's members in turn, the trees each decoded, walked and dropped.
-    Raises at the first fault it meets."""
-    members, trees, at = {}, None, [0]
-    mark, pos = _after(text, 0, "{")
-    while mark != "}":  # "{}" holds no model, so a first key is always expected
-        if not text.startswith('"', pos):
-            raise ValueError(f"expected a key at character {pos}")
-        key, pos = scanstring(text, pos + 1)
-        if key in members:
-            raise _RepeatedKey(f"the model document repeats the key {key!r}")
-        _, pos = _after(text, pos, ":")
-        if key == "trees" and text.startswith("[", pos):
-            at[0] = pos
-            # only a fault's message names the feature count, and a fault
-            # sends the text to the whole-document read
-            trees, members[key] = _parse_trees(_array_items(text, at), 0), None
-            pos = at[0]
-        else:
-            members[key], pos = _DECODE(text, pos)
-        mark, pos = _after(text, pos, ",}")
-    if pos != len(text):
-        raise ValueError(f"extra data at character {pos}")
-    return members, trees
-
-
-def forest_from_json(text: str) -> DecisionForest:
-    """The forest of a model's JSON text, read as ``forest_from_dict`` reads
-    ``json.loads(text)`` without building that document: the top-level
-    object is scanned member by member, and each of its trees is decoded by
-    json's scanner, walked and dropped, so the read peaks at about twice the
-    text. A key the document repeats is refused, since the trees of its
-    first copy are already read; ``json.loads`` kept the last.
-
-    Any other fault is named as before. A scan stops at the first fault it
-    meets, and the whole document is then read as it always was: its JSON
-    syntax checked first, then the model's fields in order. Once a scan
-    has read every member and tree, the text is freed (unless the caller
-    holds it), and the checks that remain fail as the whole read's would."""
-    try:
-        members, trees = _scan(text)
-    except ValueError as exc:
-        fault = exc
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-        fault = ValueError(f"malformed model document: {exc}")
-    else:
-        del text
-        return _forest_from_document(members, trees)
-    document = json.loads(text)
-    if not isinstance(fault, _RepeatedKey):
-        forest_from_dict(document)
-    # a repeated key, or a fault in a copy of a member that a later copy hides
-    raise fault
+def forest_from_json(data: str | bytes) -> DecisionForest:
+    """The forest of a model's JSON text, or of its UTF-8 bytes, read as
+    ``forest_from_dict`` reads ``json.loads(text)``, except that a key
+    repeated in any object is refused. The text and the decoded document
+    are freed before the trees are checked (unless the caller holds them)."""
+    if isinstance(data, bytes):  # strict UTF-8: json.loads would take a BOM or UTF-16
+        data = data.decode("utf-8")
+    document = json.loads(data, object_pairs_hook=_unique_members)
+    del data
+    forest = _parse(document)
+    del document
+    _check_trees(forest)
+    return forest
 
 
 def save_forest(forest: DecisionForest, path) -> None:
@@ -549,5 +531,5 @@ def save_forest(forest: DecisionForest, path) -> None:
 
 
 def load_forest(path) -> DecisionForest:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return forest_from_json(fh.read())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import math
@@ -20,8 +21,7 @@ from setforest.dataset import (
     SetColumnIndex,
     Vocabulary,
 )
-from setforest.model import (_KIND_NAMES, CATEGORY_IN, LEAF, MODEL_FORMAT, MODEL_VERSION,
-                             NUMERICAL_GE)
+from setforest.model import _KIND_NAMES, CATEGORY_IN, LEAF, MODEL_FORMAT, NUMERICAL_GE, node_depths
 from setforest.splits import gain_scorer
 from setforest.transforms import hash64
 
@@ -169,10 +169,9 @@ def stack_trees(trees) -> tuple[sf.Tree, np.ndarray]:
 
 
 def forest_to_dict(forest: sf.DecisionForest) -> dict:
-    """The model document of ``forest``, each tree built bottom-up from its
-    node arrays: the document ``model.forest_to_json`` writes as
-    ``json.dumps(forest_to_dict(forest), indent=1)``, kept as its
-    reference."""
+    """The version 1 model document of ``forest``, one nested object per
+    node, each tree built bottom-up from its node arrays: the format the
+    library wrote before version 2, and still reads."""
     def tree_to_dict(tree):
         # in reverse preorder, both children of a node are built before it
         kind, feature, threshold, positive, value, id_ends, ids = (a.tolist()
@@ -193,13 +192,79 @@ def forest_to_dict(forest: sf.DecisionForest) -> dict:
 
     return {
         "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
+        "version": 1,
         "kind": forest.kind,
         "initial_score": float(forest.initial_score),
         "features": [f.to_dict() for f in forest.features],
         "trees": [tree_to_dict(t) for t in forest.trees],
         "metadata": forest.metadata,
     }
+
+
+def column(trees: dict, name: str, dtype: str) -> np.ndarray:
+    """Column ``name`` of a version 2 ``trees`` object, decoded."""
+    return np.frombuffer(base64.b64decode(trees[name]), dtype).copy()
+
+
+def set_column(trees: dict, name: str, values, dtype: str) -> None:
+    """Write ``values`` as column ``name`` of a version 2 ``trees`` object."""
+    trees[name] = base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def _bytes_fault(name: str, change):
+    """A fault that rewrites column ``name``'s decoded bytes with ``change``."""
+    def fault(trees):
+        trees[name] = base64.b64encode(change(base64.b64decode(trees[name]))).decode("ascii")
+    return fault
+
+
+def _column_fault(name: str, dtype: str, change):
+    """A fault that rewrites column ``name``'s decoded array with ``change``."""
+    def fault(trees):
+        values = column(trees, name, dtype)
+        change(values)
+        set_column(trees, name, values, dtype)
+    return fault
+
+
+def _shift_id_count(ids):
+    ids[1] += ids[0]
+    ids[0] = 0
+
+
+# faults in the ``trees`` object of a version 2 model document of at least two
+# trees and two set or categorical nodes, each with what the refusal says
+COLUMN_FAULTS = {
+    "not_base64": (lambda t: t.update(kind=t["kind"] + "$"), "not base64"),
+    "not_ascii": (lambda t: t.update(ids="ü" + t["ids"]), "not base64"),
+    "not_a_string": (lambda t: t.update(ids=[0, 1]), "must be a base64 string"),
+    "missing": (lambda t: t.pop("feature"), "malformed model document: 'feature'"),
+    "partial_item": (_bytes_fault("feature", lambda b: b + b"\0"), "not whole int32 items"),
+    "short": (_bytes_fault("value", lambda b: b[:-8]), "'value' holds"),
+    "long": (_bytes_fault("threshold", lambda b: b + bytes(8)), "'threshold' holds"),
+    "kind_4": (_column_fault("kind", "<i1", lambda k: k.__setitem__(-1, 4)), "node kinds"),
+    "kind_negative": (_column_fault("kind", "<i1", lambda k: k.__setitem__(0, -1)), "node kinds"),
+    "counts_floats": (lambda t: t.update(node_counts=[float(c) for c in t["node_counts"]]),
+                      "node_counts"),
+    "counts_bools": (lambda t: t.update(node_counts=[True] * len(t["node_counts"])),
+                     "node_counts"),
+    "counts_zero": (lambda t: t["node_counts"].insert(0, 0), "node_counts"),
+    "counts_not_a_list": (lambda t: t.update(node_counts=str(t["node_counts"])), "node_counts"),
+    "counts_sum": (lambda t: t["node_counts"].__setitem__(-1, t["node_counts"][-1] + 1),
+                   "node_counts"),
+    "shape": (lambda t: t.update(node_counts=[t["node_counts"][0] + t["node_counts"][1],
+                                              *t["node_counts"][2:]]), "whole trees"),
+    "id_count_zero": (_column_fault("id_count", "<i4", _shift_id_count), "id_count"),
+    "id_count_negative": (_column_fault("id_count", "<i4", lambda c: c.__setitem__(0, -c[0])),
+                          "id_count"),
+    "id_count_sum": (_bytes_fault("ids", lambda b: b[:-8]), "id_count"),
+    "leaf_not_finite": (_column_fault("value", "<f8", lambda v: v.__setitem__(0, math.inf)),
+                        "must be finite"),
+    "feature_past_schema": (_column_fault("feature", "<i4", lambda f: f.__setitem__(0, 99)),
+                            "schema has"),
+    "id_out_of_order": (_column_fault("ids", "<i8", lambda i: i.__setitem__(0, -1)),
+                        "strictly increasing"),
+}
 
 
 def random_nested_tree(rng, n_leaves: int, features) -> sf.Leaf | sf.Internal:
@@ -258,6 +323,11 @@ def leaf_depths(tree, depth=0) -> list[int]:
     if isinstance(tree, sf.Leaf):
         return [depth]
     return leaf_depths(tree.negative, depth + 1) + leaf_depths(tree.positive, depth + 1)
+
+
+def tree_leaf_depths(tree: sf.Tree) -> list[int]:
+    """The depths of a ``Tree``'s leaves in node order, the root at 0."""
+    return node_depths(tree)[tree.kind == LEAF].tolist()
 
 
 def leaf_values(tree) -> list[float]:

@@ -9,7 +9,7 @@ import setforest as sf
 from setforest.cli import _KEYS, ConfigError, main, parse_config
 from setforest.model import MAX_TREE_DEPTH
 
-from helpers import one_split_document
+from helpers import COLUMN_FAULTS, forest_to_dict, one_split_document
 
 
 @pytest.fixture()
@@ -295,8 +295,9 @@ class TestModelOnLoad:
     @pytest.mark.parametrize("value", [True, False, "0.25"])
     @pytest.mark.parametrize("where", ["leaf", "threshold", "initial_score"])
     def test_number_of_another_json_type_is_two(self, tmp_path, capsys, where, value):
+        # a version 1 document, whose numbers are JSON numbers
         model, test = TestTrainPredict._mixed_csv_model(tmp_path)
-        document = json.loads(model.read_text())
+        document = forest_to_dict(sf.load_forest(model))
         if where == "initial_score":
             document["initial_score"] = value
         else:  # the first such field in the first tree that has one
@@ -335,8 +336,7 @@ class TestModelOnLoad:
 
     @pytest.mark.parametrize("fault", ["repeated_key", "trailing", "cut", "bom"])
     def test_malformed_model_text_is_two(self, trained, corpus_path, capsys, fault):
-        # a repeated top-level key loaded, its last copy read, until the
-        # reader decoded the trees one at a time
+        # a repeated key is refused: json.loads alone keeps its last copy
         model, _ = trained
         text = model.read_text(encoding="utf-8")
         text = {"repeated_key": text[:-3] + ',\n "kind": "rf"\n}\n', "trailing": text + "{}",
@@ -346,6 +346,24 @@ class TestModelOnLoad:
         err = capsys.readouterr().err
         assert "cannot load model" in err
         assert fault != "repeated_key" or "repeats the key 'kind'" in err
+
+    @pytest.mark.parametrize("fault", list(COLUMN_FAULTS))
+    def test_malformed_column_is_two(self, trained, corpus_path, capsys, fault):
+        model, document = trained
+        assert document["version"] == 2
+        COLUMN_FAULTS[fault][0](document["trees"])
+        model.write_text(json.dumps(document, indent=1), encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 2
+        assert "cannot load model" in capsys.readouterr().err
+
+    def test_version_1_model_scores_the_same(self, trained, corpus_path, capsys):
+        model, _ = trained
+        assert main(["predict", str(model), str(corpus_path)]) == 0
+        scores = capsys.readouterr().out
+        model.write_text(json.dumps(forest_to_dict(sf.load_forest(model)), indent=1),
+                         encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 0
+        assert capsys.readouterr().out == scores
 
     def test_document_nested_too_deeply_is_two(self, tmp_path, corpus_path, capsys):
         model = tmp_path / "model.json"

@@ -13,9 +13,9 @@ from setforest.evaluation import (
     summary_csv,
     summary_table,
 )
-from setforest.model import count_leaves, count_nodes, forest_to_json, leaf_depths
+from setforest.model import count_leaves, count_nodes, forest_to_json
 
-from helpers import build_complete_tree, make_vocab, random_nested_tree
+from helpers import build_complete_tree, make_vocab, random_nested_tree, tree_leaf_depths
 
 
 def brute_force_auc(scores, labels):
@@ -146,7 +146,7 @@ class TestStructureStats:
         forest = sf.DecisionForest("rf", [random_nested_tree(rng, n, features) for n in sizes],
                                    0.0, features)
         trees = forest.trees
-        avg_depth = float(np.mean([np.mean(leaf_depths(tree)) for tree in trees]))
+        avg_depth = float(np.mean([np.mean(tree_leaf_depths(tree)) for tree in trees]))
         leaves_per_tree = float(np.mean([count_leaves(tree) for tree in trees]))
         expected = sf.StructureStats(
             avg_depth, float(np.mean([count_nodes(tree) for tree in trees])), leaves_per_tree,

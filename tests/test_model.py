@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import setforest as sf
 from setforest.model import (
     MART,
     MAX_TREE_DEPTH,
+    NUMERICAL_GE,
     RF,
     aggregate,
     count_leaves,
@@ -20,7 +22,6 @@ from setforest.model import (
     forest_from_json,
     forest_nodes,
     forest_to_json,
-    leaf_depths,
     leaf_index,
     leaf_values,
     max_depth,
@@ -31,8 +32,9 @@ from setforest.inference import _negative_spans
 from setforest.training import _tree_values
 
 import helpers
-from helpers import (build_complete_tree, forest_to_dict, make_vocab, one_split_document,
-                     random_mixed_dataset, random_nested_tree, stack_trees)
+from helpers import (COLUMN_FAULTS, build_complete_tree, column, forest_to_dict, make_vocab,
+                     one_split_document, random_mixed_dataset, random_nested_tree, stack_trees,
+                     tree_leaf_depths)
 
 
 def _trained(seed=0, algorithm="rf", **kw):
@@ -85,22 +87,13 @@ class TestSerialization:
         assert forest_to_json(restored) == forest_to_json(forest_from_json(text)) == text
 
     def test_masks_serialized_as_sorted_arrays(self):
+        # each set and categorical node's ids, in the ids column, rise
         _, forest = _trained(seed=7)
-        doc = json.loads(forest_to_json(forest))
-
-        def check(node):
-            if "leaf" in node:
-                return
-            split = node["split"]
-            if split["kind"] == "set_intersects":
-                assert split["mask"] == sorted(split["mask"])
-            if split["kind"] == "category_in":
-                assert split["values"] == sorted(split["values"])
-            check(node["negative"])
-            check(node["positive"])
-
-        for tree in doc["trees"]:
-            check(tree)
+        trees = json.loads(forest_to_json(forest))["trees"]
+        ids, counts = column(trees, "ids", "<i8"), column(trees, "id_count", "<i4")
+        assert counts.sum() == len(ids) and (counts > 0).all()
+        for node in np.split(ids, np.cumsum(counts)[:-1]):
+            assert node.tolist() == sorted(set(node.tolist()))
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
@@ -167,7 +160,7 @@ class TestTreeWalkers:
         tree = _flat(build_complete_tree(3))
         assert count_leaves(tree) == 8
         assert count_nodes(tree) == 15
-        assert leaf_depths(tree) == [3] * 8
+        assert tree_leaf_depths(tree) == [3] * 8
 
     def test_tree_apply_matches_scalar_route(self):
         ds, forest = _trained(seed=2)
@@ -189,7 +182,7 @@ class TestTreeWalkers:
         forest = sf.DecisionForest(RF, [node], 0.0, [feature], {})
         tree = forest.trees[0]
         assert max_depth(tree) == MAX_TREE_DEPTH and count_nodes(tree) == 2 * MAX_TREE_DEPTH + 1
-        assert leaf_depths(tree)[-1] == MAX_TREE_DEPTH
+        assert tree_leaf_depths(tree)[-1] == MAX_TREE_DEPTH
         text = forest_to_json(forest)
         assert forest_to_json(forest_from_json(text)) == text
         ds = sf.Dataset.create([feature], [[(), (0,), (1,), (0, 1), None]], [0] * 5)
@@ -227,7 +220,7 @@ class TestTreeWalkers:
         small, tree = (_flat(t) for t in (first, root))
         assert count_leaves(tree) == helpers.count_leaves(root) == n_leaves
         assert count_nodes(tree) == helpers.count_nodes(root)
-        assert leaf_depths(tree) == helpers.leaf_depths(root)
+        assert tree_leaf_depths(tree) == helpers.leaf_depths(root)
         assert leaf_values(tree) == helpers.leaf_values(root)
         assert max_depth(tree) == helpers.max_depth(root)
         _, lo, hi = _negative_spans(*stack_trees([small, tree]))
@@ -403,7 +396,9 @@ class TestValidation:
             forest_from_dict(document)
 
     def test_non_finite_json_literal_rejected(self):
-        text = forest_to_json(sf.DecisionForest("mart", [sf.Leaf(float("nan"))], 0.0, [], {}))
+        # a version 1 document, whose leaf values are JSON numbers
+        forest = sf.DecisionForest("mart", [sf.Leaf(float("nan"))], 0.0, [], {})
+        text = json.dumps(forest_to_dict(forest), indent=1)
         assert '"leaf": NaN' in text
         with pytest.raises(ValueError, match="must be finite"):
             forest_from_json(text)
@@ -442,8 +437,13 @@ def _random_text(kind, sizes, seed) -> str:
     return forest_to_json(forest)
 
 
+def _v1_text(kind, sizes, seed) -> str:
+    """``_random_text``'s forest as a version 1 document's text."""
+    return json.dumps(forest_to_dict(forest_from_json(_random_text(kind, sizes, seed))), indent=1)
+
+
 def _outcomes(text: str) -> tuple:
-    """What the streamed reader and the whole-document read make of
+    """What the JSON reader and ``forest_from_dict(json.loads(text))`` make of
     ``text``: each the forest's model text, or its error's type and message."""
     def outcome(read):
         try:
@@ -468,27 +468,32 @@ def _relaid(text: str, layout: str, rng) -> str:
 
 
 class TestModelText:
-    """The streamed reader against ``forest_from_dict(json.loads(text))``,
-    and the writer against ``json.dumps(forest_to_dict(forest), indent=1)``."""
+    """The JSON reader against ``forest_from_dict(json.loads(text))`` on text
+    of either version in any layout, and the writer's version 2 text."""
 
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 70), max_size=5),
            seed=st.integers(0, 2**32 - 1),
-           layout=st.sampled_from(["none", "compact", "indent4", "crlf", "shuffled", "unicode"]))
-    def test_streamed_read_equals_the_whole_document_read(self, kind, sizes, seed, layout):
+           layout=st.sampled_from(["none", "compact", "indent4", "crlf", "shuffled", "unicode"]),
+           version=st.sampled_from([1, 2]))
+    def test_streamed_read_equals_the_whole_document_read(self, kind, sizes, seed, layout,
+                                                          version):
         text = _random_text(kind, sizes, seed)
-        relaid = _relaid(text, layout, np.random.default_rng(seed))
+        written = text if version == 2 else _v1_text(kind, sizes, seed)
+        relaid = _relaid(written, layout, np.random.default_rng(seed))
         assert _outcomes(relaid) == (text, text)
         assert _outcomes(" \r\n\t" + relaid + "\n \n") == (text, text)
+        assert _outcomes(relaid.encode("utf-8"))[0] == text
 
     @settings(deadline=None, max_examples=80)
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 20), max_size=3),
            seed=st.integers(0, 2**32 - 1),
            fault=st.sampled_from(["cut", "trailing", "array", "string", "number", "bom"]),
-           data=st.data())
+           version=st.sampled_from([1, 2]), data=st.data())
     def test_malformed_text_fails_as_the_whole_document_read(self, kind, sizes, seed, fault,
-                                                            data):
-        text = _relaid(_random_text(kind, sizes, seed), "shuffled", np.random.default_rng(seed))
+                                                            version, data):
+        text = _random_text(kind, sizes, seed) if version == 2 else _v1_text(kind, sizes, seed)
+        text = _relaid(text, "shuffled", np.random.default_rng(seed))
         if fault == "cut":
             text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
         elif fault == "trailing":
@@ -499,6 +504,9 @@ class TestModelText:
             text = "﻿" + text
         streamed, whole = _outcomes(text)
         assert type(whole) is tuple and streamed == whole
+        # the same bytes, a byte-order mark too, fail as well
+        with pytest.raises(ValueError):
+            forest_from_json(text.encode("utf-8"))
 
     @pytest.mark.parametrize("document", [
         lambda d: {**d, "features": d["features"][:1]},  # a split on a feature past the schema
@@ -513,13 +521,14 @@ class TestModelText:
         lambda d: {**d, "trees": 5},
         lambda d: {key: value for key, value in d.items() if key != "trees"},
         lambda d: {**d, "metadata": []},
-        lambda d: {**d, "version": 2},
+        lambda d: {**d, "version": 2},  # nested trees under version 2
     ])
     @pytest.mark.parametrize("trees_first", [False, True])
     def test_a_model_fault_is_named_as_before(self, document, trees_first):
-        # the same message with the trees before the features too: a split
-        # past the schema names the schema's feature count
-        base = json.loads(_random_text(MART, [3, 5], 1))
+        # faults of a version 1 document, named as before version 2; the same
+        # message with the trees before the features too: a split past the
+        # schema names the schema's feature count
+        base = json.loads(_v1_text(MART, [3, 5], 1))
         changed = document(base)
         if trees_first and "trees" in changed:
             changed = {"trees": changed.pop("trees"), **changed}
@@ -528,8 +537,7 @@ class TestModelText:
 
     @pytest.mark.parametrize("key", ["format", "features", "trees", "metadata", "other"])
     def test_a_repeated_top_level_key_is_refused(self, key):
-        # json.loads keeps the last copy; the streamed read has already read
-        # the first copy of the trees
+        # json.loads keeps the last copy; the reader refuses the document
         text = _random_text(RF, [4, 2], 3)
         member = f'"{key}": ' + json.dumps(json.loads(text).get(key, 1))
         text = text[:-2] + f",\n {member},\n {member}\n}}"
@@ -537,35 +545,34 @@ class TestModelText:
         with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
             forest_from_json(text)
 
-    def test_trees_are_decoded_one_at_a_time(self):
-        # each tree is decoded by the scanner on its own, never the array
-        text = _random_text(MART, [3, 1, 4], 2)
-        decoded = []
-        real = sf.model._DECODE
-
-        def decode(s, pos):
-            value, end = real(s, pos)
-            decoded.append(value)
-            return value, end
-
-        with mock.patch.object(sf.model, "_DECODE", decode):
-            assert forest_to_json(forest_from_json(text)) == text
-        trees = json.loads(text)["trees"]
-        assert [v for v in decoded if isinstance(v, dict) and ("split" in v or "leaf" in v)] \
-            == trees
-        assert not any(v == trees for v in decoded)
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("owner", ["trees", "feature", "vocabulary", "metadata"])
+    def test_a_repeated_key_is_refused_at_any_depth(self, version, owner):
+        text = _random_text(MART, [3, 2], 4) if version == 2 else _v1_text(MART, [3, 2], 4)
+        # a key of the first object of its kind, given once more ahead of it
+        opening, key = {"trees": ('"trees": {', "kind") if version == 2
+                        else ('"split": {', "feature"),
+                        "feature": ('"features": [\n  {', "name"),
+                        "vocabulary": ('"vocabulary": {', "terms"),
+                        "metadata": ('"metadata": {', "method")}[owner]
+        at = text.index(opening) + len(opening)
+        with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
+            forest_from_json(text[:at] + f'"{key}": 0, ' + text[at:])
 
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 90), max_size=6),
            seed=st.integers(0, 2**32 - 1))
     def test_writer_equals_json_dumps_of_the_document(self, kind, sizes, seed):
         forest = forest_from_json(_random_text(kind, sizes, seed))
-        assert forest_to_json(forest) == json.dumps(forest_to_dict(forest), indent=1)
+        text = forest_to_json(forest)
+        assert text == json.dumps(json.loads(text), indent=1)
+        assert json.loads(text)["version"] == 2
 
     def test_writer_on_hand_built_numbers(self):
-        # floats json writes by repr: signed zero, the least subnormal,
-        # 1e16 and integral floats; NaN and infinities as json's literals; a
-        # mask without ids; a feature and metadata key named "trees"
+        # floats a column keeps bit for bit: signed zero, the least
+        # subnormal, 1e16 and integral floats, NaN and infinities (which a
+        # read refuses); a mask without ids; a feature and metadata key named
+        # "trees"
         features = [sf.Feature("trees", sf.FeatureType.NUMERICAL),
                     sf.Feature("ключ", sf.FeatureType.CATEGORICAL_SET,
                                make_vocab(["ü", "日本", "\n", '"']))]
@@ -578,36 +585,163 @@ class TestModelText:
         forest = sf.DecisionForest(MART, trees, -0.0, features,
                                    {"trees": [], "note": "\n \"trees\": []"})
         text = forest_to_json(forest)
-        assert text == json.dumps(forest_to_dict(forest), indent=1)
-        assert '"leaf": 5e-324' in text and '"threshold": -0.0' in text and '"mask": []' in text
+        assert text == json.dumps(json.loads(text), indent=1)
+        document = json.loads(text)
+        columns = document["trees"]
+        assert document["initial_score"] == 0.0 and math.copysign(1, document["initial_score"]) < 0
+        assert columns["node_counts"] == [13, 1, 3]
+        assert column(columns, "threshold", "<f8").tobytes() == \
+            np.array([0.1, -1e16, 1e-300, 2.0, -0.0]).tobytes()
+        # the leaves in preorder: each split's negative subtree first
+        assert column(columns, "value", "<f8").tobytes() == np.array(
+            [-0.0, 5e-324, 1e16, -3.0, math.nan, math.inf, -math.inf, 1.0, 0.0, -1e-310]
+        ).tobytes()
+        assert column(columns, "id_count", "<i4").tolist() == [2, 0]
+        assert column(columns, "ids", "<i8").tolist() == [0, 3]
+        assert column(columns, "feature", "<i4").tolist() == [0, 0, 0, 0, 0, 1, 1]
         no_trees = sf.DecisionForest(MART, [], 2.0, features, {})
-        assert forest_to_json(no_trees) == json.dumps(forest_to_dict(no_trees), indent=1)
+        empty = json.loads(forest_to_json(no_trees))["trees"]
+        assert empty == {"node_counts": [], "kind": "", "feature": "", "threshold": "",
+                         "value": "", "id_count": "", "ids": ""}
+        assert forest_from_json(forest_to_json(no_trees)).trees == []
 
     def test_writer_reaches_the_depth_bound(self):
         node = sf.Leaf(0.5)
         for depth in range(MAX_TREE_DEPTH):
             node = sf.Internal(sf.NumericalGE(0, float(depth)), node, sf.Leaf(depth / 7))
         forest = sf.DecisionForest(RF, [node], 0.0, TEXT_FEATURES[:1])
-        assert forest_to_json(forest) == json.dumps(forest_to_dict(forest), indent=1)
+        loaded = forest_from_json(forest_to_json(forest))
+        assert loaded.nodes == forest.nodes
+        assert forest_from_dict(forest_to_dict(forest)).nodes == forest.nodes
 
-    def test_load_peaks_below_the_whole_document(self, tmp_path):
-        # the streamed read, text included, holds less than json.loads'
-        # document of the same text alone
+    @pytest.mark.parametrize("algorithm", ["rf", "mart"])
+    def test_load_peaks_below_the_compile(self, tmp_path, algorithm):
+        # the load frees the model's text, its document and the decoded
+        # columns before it checks the trees, so its peak stays below the
+        # compile's that follows: the compile, not the load, sets the peak
+        # of loading and compiling a model
         tokens, labels = sf.planted_keyword_corpus(n=2000, vocab_terms=400, signal_terms=10,
                                                    seed=1)
         vocab = sf.build_vocabulary(tokens, max_size=5000, min_frequency=2)
         ds = sf.dataset_from_token_sets(tokens, vocab, labels)
-        forest = sf.train_random_forest(ds, sf.TrainConfig.random_forest(num_trees=10, seed=1))
+        config = (sf.TrainConfig.random_forest(num_trees=10, seed=1) if algorithm == "rf"
+                  else sf.TrainConfig.mart(num_trees=20, seed=1))
         path = tmp_path / "model.json"
-        sf.save_forest(forest, path)
-        text = path.read_text(encoding="utf-8")
+        sf.save_forest(sf.train(ds, config), path)
+        # both peaks counted from before the load
+        gc.collect()
+        tracemalloc.start()
+        try:
+            forest = sf.load_forest(path)
+            load = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sf.compile_forest(forest)
+            assert load < tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(read):
-            tracemalloc.start()
-            try:
-                read()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-        assert peak(lambda: sf.load_forest(path)) < peak(lambda: json.loads(text))
+# thresholds a column keeps bit for bit, and max-hash categorical values,
+# which take 63 bits and have no vocabulary
+EDGE_THRESHOLDS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5, -1e16)
+HASHED = (0, 7, 2**62 + 1, 2**63 - 2, 2**63 - 1)
+EDGE_FEATURES = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                 sf.Feature("h", sf.FeatureType.CATEGORICAL, None),
+                 sf.Feature("c", sf.FeatureType.CATEGORICAL, make_vocab("uvwz")),
+                 sf.Feature("s", sf.FeatureType.CATEGORICAL_SET, make_vocab("abcdefgh"))]
+
+
+def _edge_condition(rng):
+    f = int(rng.integers(len(EDGE_FEATURES)))
+    if f == 0:
+        return sf.NumericalGE(0, float(rng.choice(EDGE_THRESHOLDS)))
+    pool = HASHED if f == 1 else range(len(EDGE_FEATURES[f].vocabulary))
+    ids = sorted(set(rng.choice(pool, size=int(rng.integers(1, 4))).tolist()))
+    return sf.SetIntersects(f, tuple(ids)) if f == 3 else sf.CategoryIn(f, frozenset(ids))
+
+
+def _edge_tree(rng, n_leaves: int):
+    if n_leaves == 1:
+        return sf.Leaf(float(rng.choice([rng.normal(), -0.0, 5e-324, -1e-310])))
+    k = int(rng.integers(1, n_leaves))
+    return sf.Internal(_edge_condition(rng), _edge_tree(rng, k), _edge_tree(rng, n_leaves - k))
+
+
+def _edge_chain(rng):
+    """A tree ``MAX_TREE_DEPTH`` splits deep, down alternating sides."""
+    node = sf.Leaf(-1.0)
+    for depth in range(MAX_TREE_DEPTH):
+        leaf = sf.Leaf(depth / 1000)
+        node = sf.Internal(_edge_condition(rng), *((leaf, node) if depth % 2 else (node, leaf)))
+    return node
+
+
+def _edge_rows(rng, n: int) -> sf.Dataset:
+    """Rows at and beside every edge threshold and key, and missing values."""
+    x = np.array(EDGE_THRESHOLDS + (math.nan, math.inf, -math.inf, 1e-320, -2.0, 3.0))
+    hashed = np.array(HASHED + (3, sf.MISSING_CATEGORY), dtype=np.int64)
+    columns = [x[rng.integers(len(x), size=n)], hashed[rng.integers(len(hashed), size=n)],
+               rng.integers(-1, 4, size=n),
+               [None if u < 0.1 else tuple(sorted(set(rng.integers(0, 8, size=3).tolist())))
+                for u in rng.random(n)]]
+    return sf.Dataset.create(EDGE_FEATURES, columns, np.zeros(n, dtype=np.int64))
+
+
+def _bits(forest, ds) -> tuple[bytes, bytes]:
+    """The forest's batch scores and per-row compiled scores, as bytes."""
+    compiled = sf.compile_forest(forest)
+    rows = np.array([sf.predict_compiled(compiled, row) for row in ds.rows()])
+    return sf.predict_dataset(compiled, ds).tobytes(), rows.tobytes()
+
+
+class TestFormatVersion2:
+    """Version 2 documents: flat base64 columns, read without a walk over
+    nodes, and version 1 documents read into the same arrays."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 140), max_size=4),
+           chain=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(kind=RF, sizes=[65, 1, 64], chain=True, seed=0)
+    def test_round_trip_is_bit_exact(self, kind, sizes, chain, seed):
+        # trees of one leaf to more than 64 (two compiled words), and a chain
+        # at the depth bound
+        rng = np.random.default_rng(seed)
+        trees = [_edge_tree(rng, n) for n in sizes] + ([_edge_chain(rng)] if chain else [])
+        trees = trees or ([sf.Leaf(0.5)] if kind == RF else [])
+        forest = sf.DecisionForest(kind, trees, -0.0 if kind == MART else 0.0, EDGE_FEATURES,
+                                   {"seed": seed})
+        text = forest_to_json(forest)
+        loaded = forest_from_json(text)
+        assert loaded.nodes == forest.nodes
+        assert loaded.starts.tobytes() == forest.starts.tobytes()
+        assert forest_to_json(loaded) == text
+        ds = _edge_rows(rng, 40)
+        assert _bits(loaded, ds) == _bits(forest, ds)
+
+    @pytest.mark.parametrize("fault", list(COLUMN_FAULTS))
+    def test_a_malformed_column_is_refused(self, fault):
+        change, message = COLUMN_FAULTS[fault]
+        _, forest = _trained(seed=6)
+        assert len(forest.trees) > 1 and (forest.nodes.kind == NUMERICAL_GE).any()
+        document = json.loads(forest_to_json(forest))
+        forest_from_dict(document)
+        change(document["trees"])
+        with pytest.raises(ValueError, match=message):
+            forest_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("algorithm", ["rf", "mart"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_version_1_reads_into_the_same_arrays(self, algorithm, seed):
+        _, forest = _trained(seed=seed, algorithm=algorithm)
+        v1, v2 = forest_from_dict(forest_to_dict(forest)), forest_from_json(forest_to_json(forest))
+        assert v1.nodes == v2.nodes == forest.nodes
+        assert v1.starts.tobytes() == v2.starts.tobytes() == forest.starts.tobytes()
+        assert forest_to_json(v1) == forest_to_json(forest)
+
+    def test_no_node_is_walked(self):
+        # version 2 is read in array passes; only version 1 walks its nodes
+        _, forest = _trained(seed=8, algorithm="mart")
+        with mock.patch.object(sf.model, "_parse_trees", side_effect=AssertionError):
+            assert forest_from_json(forest_to_json(forest)).nodes == forest.nodes
+            with pytest.raises(AssertionError):
+                forest_from_dict(forest_to_dict(forest))
