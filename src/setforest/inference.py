@@ -33,16 +33,18 @@ every node that holds on it, one per slot: one ``np.bitwise_and.at`` pass
 ANDs every such key's node masks into one (keys, slots) array, whose words
 that are not all ones are the entries; each of its rows is also kept as one
 Python int over all slots, slot ``s`` at bits ``64 * s`` to ``64 * s + 63``.
-A numerical key's entries are one per node and word, and its row ``k``
-stands for the AND of the entries of every key row up to ``k``: a value
-reaches row ``searchsorted(keys, value, "right")``, row 0 below the lowest
-threshold. Its table keeps one entry per node; for the row path it also
-packs every ``stride``-th of its rows from row 0, as ints like a term's,
-with the stride the least that keeps them within ``_GATHER_BYTES`` (1 while
-thresholds x slots words fit), so they never grow as thresholds x slots.
-The same ``np.bitwise_and.at`` pass ANDs each numerical entry into the
-first packed row at or above its own (entries past the last packed row go
-to a spare row that is not packed), an AND down each table's packed rows
+AND does not depend on order, so a node's ids need only their rows, which a
+rank table over each feature's vocabulary gives with no sort
+(``_keyed_rows``). A numerical key's entries are one per node and word, and
+its row ``k`` stands for the AND of the entries of every key row up to
+``k``: a value reaches row ``searchsorted(keys, value, "right")``, row 0
+below the lowest threshold. Its table keeps one entry per node; for the row
+path it also packs every ``stride``-th of its rows from row 0, as ints like
+a term's, with the stride the least that keeps them within ``_GATHER_BYTES``
+(1 while thresholds x slots words fit), so they never grow as thresholds x
+slots. A second ``np.bitwise_and.at`` pass ANDs each numerical entry into
+the first packed row at or above its own (entries past the last packed row
+go to a spare row that is not packed), an AND down each table's packed rows
 then makes them cumulative, and one ``int.from_bytes`` pass packs the rows
 of every table.
 
@@ -193,14 +195,9 @@ def _negative_spans(nodes: Tree, starts: np.ndarray):
 
 
 def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndarray):
-    """Every node's entries of a ``forest_nodes`` forest, in key rows: each
-    (feature, key) pair's key and feature, ascending, terms' and categories'
-    first; the offsets of the pairs' entries, pairs + 1 of them; the
-    entries' slots and masks; how many entries are terms' and categories';
-    and the thresholds that a numerical pair's key ranks. A temporary as
-    long as the entries is held in its narrowest dtype, and freed once used."""
-    # one entry per (internal node, word in which the node clears leaves): the
-    # word's leaves minus the node's negative span [lo, hi)
+    """One entry per (internal node, word in which the node clears leaves) of
+    a ``forest_nodes`` forest, by node, then word: its node, slot and mask,
+    the word's leaves minus the node's negative span [lo, hi)."""
     internal, lo, hi = _negative_spans(nodes, starts)
     span = (hi - 1) // 64 - lo // 64 + 1
     node = np.repeat(np.arange(len(lo)), span)
@@ -209,44 +206,60 @@ def _entries(nodes: Tree, starts: np.ndarray, words: int, default_masks: np.ndar
     count = np.minimum(hi[node] - 64 * word, 64) - begin
     slots = (np.searchsorted(starts, internal, side="right") - 1)[node] * words + word
     masks = default_masks[slots] ^ (_low_bits(count) << begin.astype(np.uint64))
-    internal = internal[node]
-    del lo, hi, span, node, word, begin, count
+    return internal[node], slots, masks
 
-    # every entry once per key of its node: a set or categorical node's ids,
-    # a numerical node's threshold (none when it is NaN: the node never
-    # holds) as its rank among the thresholds; ``entry`` names the (node,
-    # word) entry each one repeats
-    id_count = np.diff(nodes.id_ends, prepend=0)[internal]
-    threshold = nodes.threshold[internal]
-    numerical = np.flatnonzero(threshold == threshold)
-    thresholds, threshold_rank = np.unique(threshold[numerical], return_inverse=True)
-    key = np.concatenate((nodes.ids[_ranges(nodes.id_ends[internal] - id_count, id_count)],
-                          threshold_rank))
-    n_keyed = len(key) - len(numerical)
-    narrow = np.min_scalar_type(len(slots))
-    entry = np.concatenate((np.repeat(np.arange(len(slots), dtype=narrow), id_count),
-                            numerical.astype(narrow)))
-    # each entry's feature as its rank, numerical features last, so that the
-    # terms' and categories' pairs sort first
-    feature = nodes.feature[internal]
-    is_numerical = np.zeros(feature.max(initial=0) + 1, dtype=bool)
-    is_numerical[feature[numerical]] = True
-    by_rank = np.argsort(is_numerical, kind="stable")
-    rank = np.empty(len(by_rank), dtype=np.min_scalar_type(len(by_rank)))
-    rank[by_rank] = np.arange(len(by_rank))
-    feature = rank[feature][entry]
-    del internal, id_count, threshold, numerical, threshold_rank
-    # entries sort by their pair, the key cast to its narrowest dtype
-    # (lexsort radix-sorts up to 16 bits), and keep their node order in it
-    order = np.lexsort([key.astype(np.min_scalar_type(key.max(initial=0)), copy=False), feature])
-    key = key[order]
-    feature = feature[order]
-    entry = entry[order]
-    del order
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = (key[1:] != key[:-1]) | (feature[1:] != feature[:-1])
-    return (key[new], by_rank[feature[new]], np.append(np.flatnonzero(new), len(key)),
-            slots[entry], masks[entry], n_keyed, thresholds)
+
+def _keyed_rows(features: list[Feature], node_feature: np.ndarray, counts: np.ndarray,
+                ids: np.ndarray):
+    """The rows of the (feature, id) pairs of set and categorical nodes, by
+    feature, then id, from each node's feature and id count and every id:
+    each id's row, and each row's id and feature. AND does not depend on
+    order, so no id is sorted where its feature has a vocabulary: every
+    feature owns a block of one rank table, laid out feature after feature,
+    as long as its vocabulary; each pair marks its id's place, and the
+    running count of marks is its row. A feature without a vocabulary
+    (max-hash values reach 2**63 - 1), or with an id outside it, sorts its
+    ids instead, and its block holds one place per distinct id."""
+    held = np.flatnonzero(counts)
+    feature = np.repeat(node_feature[held], counts[held])  # each id's
+    size = np.zeros(len(features), dtype=np.int64)  # each vocabulary's, 0 without one
+    used = np.flatnonzero(np.bincount(node_feature[held], minlength=len(features))).tolist()
+    size[used] = [len(features[f].vocabulary or ()) for f in used]
+    # a feature with an id at or past its vocabulary's size, or below 0 (as
+    # unsigned), sorts its ids
+    sorts = np.zeros(len(features), dtype=bool)
+    sorts[feature[ids.view(np.uint64) >= size.view(np.uint64)[feature]]] = True
+    # the sorted ids, by feature, then id, and each one's place in its block
+    # among its feature's distinct ids
+    by_sort = np.flatnonzero(sorts[feature]) if sorts.any() else np.empty(0, dtype=np.intp)
+    by_sort = by_sort[np.lexsort((ids[by_sort], feature[by_sort]))]
+    sorted_feature = feature[by_sort]
+    new = np.ones(len(by_sort), dtype=bool)
+    new[1:] = (ids[by_sort[1:]] != ids[by_sort[:-1]]) | (sorted_feature[1:] != sorted_feature[:-1])
+    distinct = np.bincount(sorted_feature[new], minlength=len(features))
+    local = np.cumsum(new) - 1 - (np.cumsum(distinct) - distinct)[sorted_feature]
+    size[sorts] = distinct[sorts]
+    ends = np.cumsum(size)
+    block = ends - size
+    # every id's place: its block's first place plus the id itself, or its
+    # place among the distinct ids for a sorted one
+    place = block[feature]
+    place += ids
+    place[by_sort] = block[sorted_feature] + local
+    marked = np.zeros(int(ends[-1]) if len(ends) else 0, dtype=bool)
+    marked[place] = True
+    pair_place = np.flatnonzero(marked)
+    pair_feature = ends.searchsorted(pair_place, "right")
+    pair_key = pair_place - block[pair_feature]
+    rank = np.cumsum(marked) - 1
+    pair_key[rank[place[by_sort[new]]]] = ids[by_sort[new]]
+    return rank[place], pair_key, pair_feature
+
+
+def _spans(pair_feature: np.ndarray) -> list[tuple[int, int]]:
+    """The [begin, end) of each feature's pairs, in pair order."""
+    first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
+    return list(zip(first, [*first[1:], len(pair_feature)]))
 
 
 def compile_forest(forest: DecisionForest) -> CompiledForest:
@@ -260,38 +273,59 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
         nodes.value[is_leaf]
     default_masks = _low_bits(np.clip(num_leaves[:, None] - 64 * np.arange(words), 0, 64).ravel())
     n_slots = len(default_masks)
+    node, slots, masks = _entries(nodes, starts, words, default_masks)
 
-    pair_key, pair_feature, bounds, slots, masks, n_keyed, thresholds = _entries(
-        nodes, starts, words, default_masks)
-    n_rows = int(bounds.searchsorted(n_keyed))  # the terms' and categories' pairs
-    first = np.flatnonzero(np.diff(pair_feature, prepend=-1)).tolist()
-    spans = list(zip(first, [*first[1:], len(pair_key)]))  # one feature's pairs each
-    # each pair's row of one (rows, slots) array: a term's or category's own;
-    # a numerical key row's first packed row at or above it or, past its
-    # table's last packed row, the spare last row, which is not packed (see
-    # the module docstring)
+    # a set or categorical node's entries, once per id of the node, each
+    # into the table row of its (feature, id) pair
+    counts = np.diff(nodes.id_ends, prepend=0)
+    keyed_at, pair_key, pair_feature = _keyed_rows(forest.features, nodes.feature, counts,
+                                                   nodes.ids)
+    n_rows = len(pair_key)
+    id_count = counts[node]
+    if words > 1:  # a node with entries in several words repeats its ids for each
+        keyed_at = keyed_at[_ranges(nodes.id_ends[node] - id_count, id_count)]
+    keyed_at *= n_slots
+    keyed_at += slots.repeat(id_count)
+    keyed_masks = masks.repeat(id_count)
+    del counts, id_count
+    # a numerical node's entries (none when its threshold is NaN: the node
+    # never holds), ordered by feature, then threshold, keeping node order:
+    # each (feature, threshold) pair's threshold as its rank among them all
+    threshold = nodes.threshold[node]
+    numerical = np.flatnonzero(threshold == threshold)
+    thresholds, rank = np.unique(threshold[numerical], return_inverse=True)
+    feature = nodes.feature[node[numerical]]
+    order = np.lexsort((rank, feature))
+    rank, feature, numerical = rank[order], feature[order], numerical[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (rank[1:] != rank[:-1]) | (feature[1:] != feature[:-1])
+    threshold_rank, threshold_feature = rank[new], feature[new]
+    bounds = np.append(np.flatnonzero(new), len(order))
+    slots, masks = slots[numerical], masks[numerical]
+    del nodes, is_leaf, node, threshold, numerical, rank, feature, order, new
+
+    # each numerical pair's row of the same table: its first packed row at or
+    # above it or, past its table's last packed row, the spare last row,
+    # which is not packed (see the module docstring)
     budget_rows = max(1, _GATHER_BYTES // (_WORD.itemsize * max(n_slots, 1)))
-    pair_row = np.arange(len(pair_key))
-    numerical = {}  # by a numerical feature's first pair: its packed rows and stride
+    threshold_row = np.empty(len(threshold_rank), dtype=np.int64)
+    packing = []  # per numerical feature: its pairs [p, q), packed rows [b, e) and stride
     n_packed = n_rows
-    for p, q in spans:
-        if p >= n_rows:
-            stride = -(-(q - p + 1) // budget_rows)
-            checkpoint = -(-np.arange(1, q - p + 1) // stride)
-            pair_row[p:q] = np.where(checkpoint <= (q - p) // stride, n_packed + checkpoint, -1)
-            numerical[p] = (n_packed, n_packed + (q - p) // stride + 1, stride)
-            n_packed = numerical[p][1]
-    # every such row in one pass: the AND of its entries; a numerical table's
-    # rows then AND down, so each also holds the entries of every row below
-    pair_row[pair_row < 0] = n_packed  # the spare row
+    for p, q in _spans(threshold_feature):
+        stride = -(-(q - p + 1) // budget_rows)
+        checkpoint = -(-np.arange(1, q - p + 1) // stride)
+        threshold_row[p:q] = np.where(checkpoint <= (q - p) // stride, n_packed + checkpoint, -1)
+        packing.append((p, q, n_packed, n_packed + (q - p) // stride + 1, stride))
+        n_packed = packing[-1][3]
+    threshold_row[threshold_row < 0] = n_packed  # the spare row
+    # every row: the AND of its entries; a numerical table's rows then AND
+    # down, so each also holds the entries of every row below
     table = np.full((n_packed + 1, n_slots), _ALL, dtype=_WORD)
-    at = np.repeat(pair_row * n_slots, np.diff(bounds))
-    del pair_row
-    at += slots
-    np.bitwise_and.at(table.reshape(-1), at, masks)
-    del at
-    slots, masks = slots[n_keyed:].copy(), masks[n_keyed:].copy()  # the numerical entries
-    for b, e, _ in numerical.values():
+    np.bitwise_and.at(table.reshape(-1), keyed_at, keyed_masks)
+    del keyed_at, keyed_masks
+    np.bitwise_and.at(table.reshape(-1),
+                      np.repeat(threshold_row * n_slots, np.diff(bounds)) + slots, masks)
+    for _, _, b, e, _ in packing:
         np.bitwise_and.accumulate(table[b:e], axis=0, out=table[b:e])
     # a term's or category's words that are not all ones are its combined entries
     combined = np.flatnonzero(table[:n_rows] != _ALL)  # by row, then slot
@@ -307,20 +341,18 @@ def compile_forest(forest: DecisionForest) -> CompiledForest:
     packed = list(map(int.from_bytes, rows, repeat("little")))
     del rows
     tables = {}
-    for p, q in spans:
-        if p in numerical:  # a numerical feature keeps its entries in threshold order
-            b, e, stride = numerical[p]
-            table_keys = thresholds[pair_key[p:q]]
-            lo, hi = bounds[p] - n_keyed, bounds[q] - n_keyed
-            tables[int(pair_feature[p])] = MaskTable(
-                table_keys, bounds[p:q + 1] - bounds[p], slots[lo:hi], masks[lo:hi], n_slots,
-                True, (table_keys.tolist(), packed[b:e], stride))
-            continue
+    for p, q in _spans(pair_feature):
         ends = combined_ends[p:q + 1]
         tables[int(pair_feature[p])] = MaskTable(
             pair_key[p:q], ends - ends[0], combined_slots[ends[0]:ends[-1]],
             combined_masks[ends[0]:ends[-1]], n_slots, False,
             dict(zip(pair_key[p:q].tolist(), packed[p:q])))
+    for p, q, b, e, stride in packing:  # a numerical feature keeps its entries in threshold order
+        table_keys = thresholds[threshold_rank[p:q]]
+        lo, hi = bounds[p], bounds[q]
+        tables[int(threshold_feature[p])] = MaskTable(
+            table_keys, bounds[p:q + 1] - lo, slots[lo:hi], masks[lo:hi], n_slots, True,
+            (table_keys.tolist(), packed[b:e], stride))
 
     return CompiledForest(
         kind=forest.kind, initial_score=forest.initial_score, num_trees=num_trees,

@@ -15,19 +15,26 @@ probability in each leaf and predict the mean over trees; boosted ("mart")
 forests store additive scores with shrinkage already multiplied in and
 predict the sigmoid of initial_score plus the sum over trees.
 
-Model JSON version 2 holds the nodes as flat columns in preorder, each the
+Model JSON version 3 holds the nodes as flat columns in preorder, each the
 base64 of a fixed little-endian dtype (``_COLUMNS``): every node's ``kind``
 (int8), each internal node's ``feature`` (int32), each ``numerical_ge``
 node's ``threshold`` (float64), each leaf's ``value`` (float64), each set
-and categorical node's ``id_count`` (int32), and their ``ids`` (int64: a
-max-hash categorical value takes 63 bits), with each tree's node count. The
-other arrays are derived, not stored: positive children from the kinds
+and categorical node's ``id_count`` (int32), and their ``ids``, with each
+tree's node count. The ``ids`` take the narrowest of ``<u2``, ``<u4`` and
+``<i8`` that holds every id of the document, named in ``ids_dtype``: term
+ids fit 16 or 32 bits, a max-hash categorical value may take 63. The writer
+picks the width by this rule alone; the reader takes exactly those three.
+The other arrays are derived, not stored: positive children from the kinds
 (``_read_columns``), id ends from the counts, and the NaN thresholds, zero
 inner values and -1 features. So a load is ``json.loads`` of a small
 document, one ``np.frombuffer`` per column and array checks, with no walk
-over nodes. Version 1, one nested object per node, is still read but no
-longer written. Either version's reader refuses a key repeated in any
-object.
+over nodes. Versions 1 (one nested object per node) and 2 (version 3's
+columns, ``ids`` always ``<i8`` and not named) are still read but no longer
+written. Every version's reader refuses a key repeated in any object.
+
+A tree of depth d holds at least 2d + 1 nodes, so only a tree of more than
+``2 * MAX_TREE_DEPTH + 1`` nodes can be deeper than ``MAX_TREE_DEPTH``: the
+load walks the depths of those trees alone.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .conditions import CategoryIn, NumericalGE, SetIntersects, SplitCondition, 
 from .dataset import Feature, FeatureType
 
 MODEL_FORMAT = "setforest-model"
-MODEL_VERSION = 2  # the version written; version 1 is still read
+MODEL_VERSION = 3  # the version written; versions 1 and 2 are still read
 
 RF = "rf"
 MART = "mart"
@@ -52,10 +59,13 @@ MART = "mart"
 # the deepest tree trained or loaded, root at depth 0. No tree walk recurses,
 # but the grower does, once per level, and so does json's scanner on each
 # nested tree of a version 1 document; this leaves them room under Python's
-# default recursion limit. A version 2 document nests no trees, but the
-# bound holds for every model, so that any model loaded can be grown and
-# written as version 1 too
+# default recursion limit. A document of columns (versions 2 and 3) nests no
+# trees, but the bound holds for every model, so that any model loaded can be
+# grown and written as version 1 too
 MAX_TREE_DEPTH = 512
+# a tree d levels deep holds 2d + 1 nodes at least, so a tree of at most this
+# many nodes is never deeper than MAX_TREE_DEPTH
+_SHALLOW_NODES = 2 * MAX_TREE_DEPTH + 1
 
 # a node's kind: a leaf, or the kind of its condition, named as in model JSON
 LEAF, NUMERICAL_GE, CATEGORY_IN, SET_INTERSECTS = range(4)
@@ -65,9 +75,11 @@ _KIND_OF_TYPE = {FeatureType.NUMERICAL: NUMERICAL_GE, FeatureType.CATEGORICAL: C
                  FeatureType.CATEGORICAL_SET: SET_INTERSECTS}
 _UNBOUNDED = np.iinfo(np.int64).max
 _NOT_FINITE = "thresholds, leaf values and the initial score must be finite numbers"
-# the version 2 columns, in the order written, and their dtypes
+# the columns of versions 2 and 3, in the order written, and their dtypes;
+# version 3 writes ``ids`` in the first of ``_ID_DTYPES`` that holds them all
 _COLUMNS = {"kind": "<i1", "feature": "<i4", "threshold": "<f8", "value": "<f8",
             "id_count": "<i4", "ids": "<i8"}
+_ID_DTYPES = ("<u2", "<u4", "<i8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,9 +334,10 @@ def _check_trees(forest: DecisionForest) -> None:
     its nodes: every split's feature in the schema and of its kind's type,
     every id list non-empty, strictly increasing and inside its feature's
     vocabulary (any non-negative int where there is none), finite thresholds
-    and leaf values, and no leaf deeper than ``MAX_TREE_DEPTH``. Raises
-    ``ValueError`` naming the first bad node."""
-    nodes, features = forest_nodes(forest), forest.features
+    and leaf values, and no leaf deeper than ``MAX_TREE_DEPTH``, walked only
+    in the trees of more than ``_SHALLOW_NODES`` nodes. Raises
+    ``ValueError`` naming the first bad node, or the tree too deep."""
+    nodes, features, sizes = forest.nodes, forest.features, np.diff(forest.starts)
     inner = np.flatnonzero(nodes.kind != LEAF)
     kind, feature = nodes.kind[inner], nodes.feature[inner]
     # a feature past the schema reads the LEAF at the end, which no split is
@@ -336,7 +349,8 @@ def _check_trees(forest: DecisionForest) -> None:
         raise ValueError(f"{name} split on {features[f].ftype.value} feature {f}"
                          if known[bad[0]] else f"{name} split on feature {f}, "
                          f"but the schema has {len(features)} features")
-    ends, ids = nodes.id_ends, nodes.ids
+    # id ends counted across the forest
+    ends, ids = nodes.id_ends + np.repeat(forest.id_starts[:-1], sizes), nodes.ids
     counts = np.diff(ends, prepend=0)
     firsts = ends - counts
     # a node's ids rise from at least 0 to at most its feature's largest id
@@ -356,8 +370,9 @@ def _check_trees(forest: DecisionForest) -> None:
     if not (np.isfinite(nodes.value[nodes.kind == LEAF]).all()
             and np.isfinite(nodes.threshold[nodes.kind == NUMERICAL_GE]).all()):
         raise ValueError(_NOT_FINITE)
-    if node_depths(nodes).max(initial=0) > MAX_TREE_DEPTH:
-        raise ValueError(f"a tree is deeper than {MAX_TREE_DEPTH}")
+    for t in np.flatnonzero(sizes > _SHALLOW_NODES).tolist():
+        if node_depths(forest.trees[t]).max() > MAX_TREE_DEPTH:
+            raise ValueError(f"tree {t} is deeper than {MAX_TREE_DEPTH}")
 
 
 def _tree_cumsum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -367,11 +382,13 @@ def _tree_cumsum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return total - np.repeat(np.append(0, total)[starts[:-1]], np.diff(starts))
 
 
-def _column(trees: dict, name: str, size: int | None = None) -> np.ndarray:
-    """Column ``name`` of a version 2 ``trees`` object, the base64 of its
-    little-endian dtype, as a native array of ``size`` items (any number if
-    None); the decoded bytes are freed once copied."""
-    dtype, text = np.dtype(_COLUMNS[name]), trees[name]
+def _column(trees: dict, name: str, size: int | None = None,
+            dtype: str | None = None) -> np.ndarray:
+    """Column ``name`` of a ``trees`` object of version 2 or 3, the base64 of
+    little-endian ``dtype`` (its ``_COLUMNS`` dtype if None), as a native
+    array of ``size`` items (any number if None); the decoded bytes are
+    freed once copied."""
+    dtype, text = np.dtype(dtype or _COLUMNS[name]), trees[name]
     if type(text) is not str:
         raise ValueError(f"column {name!r} must be a base64 string")
     try:
@@ -386,10 +403,11 @@ def _column(trees: dict, name: str, size: int | None = None) -> np.ndarray:
     return column.astype(dtype.newbyteorder("="))
 
 
-def _read_columns(trees: dict) -> tuple[Tree, np.ndarray]:
-    """The node arrays of a version 2 ``trees`` object, and each tree's first
-    node followed by the node count. Checks each column's length and the
-    trees' shape; ``_check_trees`` checks the values.
+def _read_columns(trees: dict, version: int) -> tuple[Tree, np.ndarray]:
+    """The node arrays of a ``trees`` object of version 2 or 3, and each
+    tree's first node followed by the node count. Checks each column's length
+    and the trees' shape and the ids' dtype; ``_check_trees`` checks the
+    values.
 
     ``open`` counts the subtrees still to read in a tree: 1 before its root,
     one more after an internal node, one less after a leaf. A preorder tree
@@ -410,7 +428,11 @@ def _read_columns(trees: dict) -> tuple[Tree, np.ndarray]:
     threshold[numerical] = _column(trees, "threshold", np.count_nonzero(numerical))
     value = np.zeros(n)
     value[leaf] = _column(trees, "value", n - len(inner))
-    id_count, ids = _column(trees, "id_count", np.count_nonzero(listed)), _column(trees, "ids")
+    ids_dtype = trees["ids_dtype"] if version == MODEL_VERSION else _COLUMNS["ids"]
+    if ids_dtype not in _ID_DTYPES:
+        raise ValueError(f"ids_dtype must be one of {', '.join(_ID_DTYPES)}, not {ids_dtype!r}")
+    id_count = _column(trees, "id_count", np.count_nonzero(listed))
+    ids = _column(trees, "ids", dtype=ids_dtype).astype(np.int64, copy=False)
     if (id_count <= 0).any() or id_count.sum(dtype=np.int64) != len(ids):
         raise ValueError(f"id_count must be positive and sum to the {len(ids)} ids")
     starts = np.cumsum([0, *counts], dtype=np.int64)
@@ -435,12 +457,12 @@ def _read_columns(trees: dict) -> tuple[Tree, np.ndarray]:
 
 
 def _parse(data) -> DecisionForest:
-    """The forest of model document ``data`` of either version, every member
-    checked but its trees' values (``_check_trees``)."""
+    """The forest of model document ``data`` of any version read, every
+    member checked but its trees' values (``_check_trees``)."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a setforest model document")
     version = data.get("version")
-    if version not in (1, MODEL_VERSION):
+    if version not in (1, 2, MODEL_VERSION):
         raise ValueError(f"unsupported model version {version!r}")
     if data.get("kind") not in (RF, MART):
         raise ValueError(f"unknown forest kind {data.get('kind')!r}")
@@ -450,7 +472,7 @@ def _parse(data) -> DecisionForest:
         features = [Feature.from_dict(f) for f in data["features"]]
         initial_score = data["initial_score"]
         finite = type(initial_score) in (int, float) and math.isfinite(initial_score)
-        nodes, starts = (_read_columns(data["trees"]) if version == MODEL_VERSION
+        nodes, starts = (_read_columns(data["trees"], version) if version > 1
                          else _parse_trees(data["trees"], len(features)))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from None
@@ -463,7 +485,7 @@ def _parse(data) -> DecisionForest:
 
 
 def forest_from_dict(data: dict) -> DecisionForest:
-    """Parse a model document of either version, validating it against its
+    """Parse a model document of any version read, validating it against its
     own schema: an object of the format and version, the forest kind, every
     tree (``_read_columns`` or ``_parse_trees``, then ``_check_trees``) and
     at least one for a random forest, a finite number for the initial score,
@@ -475,17 +497,22 @@ def forest_from_dict(data: dict) -> DecisionForest:
 
 
 def forest_to_json(forest: DecisionForest) -> str:
-    """Canonical JSON text of the version 2 model document,
-    ``json.dumps(indent=1)``. Serialising the same forest twice is
-    byte-identical, and serialise -> parse -> serialise is the identity."""
-    nodes, kind = forest.nodes, forest.nodes.kind
+    """Canonical JSON text of the version 3 model document,
+    ``json.dumps(indent=1)``, its ``ids`` in the narrowest of ``_ID_DTYPES``
+    that holds them all. Serialising the same forest twice is byte-identical,
+    and serialise -> parse -> serialise is the identity."""
+    nodes, kind, ids = forest.nodes, forest.nodes.kind, forest.nodes.ids
+    lo, hi = int(ids.min(initial=0)), int(ids.max(initial=0))
+    ids_dtype = next(d for d in _ID_DTYPES if hi <= np.iinfo(d).max) if lo >= 0 else "<i8"
     columns = {"kind": kind, "feature": nodes.feature[kind != LEAF],
                "threshold": nodes.threshold[kind == NUMERICAL_GE],
                "value": nodes.value[kind == LEAF],
                "id_count": np.diff(forest_nodes(forest).id_ends, prepend=0)[kind >= CATEGORY_IN],
-               "ids": nodes.ids}
+               "ids": ids}
     trees = {"node_counts": np.diff(forest.starts).tolist()}
     for name, dtype in _COLUMNS.items():
+        if name == "ids":
+            trees["ids_dtype"] = dtype = ids_dtype
         trees[name] = base64.b64encode(np.asarray(columns[name], dtype).tobytes()).decode("ascii")
     return json.dumps({
         "format": MODEL_FORMAT,

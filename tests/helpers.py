@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import csv
 import io
+import json
 import math
 import re
 from collections import Counter
@@ -21,7 +22,16 @@ from setforest.dataset import (
     SetColumnIndex,
     Vocabulary,
 )
-from setforest.model import _KIND_NAMES, CATEGORY_IN, LEAF, MODEL_FORMAT, NUMERICAL_GE, node_depths
+from setforest.model import (
+    _COLUMNS,
+    _KIND_NAMES,
+    CATEGORY_IN,
+    LEAF,
+    MODEL_FORMAT,
+    NUMERICAL_GE,
+    forest_nodes,
+    node_depths,
+)
 from setforest.splits import gain_scorer
 from setforest.transforms import hash64
 
@@ -201,14 +211,46 @@ def forest_to_dict(forest: sf.DecisionForest) -> dict:
     }
 
 
-def column(trees: dict, name: str, dtype: str) -> np.ndarray:
-    """Column ``name`` of a version 2 ``trees`` object, decoded."""
-    return np.frombuffer(base64.b64decode(trees[name]), dtype).copy()
+def forest_to_v2_json(forest: sf.DecisionForest) -> str:
+    """The version 2 model text of ``forest``: version 3's columns, but every
+    id an ``<i8`` and no ``ids_dtype``; the writer the library had before
+    version 3, kept to show that version 2 documents are still read."""
+    nodes, kind = forest.nodes, forest.nodes.kind
+    columns = {"kind": kind, "feature": nodes.feature[kind != LEAF],
+               "threshold": nodes.threshold[kind == NUMERICAL_GE],
+               "value": nodes.value[kind == LEAF],
+               "id_count": np.diff(forest_nodes(forest).id_ends, prepend=0)[kind >= CATEGORY_IN],
+               "ids": nodes.ids}
+    trees = {"node_counts": np.diff(forest.starts).tolist()}
+    for name, dtype in _COLUMNS.items():
+        trees[name] = base64.b64encode(np.asarray(columns[name], dtype).tobytes()).decode("ascii")
+    return json.dumps({
+        "format": MODEL_FORMAT,
+        "version": 2,
+        "kind": forest.kind,
+        "initial_score": float(forest.initial_score),
+        "features": [f.to_dict() for f in forest.features],
+        "trees": trees,
+        "metadata": forest.metadata,
+    }, indent=1)
 
 
-def set_column(trees: dict, name: str, values, dtype: str) -> None:
-    """Write ``values`` as column ``name`` of a version 2 ``trees`` object."""
-    trees[name] = base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+def column_dtype(trees: dict, name: str) -> str:
+    """The dtype of column ``name`` of a ``trees`` object of version 2 or 3."""
+    return trees.get("ids_dtype", "<i8") if name == "ids" else _COLUMNS[name]
+
+
+def column(trees: dict, name: str, dtype: str | None = None) -> np.ndarray:
+    """Column ``name`` of a ``trees`` object of version 2 or 3, decoded as
+    ``dtype`` (the column's own if None)."""
+    return np.frombuffer(base64.b64decode(trees[name]), dtype or column_dtype(trees, name)).copy()
+
+
+def set_column(trees: dict, name: str, values, dtype: str | None = None) -> None:
+    """Write ``values`` as column ``name`` of a ``trees`` object of version 2
+    or 3, as ``dtype`` (the column's own if None)."""
+    trees[name] = base64.b64encode(
+        np.asarray(values, dtype or column_dtype(trees, name)).tobytes()).decode("ascii")
 
 
 def _bytes_fault(name: str, change):
@@ -218,13 +260,31 @@ def _bytes_fault(name: str, change):
     return fault
 
 
-def _column_fault(name: str, dtype: str, change):
+def _column_fault(name: str, change):
     """A fault that rewrites column ``name``'s decoded array with ``change``."""
     def fault(trees):
-        values = column(trees, name, dtype)
+        values = column(trees, name)
         change(values)
-        set_column(trees, name, values, dtype)
+        set_column(trees, name, values)
     return fault
+
+
+def _swap_ids(trees):
+    """The first two ids of the first node with two ids at least, swapped."""
+    counts, ids = column(trees, "id_count"), column(trees, "ids")
+    node = int(np.argmax(counts >= 2))
+    assert counts[node] >= 2
+    first = int(counts[:node].sum())
+    ids[[first, first + 1]] = ids[[first + 1, first]]
+    set_column(trees, "ids", ids)
+
+
+def _negative_id(trees):
+    """The ids rewritten as ``<i8``, the first made -1."""
+    ids = column(trees, "ids").astype(np.int64)
+    ids[0] = -1
+    trees["ids_dtype"] = "<i8"
+    set_column(trees, "ids", ids)
 
 
 def _shift_id_count(ids):
@@ -232,8 +292,9 @@ def _shift_id_count(ids):
     ids[0] = 0
 
 
-# faults in the ``trees`` object of a version 2 model document of at least two
-# trees and two set or categorical nodes, each with what the refusal says
+# faults in the ``trees`` object of a version 3 model document of at least two
+# trees and two set or categorical nodes, one with two ids at least, whose ids
+# fit ``<u2``, each with what the refusal says
 COLUMN_FAULTS = {
     "not_base64": (lambda t: t.update(kind=t["kind"] + "$"), "not base64"),
     "not_ascii": (lambda t: t.update(ids="ü" + t["ids"]), "not base64"),
@@ -242,8 +303,8 @@ COLUMN_FAULTS = {
     "partial_item": (_bytes_fault("feature", lambda b: b + b"\0"), "not whole int32 items"),
     "short": (_bytes_fault("value", lambda b: b[:-8]), "'value' holds"),
     "long": (_bytes_fault("threshold", lambda b: b + bytes(8)), "'threshold' holds"),
-    "kind_4": (_column_fault("kind", "<i1", lambda k: k.__setitem__(-1, 4)), "node kinds"),
-    "kind_negative": (_column_fault("kind", "<i1", lambda k: k.__setitem__(0, -1)), "node kinds"),
+    "kind_4": (_column_fault("kind", lambda k: k.__setitem__(-1, 4)), "node kinds"),
+    "kind_negative": (_column_fault("kind", lambda k: k.__setitem__(0, -1)), "node kinds"),
     "counts_floats": (lambda t: t.update(node_counts=[float(c) for c in t["node_counts"]]),
                       "node_counts"),
     "counts_bools": (lambda t: t.update(node_counts=[True] * len(t["node_counts"])),
@@ -254,16 +315,20 @@ COLUMN_FAULTS = {
                    "node_counts"),
     "shape": (lambda t: t.update(node_counts=[t["node_counts"][0] + t["node_counts"][1],
                                               *t["node_counts"][2:]]), "whole trees"),
-    "id_count_zero": (_column_fault("id_count", "<i4", _shift_id_count), "id_count"),
-    "id_count_negative": (_column_fault("id_count", "<i4", lambda c: c.__setitem__(0, -c[0])),
+    "id_count_zero": (_column_fault("id_count", _shift_id_count), "id_count"),
+    "id_count_negative": (_column_fault("id_count", lambda c: c.__setitem__(0, -c[0])),
                           "id_count"),
     "id_count_sum": (_bytes_fault("ids", lambda b: b[:-8]), "id_count"),
-    "leaf_not_finite": (_column_fault("value", "<f8", lambda v: v.__setitem__(0, math.inf)),
+    "leaf_not_finite": (_column_fault("value", lambda v: v.__setitem__(0, math.inf)),
                         "must be finite"),
-    "feature_past_schema": (_column_fault("feature", "<i4", lambda f: f.__setitem__(0, 99)),
+    "feature_past_schema": (_column_fault("feature", lambda f: f.__setitem__(0, 99)),
                             "schema has"),
-    "id_out_of_order": (_column_fault("ids", "<i8", lambda i: i.__setitem__(0, -1)),
-                        "strictly increasing"),
+    "id_out_of_order": (_swap_ids, "strictly increasing"),
+    "ids_dtype_missing": (lambda t: t.pop("ids_dtype"), "malformed model document: 'ids_dtype'"),
+    "ids_dtype_unknown": (lambda t: t.update(ids_dtype="<i4"), "ids_dtype must be one of"),
+    "ids_dtype_not_a_string": (lambda t: t.update(ids_dtype=["<u2"]), "ids_dtype must be one of"),
+    "ids_partial_item": (_bytes_fault("ids", lambda b: b + b"\0"), "not whole uint16 items"),
+    "ids_negative": (_negative_id, "strictly increasing list of ids in its vocabulary"),
 }
 
 

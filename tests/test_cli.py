@@ -9,7 +9,7 @@ import setforest as sf
 from setforest.cli import _KEYS, ConfigError, main, parse_config
 from setforest.model import MAX_TREE_DEPTH
 
-from helpers import COLUMN_FAULTS, forest_to_dict, one_split_document
+from helpers import COLUMN_FAULTS, forest_to_dict, forest_to_v2_json, one_split_document
 
 
 @pytest.fixture()
@@ -350,7 +350,7 @@ class TestModelOnLoad:
     @pytest.mark.parametrize("fault", list(COLUMN_FAULTS))
     def test_malformed_column_is_two(self, trained, corpus_path, capsys, fault):
         model, document = trained
-        assert document["version"] == 2
+        assert document["version"] == 3
         COLUMN_FAULTS[fault][0](document["trees"])
         model.write_text(json.dumps(document, indent=1), encoding="utf-8")
         assert main(["predict", str(model), str(corpus_path)]) == 2
@@ -362,6 +362,14 @@ class TestModelOnLoad:
         scores = capsys.readouterr().out
         model.write_text(json.dumps(forest_to_dict(sf.load_forest(model)), indent=1),
                          encoding="utf-8")
+        assert main(["predict", str(model), str(corpus_path)]) == 0
+        assert capsys.readouterr().out == scores
+
+    def test_version_2_model_scores_the_same(self, trained, corpus_path, capsys):
+        model, _ = trained
+        assert main(["predict", str(model), str(corpus_path)]) == 0
+        scores = capsys.readouterr().out
+        model.write_text(forest_to_v2_json(sf.load_forest(model)), encoding="utf-8")
         assert main(["predict", str(model), str(corpus_path)]) == 0
         assert capsys.readouterr().out == scores
 

@@ -11,10 +11,11 @@ its categorical ones; any later change that moves a split, a leaf value or a
 metadata float changes a hash here.
 
 The text hashes were recorded again when the model format went to version 2
-(flat base64 node columns). ``ARRAY_DIGESTS`` hash the node arrays, tree
-starts and the other members of the model, not its text; they were recorded
-before that switch and held across it, so they show that the trainer's
-output did not change with the format.
+(flat base64 node columns), and again at version 3 (ids at the narrowest
+width that holds them). ``ARRAY_DIGESTS`` hash the node arrays, tree starts
+and the other members of the model, not its text; they were recorded before
+the switch to version 2 and held across both switches, so they show that the
+trainer's output did not change with the format.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import pytest
 import setforest as sf
 
 GOLDEN = {
-    "rf_planted": "246d2095adf288757ae1020cdfe7d4f2367b1b71b130bad0763555f802a3a31b",
-    "mart_planted": "94f73f7c0a749c69865147b3a33cbc77d7027a2c9b9992fcf6ee769b3db73292",
-    "mart_mixed_csv": "373e27caffcb42fd973202ac66f4637919b8f69f8f763006e47b348631320731",
-    "rf_two_set_csv": "ec06ae2e001f84f33445a6219855ce87f2937778ce94a2c942232891314ce832",
-    "mart_planted_thick_leaves": "b967236f3438db6a7702ac3fa9b32a433889b294aa328fa1240eedf98529fff0",
-    "mart_planted_shallow": "b7d24e8ca3f6be14afba6fa8b68da153e221775024b38b080bea095659799008",
-    "rf_planted_all_terms": "20cf7c754067f2aafe2768e2d9a6407c0a8ead4e559bc017a06410de10668434",
-    "rf_num_cat_csv": "ae15f167df100b51df3f5272137d52b70d8594f4e98e32fd32d0aa1b58f843d1",
+    "rf_planted": "f23bfa5ca177ec53f36805f46f5ad803313aada87feddecb867baf3716718e77",
+    "mart_planted": "50d8646cac6f0159e27fa4e9b72c61f0baba02ef19aa49407f92cd4208291568",
+    "mart_mixed_csv": "17c8b16d5410872b1077ef50d4bc9107808303de03c33c9a3aae3cde6f0f3d5f",
+    "rf_two_set_csv": "fccb88fecd0bc70dd7023087c36ad4e6f76451ac16ca563d0f16a283c3f64821",
+    "mart_planted_thick_leaves": "870f5f4fd32a3a44b0b8624ca84adf6b31bc5df1d3fb78e18a88738f25197a45",
+    "mart_planted_shallow": "5bfc32f7d4d775d4ece5b6d1a647f2153f6ac5c64be41efbdce777f0e5861b83",
+    "rf_planted_all_terms": "f02e0de9e128f6a7d4f82fd305d2289012cc9b41768fb2580560bf23e742071e",
+    "rf_num_cat_csv": "ea5201ae399e330b21e8b56e247a0aca7c0402253eb50a68fe64aef766b4ff80",
 }
 
 ARRAY_DIGESTS = {

@@ -529,6 +529,42 @@ def _other_int_types(value):
     return int(value) if isinstance(value, np.integer) else value
 
 
+class TestKeyedRows:
+    """A term's or category's table rows come from a rank table over its
+    feature's vocabulary, with no sort; a feature without one, or with an id
+    outside it (a forest held in memory is not checked as a load checks it),
+    sorts its ids, into the same tables."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(ftypes=st.lists(st.sampled_from(["num", "cat", "hashed", "set"]), min_size=1,
+                           max_size=4),
+           vocab_size=st.integers(0, VOCAB), widest=st.sampled_from([3, 65]),
+           negative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_ids_outside_the_vocabulary_compile_to_the_same_tables(self, ftypes, vocab_size,
+                                                                   widest, negative, seed):
+        rng = np.random.default_rng(seed)
+        trees = _random_forest(rng, "rf", ftypes, [widest, 4]).trees
+        if negative:  # an id below 0 on the last feature, where it is a set or categorical one
+            f = len(ftypes) - 1
+            condition = {"set": sf.SetIntersects(f, (-3, 2)), "cat": sf.CategoryIn(f, {-3, 2}),
+                         "hashed": sf.CategoryIn(f, {-3, 2})}.get(ftypes[f])
+            trees += [sf.Internal(condition, sf.Leaf(0.25), sf.Leaf(0.75))] if condition else []
+        # the same forest, its vocabularies cut to vocab_size terms
+        vocab = make_vocab([f"v{i}" for i in range(vocab_size)])
+        features = [sf.Feature(f"f{i}", sf.FeatureType.NUMERICAL) if t == "num" else
+                    sf.Feature(f"f{i}", sf.FeatureType.CATEGORICAL, None) if t == "hashed" else
+                    sf.Feature(f"f{i}", sf.FeatureType.CATEGORICAL_SET if t == "set"
+                               else sf.FeatureType.CATEGORICAL, vocab)
+                    for i, t in enumerate(ftypes)]
+        forest = sf.DecisionForest("rf", trees, 0.0, features)
+        compiled = compile_forest(forest)
+        _assert_tables_match_the_trees(forest, compiled)
+        columns = [_random_column(rng, t, 30) for t in ftypes]
+        for i in range(30):
+            row = tuple(column[i] for column in columns)
+            assert predict_compiled(compiled, row) == predict_top_down(forest, row)
+
+
 class TestPackedMasks:
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["rf", "mart"]),

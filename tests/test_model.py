@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,9 +33,11 @@ from setforest.inference import _negative_spans
 from setforest.training import _tree_values
 
 import helpers
-from helpers import (COLUMN_FAULTS, build_complete_tree, column, forest_to_dict, make_vocab,
-                     one_split_document, random_mixed_dataset, random_nested_tree, stack_trees,
-                     tree_leaf_depths)
+from helpers import (COLUMN_FAULTS, build_complete_tree, column, forest_to_dict, forest_to_v2_json,
+                     make_vocab, one_split_document, random_mixed_dataset, random_nested_tree,
+                     stack_trees, tree_leaf_depths)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _trained(seed=0, algorithm="rf", **kw):
@@ -90,7 +93,7 @@ class TestSerialization:
         # each set and categorical node's ids, in the ids column, rise
         _, forest = _trained(seed=7)
         trees = json.loads(forest_to_json(forest))["trees"]
-        ids, counts = column(trees, "ids", "<i8"), column(trees, "id_count", "<i4")
+        ids, counts = column(trees, "ids"), column(trees, "id_count")
         assert counts.sum() == len(ids) and (counts > 0).all()
         for node in np.split(ids, np.cumsum(counts)[:-1]):
             assert node.tolist() == sorted(set(node.tolist()))
@@ -442,6 +445,14 @@ def _v1_text(kind, sizes, seed) -> str:
     return json.dumps(forest_to_dict(forest_from_json(_random_text(kind, sizes, seed))), indent=1)
 
 
+def _text_of_version(version, kind, sizes, seed) -> str:
+    """``_random_text``'s forest as the text of a document of ``version``."""
+    if version == 1:
+        return _v1_text(kind, sizes, seed)
+    text = _random_text(kind, sizes, seed)
+    return text if version == 3 else forest_to_v2_json(forest_from_json(text))
+
+
 def _outcomes(text: str) -> tuple:
     """What the JSON reader and ``forest_from_dict(json.loads(text))`` make of
     ``text``: each the forest's model text, or its error's type and message."""
@@ -469,17 +480,17 @@ def _relaid(text: str, layout: str, rng) -> str:
 
 class TestModelText:
     """The JSON reader against ``forest_from_dict(json.loads(text))`` on text
-    of either version in any layout, and the writer's version 2 text."""
+    of any version in any layout, and the writer's version 3 text."""
 
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 70), max_size=5),
            seed=st.integers(0, 2**32 - 1),
            layout=st.sampled_from(["none", "compact", "indent4", "crlf", "shuffled", "unicode"]),
-           version=st.sampled_from([1, 2]))
+           version=st.sampled_from([1, 2, 3]))
     def test_streamed_read_equals_the_whole_document_read(self, kind, sizes, seed, layout,
                                                           version):
         text = _random_text(kind, sizes, seed)
-        written = text if version == 2 else _v1_text(kind, sizes, seed)
+        written = _text_of_version(version, kind, sizes, seed)
         relaid = _relaid(written, layout, np.random.default_rng(seed))
         assert _outcomes(relaid) == (text, text)
         assert _outcomes(" \r\n\t" + relaid + "\n \n") == (text, text)
@@ -489,10 +500,10 @@ class TestModelText:
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 20), max_size=3),
            seed=st.integers(0, 2**32 - 1),
            fault=st.sampled_from(["cut", "trailing", "array", "string", "number", "bom"]),
-           version=st.sampled_from([1, 2]), data=st.data())
+           version=st.sampled_from([1, 2, 3]), data=st.data())
     def test_malformed_text_fails_as_the_whole_document_read(self, kind, sizes, seed, fault,
                                                             version, data):
-        text = _random_text(kind, sizes, seed) if version == 2 else _v1_text(kind, sizes, seed)
+        text = _text_of_version(version, kind, sizes, seed)
         text = _relaid(text, "shuffled", np.random.default_rng(seed))
         if fault == "cut":
             text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
@@ -545,12 +556,13 @@ class TestModelText:
         with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
             forest_from_json(text)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("owner", ["trees", "feature", "vocabulary", "metadata"])
     def test_a_repeated_key_is_refused_at_any_depth(self, version, owner):
-        text = _random_text(MART, [3, 2], 4) if version == 2 else _v1_text(MART, [3, 2], 4)
+        text = _text_of_version(version, MART, [3, 2], 4)
+        assert json.loads(text)["version"] == version
         # a key of the first object of its kind, given once more ahead of it
-        opening, key = {"trees": ('"trees": {', "kind") if version == 2
+        opening, key = {"trees": ('"trees": {', "kind") if version > 1
                         else ('"split": {', "feature"),
                         "feature": ('"features": [\n  {', "name"),
                         "vocabulary": ('"vocabulary": {', "terms"),
@@ -566,7 +578,7 @@ class TestModelText:
         forest = forest_from_json(_random_text(kind, sizes, seed))
         text = forest_to_json(forest)
         assert text == json.dumps(json.loads(text), indent=1)
-        assert json.loads(text)["version"] == 2
+        assert json.loads(text)["version"] == 3
 
     def test_writer_on_hand_built_numbers(self):
         # floats a column keeps bit for bit: signed zero, the least
@@ -597,12 +609,12 @@ class TestModelText:
             [-0.0, 5e-324, 1e16, -3.0, math.nan, math.inf, -math.inf, 1.0, 0.0, -1e-310]
         ).tobytes()
         assert column(columns, "id_count", "<i4").tolist() == [2, 0]
-        assert column(columns, "ids", "<i8").tolist() == [0, 3]
+        assert columns["ids_dtype"] == "<u2" and column(columns, "ids").tolist() == [0, 3]
         assert column(columns, "feature", "<i4").tolist() == [0, 0, 0, 0, 0, 1, 1]
         no_trees = sf.DecisionForest(MART, [], 2.0, features, {})
         empty = json.loads(forest_to_json(no_trees))["trees"]
         assert empty == {"node_counts": [], "kind": "", "feature": "", "threshold": "",
-                         "value": "", "id_count": "", "ids": ""}
+                         "value": "", "id_count": "", "ids_dtype": "<u2", "ids": ""}
         assert forest_from_json(forest_to_json(no_trees)).trees == []
 
     def test_writer_reaches_the_depth_bound(self):
@@ -695,8 +707,9 @@ def _bits(forest, ds) -> tuple[bytes, bytes]:
 
 
 class TestFormatVersion2:
-    """Version 2 documents: flat base64 columns, read without a walk over
-    nodes, and version 1 documents read into the same arrays."""
+    """Column documents (version 3, and version 2 before it): flat base64
+    columns, read without a walk over nodes, and version 1 documents read
+    into the same arrays."""
 
     @settings(deadline=None, max_examples=30)
     @given(kind=st.sampled_from([RF, MART]), sizes=st.lists(st.integers(1, 140), max_size=4),
@@ -745,3 +758,131 @@ class TestFormatVersion2:
             assert forest_from_json(forest_to_json(forest)).nodes == forest.nodes
             with pytest.raises(AssertionError):
                 forest_from_dict(forest_to_dict(forest))
+
+
+# ids at each edge of the three widths a version 3 document writes them in
+WIDTH_EDGES = (0, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63 - 1)
+# a set feature whose vocabulary reaches 2**16, and a max-hash categorical
+# feature, whose values reach 2**63 - 1, without one
+WIDE_FEATURES = [sf.Feature("x", sf.FeatureType.NUMERICAL),
+                 sf.Feature("h", sf.FeatureType.CATEGORICAL, None),
+                 sf.Feature("s", sf.FeatureType.CATEGORICAL_SET,
+                            make_vocab([f"t{i}" for i in range(2**16 + 1)]))]
+
+
+def _width_pool(rng, top: int) -> list[int]:
+    """The width edges up to ``top`` and a few ids at random up to it."""
+    return [e for e in WIDTH_EDGES if e <= top] + rng.integers(0, top, size=3,
+                                                                endpoint=True).tolist()
+
+
+def _width_tree(rng, n_leaves: int, largest: int):
+    """A random tree over ``WIDE_FEATURES`` whose ids are at most ``largest``."""
+    if n_leaves == 1:
+        return sf.Leaf(float(rng.normal()))
+    f = int(rng.integers(3))
+    if f == 0:
+        condition = sf.NumericalGE(0, float(rng.normal()))
+    else:
+        pool = _width_pool(rng, largest if f == 1 else min(largest, 2**16))
+        ids = sorted(set(rng.choice(pool, size=int(rng.integers(1, 4))).tolist()))
+        condition = sf.CategoryIn(1, frozenset(ids)) if f == 1 else sf.SetIntersects(2, tuple(ids))
+    k = int(rng.integers(1, n_leaves))
+    return sf.Internal(condition, _width_tree(rng, k, largest),
+                       _width_tree(rng, n_leaves - k, largest))
+
+
+def _width_rows(rng, n: int) -> sf.Dataset:
+    """Rows holding every width edge, ids beside them and missing values."""
+    hashed = np.array(WIDTH_EDGES + (1, 2**16 + 1, 2**32 + 1, sf.MISSING_CATEGORY),
+                      dtype=np.int64)
+    terms = (0, 1, 2**16 - 2, 2**16 - 1, 2**16)
+    columns = [np.where(rng.random(n) < 0.1, math.nan, rng.normal(size=n)),
+               hashed[rng.integers(len(hashed), size=n)],
+               [None if u < 0.1 else tuple(sorted(set(rng.choice(terms, size=3).tolist())))
+                for u in rng.random(n)]]
+    return sf.Dataset.create(WIDE_FEATURES, columns, np.zeros(n, dtype=np.int64))
+
+
+def _chain(depth: int):
+    """A tree ``depth`` splits deep, every split's negative child a leaf."""
+    node = sf.Leaf(0.5)
+    for level in range(depth):
+        node = sf.Internal(sf.NumericalGE(0, float(level)), sf.Leaf(level / 7), node)
+    return node
+
+
+class TestFormatVersion3:
+    """Version 3's ids at the narrowest width that holds them, versions 1
+    and 2 read into the same forest, and the depth walk kept to the trees
+    that could be too deep."""
+
+    @settings(deadline=None, max_examples=24)
+    @given(largest=st.sampled_from(WIDTH_EDGES), kind=st.sampled_from([RF, MART]),
+           sizes=st.lists(st.integers(1, 70), max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_ids_round_trip_at_the_narrowest_width(self, largest, kind, sizes, seed):
+        rng = np.random.default_rng(seed)
+        # the first tree holds the largest id, in the feature without a
+        # vocabulary, or in the set feature where it fits its vocabulary
+        f = 2 if largest <= 2**16 and rng.random() < 0.5 else 1
+        root = sf.SetIntersects(2, (largest,)) if f == 2 else sf.CategoryIn(1, frozenset([largest]))
+        trees = [sf.Internal(root, sf.Leaf(0.25), sf.Leaf(-0.5))]
+        trees += [_width_tree(rng, n, largest) for n in sizes]
+        forest = sf.DecisionForest(kind, trees, 0.0 if kind == RF else float(rng.normal()),
+                                   WIDE_FEATURES, {"seed": seed})
+        text = forest_to_json(forest)
+        # the narrowest of the three widths that holds the largest id
+        narrowest = "<u2" if largest < 2**16 else "<u4" if largest < 2**32 else "<i8"
+        assert json.loads(text)["trees"]["ids_dtype"] == narrowest
+        ds = _width_rows(rng, 40)
+        bits = _bits(forest, ds)
+        for read in (forest_from_json(text), forest_from_json(forest_to_v2_json(forest)),
+                     forest_from_dict(forest_to_dict(forest))):
+            assert read.nodes == forest.nodes
+            assert read.starts.tobytes() == forest.starts.tobytes()
+            assert forest_to_json(read) == text
+            assert _bits(read, ds) == bits
+
+    def test_a_version_2_model_reads_as_its_version_3_text(self):
+        # written by the version 2 writer that helpers keeps, when the
+        # library still wrote version 2
+        text = (DATA / "mixed_mart_v2.json").read_text(encoding="utf-8")
+        forest = forest_from_json(text)
+        assert forest_to_v2_json(forest) + "\n" == text
+        v3 = forest_from_json(forest_to_json(forest))
+        v1 = forest_from_dict(forest_to_dict(forest))
+        assert v3.nodes == v1.nodes == forest.nodes
+        assert v3.starts.tobytes() == v1.starts.tobytes() == forest.starts.tobytes()
+        ds, _ = random_mixed_dataset(2, n=150)
+        assert _bits(v3, ds) == _bits(v1, ds) == _bits(forest, ds)
+        top_down = np.array([sf.predict_top_down(forest, row) for row in ds.rows()])
+        assert _bits(forest, ds)[0] == top_down.tobytes()
+
+    @pytest.mark.parametrize("trees, walked", [
+        ([3, "chain"], 0),  # 2 * MAX_TREE_DEPTH + 1 nodes: not walked
+        (["complete"], 1),  # 4095 nodes, 11 deep
+        ([2, "complete", 5, "chain", "complete"], 2),
+    ])
+    def test_only_a_tree_of_more_than_1025_nodes_is_walked(self, trees, walked):
+        built = {"chain": lambda: _chain(MAX_TREE_DEPTH),
+                 "complete": lambda: build_complete_tree(11)}
+        rng = np.random.default_rng(0)
+        trees = [built[t]() if t in built else random_nested_tree(rng, t, TEXT_FEATURES[:1])
+                 for t in trees]
+        forest = sf.DecisionForest(RF, trees, 0.0, TEXT_FEATURES[:1])
+        assert 2 * MAX_TREE_DEPTH + 1 == 1025 == count_nodes(_flat(_chain(MAX_TREE_DEPTH)))
+        with mock.patch.object(sf.model, "node_depths", wraps=sf.model.node_depths) as depths:
+            assert forest_from_json(forest_to_json(forest)).nodes == forest.nodes
+        assert depths.call_count == walked
+
+    @pytest.mark.parametrize("before", [0, 1, 3])
+    def test_a_chain_one_level_too_deep_is_refused(self, before):
+        rng = np.random.default_rng(before)
+        others = [build_complete_tree(11), random_nested_tree(rng, 4, TEXT_FEATURES[:1]),
+                  random_nested_tree(rng, 9, TEXT_FEATURES[:1])]
+        forest = sf.DecisionForest(RF, others[:before] + [_chain(MAX_TREE_DEPTH + 1)], 0.0,
+                                   TEXT_FEATURES[:1])
+        with pytest.raises(ValueError, match=f"tree {before} is deeper than {MAX_TREE_DEPTH}"):
+            forest_from_json(forest_to_json(forest))
+        with pytest.raises(ValueError, match=f"tree {before} is deeper than {MAX_TREE_DEPTH}"):
+            forest_from_json(forest_to_v2_json(forest))
